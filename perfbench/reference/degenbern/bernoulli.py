@@ -1,0 +1,442 @@
+"""Degenerate Bernoulli numbers and polynomials, generalized by an integer
+parameter p >= -1 through a formal Gauss hypergeometric generating function.
+
+Every quantity here is reachable by several genuinely independent routes:
+
+  gen_beta                triangle-weighted sum (normative; closed form at p = -1)
+  gen_beta_gf             coefficient of the 2F1 generating series
+  gen_beta_eulerian       signed sum over the degenerate Eulerian row
+  gen_beta_integral       termwise Beta-function integration of the integral
+                          representation, using alternating falling-factorial
+                          sums instead of the Stirling triangle
+  gen_beta_rstirling      double sum over restricted second-kind entries,
+                          carried out in Q(l) and normalized afterwards
+
+and likewise for the polynomials in x.  Route agreement is exercised by the
+verification suite; the functions themselves do not cross-check.
+
+The rstirling route deserves a note.  Its published double-sum form breaks
+down for l != 0 because a step in its derivation silently rewrites the
+exponent p + l-weight as p + summation index; the Euler transformation it
+starts from forces the final factor to be (l)_{n-m,l}, which kills every term
+except m = n and m = n-1.  That corrected form is implemented here, it agrees
+with all other routes, and the associated l -> 0 limit becomes a single sum
+over classical restricted Stirling numbers (gen_beta_classical_limit).
+
+The optional s2 argument on triangle-consuming routes substitutes a
+TriangleTable for the built-in degenerate second-kind triangle; results are
+memoized only when no substitute table is in play.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
+
+from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
+from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
+from .triangles import (
+    eulerian_degenerate,
+    falling_factorial,
+    log_weight,
+    r_stirling2_classical,
+    rising_factorial,
+    stirling2_deg,
+    stirling2_deg_poly,
+)
+
+__all__ = [
+    "carlitz_beta",
+    "carlitz_beta_gf",
+    "classical_bernoulli",
+    "gen_beta",
+    "gen_beta_stirling_sum",
+    "gen_beta_gf",
+    "gen_beta_eulerian",
+    "gen_beta_integral",
+    "gen_beta_rstirling",
+    "gen_beta_rstirling_simplified",
+    "gen_beta_classical_limit",
+    "gen_beta_poly",
+    "gen_beta_poly_stirling",
+    "gen_beta_poly_gf",
+    "gen_beta_poly_derivative",
+    "RemarkReport",
+    "verify_remark_identities",
+]
+
+_RANGE_ERROR = "parameter out of range"
+
+_CARLITZ_CACHE: dict[int, PolyLambda] = {}
+_GEN_CACHE: dict[tuple[int, int], PolyLambda] = {}
+_GEN_POLY_CACHE: dict[tuple[int, int], PolyXOverLambda] = {}
+
+
+def _s2(s2):
+    return stirling2_deg if s2 is None else s2.entry
+
+
+def carlitz_beta(n: int, s2=None) -> PolyLambda:
+    """Degenerate Bernoulli number as the weighted second-kind row sum.
+
+    sum_k log_weight(k)/(k+1) * stirling2_deg(n,k); the constant term at
+    l = 0 is the classical Bernoulli number B_n.
+    """
+    if n < 0:
+        raise ValueError(_RANGE_ERROR)
+    if s2 is None and n in _CARLITZ_CACHE:
+        return _CARLITZ_CACHE[n]
+    entry = _s2(s2)
+    acc = PolyLambda.zero()
+    for k in range(n + 1):
+        s = entry(n, k)
+        if s:
+            acc = acc + log_weight(k) * s * Fraction(1, k + 1)
+    if s2 is None:
+        _CARLITZ_CACHE[n] = acc
+    return acc
+
+
+def carlitz_beta_gf(n: int, order: int | None = None) -> PolyLambda:
+    """Generating-function route: n-th coefficient of t/(e_l(t) - 1).
+
+    The common factor t is cancelled first, so the division is by a unit
+    series with constant term 1.
+    """
+    if n < 0:
+        raise ValueError(_RANGE_ERROR)
+    order = n if order is None else order
+    if order < n:
+        raise ValueError("insufficient series order")
+    em1 = degenerate_exp(1, order + 1) - TruncatedSeries.one(PolyLambda, order + 1)
+    recip = TruncatedSeries.one(PolyLambda, order).div(em1.divide_by_t())
+    return recip.coefficient(n)
+
+
+@lru_cache(maxsize=None)
+def classical_bernoulli(n: int) -> Fraction:
+    """B_n from the recurrence sum_{k=0}^{n} binom(n+1,k) B_k = 0, B_0 = 1."""
+    if n < 0:
+        raise ValueError(_RANGE_ERROR)
+    if n == 0:
+        return Fraction(1)
+    total = sum(comb(n + 1, k) * classical_bernoulli(k) for k in range(n))
+    return Fraction(-total, n + 1)
+
+
+def gen_beta_stirling_sum(n: int, p: int, s2=None) -> PolyLambda:
+    """The triangle-route sum, defined for every p >= -1.
+
+    sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg(n,k).  At p = -1
+    the binomial is 1 and the sum collapses to the closed falling-factorial
+    form; gen_beta uses that closed form directly and keeps this evaluation
+    as a cross-check.
+    """
+    if n < 0 or p < -1:
+        raise ValueError(_RANGE_ERROR)
+    entry = _s2(s2)
+    acc = PolyLambda.zero()
+    for k in range(n + 1):
+        s = entry(n, k)
+        if s:
+            acc = acc + log_weight(k) * s * Fraction(1, comb(p + k + 1, p + 1))
+    return acc
+
+
+def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
+    """Generalized degenerate Bernoulli number.
+
+    p >= 0 evaluates the stirling-sum route; p = -1 is the closed form
+    (l-1)_{n,l}.  p = 0 recovers carlitz_beta.
+    """
+    if n < 0 or p < -1:
+        raise ValueError(_RANGE_ERROR)
+    if s2 is None and (n, p) in _GEN_CACHE:
+        return _GEN_CACHE[(n, p)]
+    lam = PolyLambda.lam()
+    if p == -1:
+        out = falling_factorial(lam - 1, n, step=lam)
+        if not isinstance(out, PolyLambda):
+            out = PolyLambda.constant(out)
+    else:
+        out = gen_beta_stirling_sum(n, p, s2=s2)
+    if s2 is None:
+        _GEN_CACHE[(n, p)] = out
+    return out
+
+
+def gen_beta_gf(n: int, p: int, order: int | None = None) -> PolyLambda:
+    """Series-oracle route: n-th coefficient of the hypergeometric sum
+    with parameters (1-l, 1; p+2) at argument 1 - e_l(t)."""
+    if n < 0 or p < -1:
+        raise ValueError(_RANGE_ERROR)
+    order = n if order is None else order
+    if order < n:
+        raise ValueError("insufficient series order")
+    u = TruncatedSeries.one(PolyLambda, order) - degenerate_exp(1, order)
+    f = gauss_2f1_formal(PolyLambda.one() - PolyLambda.lam(), 1, p + 2, u)
+    return f.coefficient(n)
+
+
+def gen_beta_eulerian(n: int, p: int, s2=None) -> PolyLambda:
+    """Eulerian route: (p+1)/(n+p+1) sum_k eulerian_degenerate(n,k) (-1)^(n-k) / binom(p+n, p+k)."""
+    if n < 0 or p < 0:
+        raise ValueError(_RANGE_ERROR)
+    acc = PolyLambda.zero()
+    for k in range(n + 1):
+        e = eulerian_degenerate(n, k, s2=s2)
+        if not e:
+            continue
+        c = Fraction(1, comb(p + n, p + k))
+        if (n - k) % 2:
+            c = -c
+        acc = acc + e * c
+    return acc * Fraction(p + 1, n + p + 1)
+
+
+def gen_beta_integral(n: int, p: int) -> PolyLambda:
+    """Integral-representation route, integrated termwise with exact Beta values.
+
+    Expanding (1 - x(1 - e_l(t)))^(l-1) binomially and using
+    int_0^1 (1-x)^p x^k dx = p! k! / (p+k+1)! gives
+
+        (p+1) sum_k log_weight(k) p!/(p+k+1)! sum_j binom(k,j)(-1)^(k-j) (j)_{n,l}.
+
+    The inner alternating sum replaces the Stirling triangle, so this route
+    shares no code path with gen_beta beyond the factorial primitives.
+    """
+    if n < 0 or p < 0:
+        raise ValueError(_RANGE_ERROR)
+    lam = PolyLambda.lam()
+    fall = [falling_factorial(j, n, step=lam) for j in range(n + 1)]
+    acc = PolyLambda.zero()
+    for k in range(n + 1):
+        alt = PolyLambda.zero()
+        for j in range(k + 1):
+            f = fall[j]
+            if not f:
+                continue
+            c = comb(k, j)
+            alt = alt + (f * c if (k - j) % 2 == 0 else f * (-c))
+        if not alt:
+            continue
+        acc = acc + log_weight(k) * alt * Fraction((p + 1) * factorial(p), factorial(p + k + 1))
+    return acc
+
+
+def _shifted_rising(q: int) -> RationalFunctionLambda:
+    # <1>_{q,1/l} = (l+1)(l+2)...(l+q-1) / l^(q-1), kept unsimplified in Q(l)
+    lam = PolyLambda.lam()
+    return RationalFunctionLambda(rising_factorial(lam + 1, q - 1), lam ** (q - 1))
+
+
+def gen_beta_rstirling(n: int, p: int, s2=None) -> RationalFunctionLambda:
+    """Restricted-Stirling route, evaluated in Q(l) without pre-cancellation.
+
+    (p+1)/<1>_{p+1,1/l} * sum_m sum_k binom(n,m) (-l)^k/(p+k+1)
+    <1>_{p+k+1,1/l} S_(m,k|p) (l)_{n-m,l}, where S_(m,k|p) is the polynomial
+    second-kind entry at x = p (the restricted triangle for p >= 1, the plain
+    one at p = 0).  The (l)_{n-m,l} factor vanishes for n-m >= 2, so only the
+    top two m survive; the result always normalizes to the polynomial
+    gen_beta(n,p).  Defined for n >= 1; p = 0 is an extension of the
+    published p >= 1 domain that the test suite confirms.
+    """
+    if n < 1 or p < 0:
+        raise ValueError(_RANGE_ERROR)
+    lam = PolyLambda.lam()
+    pref = RationalFunctionLambda.one() * (p + 1) / _shifted_rising(p + 1)
+    acc = RationalFunctionLambda.zero()
+    for m in range(n + 1):
+        w = falling_factorial(lam, n - m, step=lam)
+        if not w:
+            continue
+        b = comb(n, m)
+        for k in range(m + 1):
+            table = stirling2_deg_poly(m, k, x=Fraction(p), s2=s2)
+            if not table:
+                continue
+            term = _shifted_rising(p + k + 1) * ((-lam) ** k) * Fraction(b, p + k + 1)
+            acc = acc + term * table * w
+    return pref * acc
+
+
+def gen_beta_rstirling_simplified(n: int, p: int, s2=None) -> PolyLambda:
+    """Same route with the l-power cancellations done by hand.
+
+    The Pochhammer ratio against (-l)^k collapses to
+    (-1)^k (l+p+1)...(l+p+k), leaving a polynomial-only sum over the two
+    surviving m.
+    """
+    if n < 1 or p < 0:
+        raise ValueError(_RANGE_ERROR)
+    lam = PolyLambda.lam()
+    acc = PolyLambda.zero()
+    for m in (n - 1, n):
+        if m < 0:
+            continue
+        w = falling_factorial(lam, n - m, step=lam)
+        b = comb(n, m)
+        for k in range(m + 1):
+            table = stirling2_deg_poly(m, k, x=Fraction(p), s2=s2)
+            if not table:
+                continue
+            c = Fraction(b * (p + 1), p + k + 1)
+            if k % 2:
+                c = -c
+            acc = acc + rising_factorial(lam + p + 1, k) * table * w * c
+    return acc
+
+
+def gen_beta_classical_limit(n: int, p: int) -> Fraction:
+    """The l -> 0 value of gen_beta(n,p) by classical restricted Stirling numbers.
+
+    (p+1)/p! sum_k (-1)^k (p+k)!/(p+k+1) * (restricted second-kind entry),
+    the single sum the rstirling route degenerates to at l = 0.  Uses the
+    independent integer recurrence, not the degenerate triangle.
+    """
+    if n < 1 or p < 0:
+        raise ValueError(_RANGE_ERROR)
+    total = Fraction(0)
+    for k in range(n + 1):
+        s = r_stirling2_classical(n, k, p)
+        if not s:
+            continue
+        c = Fraction((p + 1) * factorial(p + k), factorial(p) * (p + k + 1)) * s
+        total += -c if k % 2 else c
+    return total
+
+
+def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
+    """Generalized degenerate Bernoulli polynomial, symbolic in x.
+
+    sum_l binom(n,l) gen_beta(l,p) (x)_{n-l,l}; monic of x-degree n, value
+    at x = 0 is gen_beta(n,p).
+    """
+    if n < 0 or p < -1:
+        raise ValueError(_RANGE_ERROR)
+    if s2 is None and (n, p) in _GEN_POLY_CACHE:
+        return _GEN_POLY_CACHE[(n, p)]
+    x = PolyXOverLambda.x()
+    lam = PolyLambda.lam()
+    acc = PolyXOverLambda.zero()
+    for l in range(n + 1):
+        b = gen_beta(l, p, s2=s2)
+        if not b:
+            continue
+        acc = acc + falling_factorial(x, n - l, step=lam) * (b * comb(n, l))
+    if s2 is None:
+        _GEN_POLY_CACHE[(n, p)] = acc
+    return acc
+
+
+def gen_beta_poly_stirling(n: int, p: int, s2=None) -> PolyXOverLambda:
+    """Alternative polynomial route through the x-shifted second-kind entries.
+
+    sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg_poly(n,k).
+    """
+    if n < 0 or p < -1:
+        raise ValueError(_RANGE_ERROR)
+    acc = PolyXOverLambda.zero()
+    for k in range(n + 1):
+        table = stirling2_deg_poly(n, k, s2=s2)
+        if not table:
+            continue
+        acc = acc + table * (log_weight(k) * Fraction(1, comb(p + k + 1, p + 1)))
+    return acc
+
+
+def gen_beta_poly_gf(n: int, p: int, order: int | None = None) -> PolyXOverLambda:
+    """Series-oracle route for the polynomials: coefficient of the 2F1 series
+    times the symbolic degenerate exponential."""
+    if n < 0 or p < -1:
+        raise ValueError(_RANGE_ERROR)
+    order = n if order is None else order
+    if order < n:
+        raise ValueError("insufficient series order")
+    u = TruncatedSeries.one(PolyLambda, order) - degenerate_exp(1, order)
+    f = gauss_2f1_formal(PolyLambda.one() - PolyLambda.lam(), 1, p + 2, u).lift_to_x()
+    return f.mul(degenerate_exp(PolyXOverLambda.x(), order)).coefficient(n)
+
+
+def gen_beta_poly_derivative(n: int, p: int, s2=None) -> PolyXOverLambda:
+    """Closed-form x-derivative: sum_{l>=1} (-l)^(l-1)... in weights
+    (-lambda)^(l-1) (l-1)! binom(n,l) gen_beta_poly(n-l,p).
+
+    Must coincide with the coefficientwise derivative of gen_beta_poly(n,p);
+    at l(ambda) = 0 only the first term survives, the classical rule.
+    """
+    if n < 1 or p < -1:
+        raise ValueError(_RANGE_ERROR)
+    lam = PolyLambda.lam()
+    acc = PolyXOverLambda.zero()
+    for l in range(1, n + 1):
+        w = ((-lam) ** (l - 1)) * (factorial(l - 1) * comb(n, l))
+        acc = acc + gen_beta_poly(n - l, p, s2=s2) * w
+    return acc
+
+
+@dataclass(frozen=True)
+class RemarkReport:
+    """Outcome of the argument-shift identities at one (n, p, m).
+
+    multiplication_step_ratio reads the scaling identity's step as l/(m-1);
+    multiplication_step_shift reads it as l/m - 1.  Both readings of the
+    ambiguous subscript are evaluated and recorded, never presumed.
+    """
+
+    n: int
+    p: int
+    m: int
+    addition: bool
+    difference: bool
+    multiplication_step_ratio: bool
+    multiplication_step_shift: bool
+
+
+def verify_remark_identities(n: int, p: int, m: int, s2=None) -> RemarkReport:
+    """Check the addition, difference and scaling identities symbolically.
+
+    Addition compares both sides as polynomials in x for each integer
+    y = 0..n; both sides have y-degree at most n, so agreement on n+1 points
+    proves the bivariate identity.  Difference and the two scaling readings
+    are compared fully symbolically in x.
+    """
+    if n < 0 or p < 0 or m < 2:
+        raise ValueError(_RANGE_ERROR)
+    x = PolyXOverLambda.x()
+    lam = PolyLambda.lam()
+    full = gen_beta_poly(n, p, s2=s2)
+    polys = [gen_beta_poly(k, p, s2=s2) for k in range(n + 1)]
+
+    addition = True
+    for y0 in range(n + 1):
+        lhs = full.evaluate(x + y0)
+        rhs = PolyXOverLambda.zero()
+        for k in range(n + 1):
+            w = falling_factorial(Fraction(y0), n - k, step=lam) * comb(n, k)
+            rhs = rhs + polys[k] * w
+        if lhs != rhs:
+            addition = False
+            break
+
+    lhs = full.evaluate(x + 1) - full
+    rhs = PolyXOverLambda.zero()
+    for k in range(n):
+        w = falling_factorial(Fraction(1), n - k, step=lam) * comb(n, k)
+        rhs = rhs + polys[k] * w
+    difference = lhs == rhs
+
+    scaled = full.evaluate(x * m)
+
+    def scaling_rhs(step):
+        out = PolyXOverLambda.zero()
+        for k in range(n + 1):
+            w = (m - 1) ** (n - k) * comb(n, k)
+            out = out + polys[k] * falling_factorial(x, n - k, step=step) * w
+        return out
+
+    ratio = scaled == scaling_rhs(lam * Fraction(1, m - 1))
+    shift = scaled == scaling_rhs(lam * Fraction(1, m) - 1)
+    return RemarkReport(n, p, m, addition, difference, ratio, shift)

@@ -1,0 +1,453 @@
+"""Command-line surface: compute tables, run the identity suite, export files.
+
+Three subcommands:
+
+  compute   print a family table to stdout (or --output), default pretty text
+  verify    run the exact identity suite, one summary line per identity
+  export    write a family table to --output as JSON or CSV, default JSON
+
+Families are symbolic by default (exact coefficient lists in l); --lambda a/b
+evaluates every entry at that rational instead.  A JSON --config file may
+supply any long-flag value under its underscored name (e.g. "max_n"); flags
+given on the command line win.  File writes go through a temp file and rename
+so an interrupted run never leaves a partial file.
+
+Exit codes: 0 success, 1 verification failure, 2 usage or configuration
+error.  Failing Remark-mult readings are informational (the two readings are
+mutually exclusive by construction) and only affect the exit code with
+--strict.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
+from .exactcore import PolyLambda, PolyXOverLambda
+from .triangles import (
+    eulerian_classical,
+    eulerian_degenerate,
+    r_stirling2_deg,
+    stirling1_deg,
+    stirling2_deg,
+    stirling2_deg_poly,
+)
+from .verify import IdentityId, explain_failure, run_suite
+
+__all__ = ["CliConfig", "main", "entry"]
+
+EXIT_OK = 0
+EXIT_VERIFY_FAILED = 1
+EXIT_USAGE = 2
+
+_INFORMATIONAL = {IdentityId.REMARK_MULT_A, IdentityId.REMARK_MULT_B}
+
+FAMILIES = (
+    "beta",
+    "gen-beta",
+    "gen-beta-poly",
+    "stirling1",
+    "stirling2",
+    "stirling2-poly",
+    "r-stirling2",
+    "eulerian",
+    "eulerian-deg",
+)
+
+class UsageError(Exception):
+    """Invalid flags, config, or parameters; mapped to exit code 2."""
+
+
+@dataclass
+class CliConfig:
+    command: str
+    family: str | None = None
+    max_n: int | None = None
+    p: int = 0
+    r: int = 1
+    lam: Fraction | None = None
+    symbolic: bool = False
+    truncation: int = 16
+    fmt: str | None = None
+    output: str | None = None
+    suite: str = "all"
+    max_p: int = 4
+    strict: bool = False
+
+
+_DEFAULTS = {
+    "family": None,
+    "max_n": None,
+    "p": 0,
+    "r": 1,
+    "lam": None,
+    "symbolic": False,
+    "truncation": 16,
+    "fmt": None,
+    "output": None,
+    "suite": "all",
+    "max_p": 4,
+    "strict": False,
+}
+
+# config-file key per CliConfig field (the file uses flag spellings)
+_CONFIG_KEYS = {
+    "family": "family",
+    "max_n": "max_n",
+    "p": "p",
+    "r": "r",
+    "lam": "lambda",
+    "symbolic": "symbolic",
+    "truncation": "truncation",
+    "fmt": "format",
+    "output": "output",
+    "suite": "suite",
+    "max_p": "max_p",
+    "strict": "strict",
+}
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"invalid rational literal: {text!r}") from exc
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError("config file must hold a JSON object")
+    return data
+
+
+def _merge(args: argparse.Namespace) -> CliConfig:
+    """Command-line values win over config-file values win over defaults."""
+    file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    known = {v for v in _CONFIG_KEYS.values()}
+    for key in file_cfg:
+        if key not in known:
+            raise UsageError(f"unknown config key: {key}")
+    cfg = CliConfig(command=args.command)
+    for field, key in _CONFIG_KEYS.items():
+        cli_value = getattr(args, field, None)
+        if cli_value is not None:
+            value = cli_value
+        elif key in file_cfg:
+            value = file_cfg[key]
+        else:
+            value = _DEFAULTS[field]
+        setattr(cfg, field, value)
+    if isinstance(cfg.lam, str):
+        cfg.lam = _parse_rational(cfg.lam)
+    for field in ("max_n", "p", "r", "truncation", "max_p"):
+        value = getattr(cfg, field)
+        if value is not None and not isinstance(value, int):
+            raise UsageError(f"{_CONFIG_KEYS[field]} must be an integer")
+    for field in ("symbolic", "strict"):
+        if not isinstance(getattr(cfg, field), bool):
+            raise UsageError(f"{_CONFIG_KEYS[field]} must be a boolean")
+    return cfg
+
+
+def _frac_str(value) -> str:
+    q = Fraction(value)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _lambda_coeffs(poly: PolyLambda) -> list[str]:
+    if not poly.coeffs:
+        return ["0/1"]
+    return [_frac_str(c) for c in poly.coeffs]
+
+
+def _x_coeffs(poly: PolyXOverLambda) -> list[list[str]]:
+    return [_lambda_coeffs(poly.coefficient(j)) for j in range(poly.degree + 1)]
+
+
+def _build_rows(cfg: CliConfig):
+    """Entries for cfg.family: (parameters, [(index dict, value)]).
+
+    Values are PolyLambda or PolyXOverLambda; evaluation at a rational l
+    happens at serialization time.
+    """
+    if cfg.family is None:
+        raise UsageError("a family is required (e.g. compute beta ...)")
+    if cfg.family not in FAMILIES:
+        raise UsageError(f"unknown family: {cfg.family}")
+    if cfg.max_n is None:
+        raise UsageError("--max-n is required")
+    if cfg.max_n < 0:
+        raise UsageError("--max-n must be nonnegative")
+    if cfg.symbolic and cfg.lam is not None:
+        raise UsageError("choose either --symbolic or --lambda, not both")
+    n_range = range(cfg.max_n + 1)
+    fam = cfg.family
+    params: dict = {}
+    rows = []
+    if fam == "beta":
+        rows = [({"n": n}, carlitz_beta(n)) for n in n_range]
+    elif fam == "gen-beta":
+        params["p"] = cfg.p
+        rows = [({"n": n}, gen_beta(n, cfg.p)) for n in n_range]
+    elif fam == "gen-beta-poly":
+        params["p"] = cfg.p
+        rows = [({"n": n}, gen_beta_poly(n, cfg.p)) for n in n_range]
+    elif fam == "stirling1":
+        rows = [({"n": n, "k": k}, stirling1_deg(n, k)) for n in n_range for k in range(n + 1)]
+    elif fam == "stirling2":
+        rows = [({"n": n, "k": k}, stirling2_deg(n, k)) for n in n_range for k in range(n + 1)]
+    elif fam == "stirling2-poly":
+        rows = [
+            ({"n": n, "k": k}, stirling2_deg_poly(n, k)) for n in n_range for k in range(n + 1)
+        ]
+    elif fam == "r-stirling2":
+        params["r"] = cfg.r
+        rows = [
+            ({"n": n, "k": k}, r_stirling2_deg(n, k, cfg.r))
+            for n in n_range
+            for k in range(n + 1)
+        ]
+    elif fam == "eulerian":
+        rows = [
+            ({"n": n, "k": k}, PolyLambda.constant(eulerian_classical(n, k)))
+            for n in n_range
+            for k in range(n + 1)
+        ]
+    elif fam == "eulerian-deg":
+        rows = [
+            ({"n": n, "k": k}, eulerian_degenerate(n, k)) for n in n_range for k in range(n + 1)
+        ]
+    if cfg.lam is not None:
+        params["lambda"] = _frac_str(cfg.lam)
+    return params, rows
+
+
+def _entry_payload(value, lam: Fraction | None) -> tuple[str, object]:
+    """JSON field name and payload for one table value."""
+    if isinstance(value, PolyXOverLambda):
+        if lam is not None:
+            value = value.subs_lambda(lam)
+        return "x_coeffs", _x_coeffs(value)
+    if lam is not None:
+        return "lambda_coeffs", [_frac_str(value.evaluate(lam))]
+    return "lambda_coeffs", _lambda_coeffs(value)
+
+
+def _render_json(cfg: CliConfig, params: dict, rows) -> str:
+    entries = []
+    for index, value in rows:
+        entry_obj = dict(index)
+        field, payload = _entry_payload(value, cfg.lam)
+        entry_obj[field] = payload
+        entries.append(entry_obj)
+    doc = {
+        "family": cfg.family,
+        "max_n": cfg.max_n,
+        "parameters": params,
+        "entries": entries,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv_value(value, lam: Fraction | None) -> str:
+    if isinstance(value, PolyXOverLambda):
+        if lam is not None:
+            value = value.subs_lambda(lam)
+        return value.serialize()
+    if lam is not None:
+        return _frac_str(value.evaluate(lam))
+    return value.serialize()
+
+
+def _render_csv(cfg: CliConfig, rows) -> str:
+    lines = []
+    for index, value in rows:
+        cells = [str(v) for v in index.values()]
+        cells.append(_csv_value(value, cfg.lam))
+        lines.append(", ".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _pretty_value(value, lam: Fraction | None) -> str:
+    if isinstance(value, PolyXOverLambda):
+        if lam is not None:
+            value = value.subs_lambda(lam)
+        return value.pretty()
+    if lam is not None:
+        return str(value.evaluate(lam))
+    return value.pretty()
+
+
+def _render_pretty(cfg: CliConfig, rows) -> str:
+    lines = []
+    for index, value in rows:
+        label = " ".join(str(v) for v in index.values())
+        lines.append(f"{label}: {_pretty_value(value, cfg.lam)}")
+    return "\n".join(lines) + "\n"
+
+
+def _render(cfg: CliConfig, fmt: str) -> str:
+    params, rows = _build_rows(cfg)
+    if fmt == "json":
+        return _render_json(cfg, params, rows)
+    if fmt == "csv":
+        return _render_csv(cfg, rows)
+    return _render_pretty(cfg, rows)
+
+
+def _write_atomic(path: str, text: str):
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".degenbern-", suffix=".tmp")
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}") from exc
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise UsageError(f"cannot write output file: {exc}") from exc
+
+
+def _emit(cfg: CliConfig, text: str) -> int:
+    if cfg.output:
+        _write_atomic(cfg.output, text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _cmd_compute(cfg: CliConfig) -> int:
+    fmt = cfg.fmt or "pretty"
+    return _emit(cfg, _render(cfg, fmt))
+
+
+def _cmd_export(cfg: CliConfig) -> int:
+    if not cfg.output:
+        raise UsageError("export requires --output")
+    fmt = cfg.fmt or "json"
+    return _emit(cfg, _render(cfg, fmt))
+
+
+def _parse_suite(token: str):
+    if token == "all":
+        return None
+    selection = []
+    for piece in token.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        try:
+            selection.append(IdentityId(piece))
+        except ValueError:
+            raise UsageError(f"unknown identity: {piece}") from None
+    if not selection:
+        raise UsageError("empty suite selection")
+    return selection
+
+
+def _cmd_verify(cfg: CliConfig) -> int:
+    selection = _parse_suite(cfg.suite)
+    max_n = 12 if cfg.max_n is None else cfg.max_n
+    if max_n < 0:
+        raise UsageError("--max-n must be nonnegative")
+    if cfg.truncation < max_n + 1:
+        raise UsageError("insufficient series order")
+    reports = run_suite(selection, max_n=max_n, max_p=cfg.max_p, truncation=cfg.truncation)
+    hard_failure = False
+    for report in reports:
+        informational = report.identity_id in _INFORMATIONAL and not cfg.strict
+        status = "ok" if report.passed else ("recorded" if informational else "FAILED")
+        print(
+            f"{report.identity_id.value}: {report.cases_passed}/{report.cases_run} "
+            f"cases passed [{status}]"
+        )
+        if not report.passed:
+            print("  " + explain_failure(report).replace("\n", "\n  "))
+            if not informational:
+                hard_failure = True
+    return EXIT_VERIFY_FAILED if hard_failure else EXIT_OK
+
+
+def _add_common(sub: argparse.ArgumentParser, *, verify: bool):
+    sub.add_argument("--config", help="JSON file with default flag values")
+    sub.add_argument("--max-n", dest="max_n", type=int, help="largest index n")
+    sub.add_argument(
+        "--truncation", type=int, help="series order for oracle checks (default 16)"
+    )
+    if verify:
+        sub.add_argument("--suite", help='identity tokens, comma separated, or "all"')
+        sub.add_argument("--max-p", dest="max_p", type=int, help="largest p swept (default 4)")
+        sub.add_argument(
+            "--strict",
+            action="store_const",
+            const=True,
+            help="count informational identities toward the exit code",
+        )
+    else:
+        sub.add_argument("family", nargs="?", choices=FAMILIES, help="table family")
+        sub.add_argument("--p", type=int, help="generalization order p (default 0)")
+        sub.add_argument("--r", type=int, help="restriction parameter r (default 1)")
+        sub.add_argument(
+            "--lambda",
+            dest="lam",
+            help='rational value "a/b" to evaluate at instead of symbolic output',
+        )
+        sub.add_argument(
+            "--symbolic",
+            action="store_const",
+            const=True,
+            help="force symbolic output (the default; excludes --lambda)",
+        )
+        sub.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
+        sub.add_argument("--output", help="write to this path (temp file + rename)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="degenbern",
+        description="Exact degenerate Bernoulli, Stirling, and Eulerian tables.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    _add_common(commands.add_parser("compute", help="print a table"), verify=False)
+    _add_common(commands.add_parser("verify", help="run the identity suite"), verify=True)
+    _add_common(commands.add_parser("export", help="write a table to a file"), verify=False)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        cfg = _merge(args)
+        if args.command == "compute":
+            return _cmd_compute(cfg)
+        if args.command == "verify":
+            return _cmd_verify(cfg)
+        return _cmd_export(cfg)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def entry():
+    raise SystemExit(main())

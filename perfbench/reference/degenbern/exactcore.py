@@ -1,0 +1,639 @@
+"""Exact coefficient arithmetic underneath the degenerate families.
+
+Three value types are built on stdlib rationals:
+
+    PolyLambda              polynomial in the deformation parameter l over Q
+    RationalFunctionLambda  reduced quotient of PolyLambda, monic denominator
+    PolyXOverLambda         polynomial in x with PolyLambda coefficients
+
+Coefficient sequences are dense, ascending and never carry trailing zeros;
+the empty sequence is the canonical zero, so structural equality is exact
+mathematical equality.  A coefficient that happens to be an integer is kept
+as a plain int (ints and Fractions mix transparently in arithmetic, equality
+and hashing); everything visible through `evaluate`/`specialize` comes back
+as Fraction.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Union
+
+__all__ = [
+    "ExactRational",
+    "PolyLambda",
+    "PolyXOverLambda",
+    "RationalFunctionLambda",
+    "poly_divmod",
+    "poly_gcd",
+    "ratfun_normalize",
+    "specialize",
+]
+
+# Arbitrary-precision rational scalar.  stdlib Fraction already enforces the
+# invariants we need: gcd-reduced, denominator >= 1, canonical zero.
+ExactRational = Fraction
+
+Scalar = Union[int, Fraction]
+
+
+def _norm_coeff(c):
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _exact_div(a, b) -> Fraction:
+    """Field division of two rational scalars, never a float."""
+    return Fraction(a) / Fraction(b)
+
+
+class PolyLambda:
+    """Dense polynomial in l with exact rational coefficients, ascending order."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        cs = [_norm_coeff(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def zero(cls) -> "PolyLambda":
+        return _PL_ZERO
+
+    @classmethod
+    def one(cls) -> "PolyLambda":
+        return _PL_ONE
+
+    @classmethod
+    def lam(cls) -> "PolyLambda":
+        """The variable l itself."""
+        return _PL_LAM
+
+    @classmethod
+    def constant(cls, q: Scalar) -> "PolyLambda":
+        return cls((q,))
+
+    @property
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def lead(self) -> Scalar:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coefficient(self, i: int) -> Scalar:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def is_constant(self) -> bool:
+        return len(self.coeffs) <= 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PolyLambda):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs == ((_norm_coeff(other),) if other else ())
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(("PolyLambda", self.coeffs))
+
+    def __neg__(self) -> "PolyLambda":
+        return PolyLambda(-c for c in self.coeffs)
+
+    def __add__(self, other) -> "PolyLambda":
+        other = _as_poly_lambda(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return PolyLambda(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "PolyLambda":
+        other = _as_poly_lambda(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "PolyLambda":
+        other = _as_poly_lambda(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other) -> "PolyLambda":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return _PL_ZERO
+            return PolyLambda(c * other for c in self.coeffs)
+        if not isinstance(other, PolyLambda):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _PL_ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+        return PolyLambda(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "PolyLambda":
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        out = _PL_ONE
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def monic(self) -> "PolyLambda":
+        if not self.coeffs:
+            return self
+        inv = _exact_div(1, self.lead)
+        return self * inv
+
+    def evaluate(self, at: Scalar) -> Fraction:
+        """The value at l = at, by Horner."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * at + c
+        return Fraction(acc)
+
+    def serialize(self) -> str:
+        """Canonical machine form: 'c0 + c1*l + c2*l^2' with num/den coefficients."""
+        if not self.coeffs:
+            return "0/1"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            f = Fraction(c)
+            s = f"{f.numerator}/{f.denominator}"
+            if i == 1:
+                s += "*l"
+            elif i > 1:
+                s += f"*l^{i}"
+            parts.append(s)
+        return " + ".join(parts)
+
+    def pretty(self, var: str = "l") -> str:
+        """Human form: zero terms skipped, unit coefficients and /1 suppressed."""
+        if not self.coeffs:
+            return "0"
+        parts: list[str] = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            f = Fraction(c)
+            mag = abs(f)
+            coef = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            if i == 0:
+                term = coef
+            else:
+                v = var if i == 1 else f"{var}^{i}"
+                term = v if mag == 1 else f"{coef}*{v}"
+            if not parts:
+                parts.append(f"-{term}" if f < 0 else term)
+            else:
+                parts.append(f"- {term}" if f < 0 else f"+ {term}")
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"PolyLambda({self.serialize()!r})"
+
+
+def _as_poly_lambda(v):
+    if isinstance(v, PolyLambda):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return PolyLambda((v,)) if v else _PL_ZERO
+    return NotImplemented
+
+
+_PL_ZERO = PolyLambda()
+_PL_ONE = PolyLambda((1,))
+_PL_LAM = PolyLambda((0, 1))
+
+
+def poly_divmod(a: PolyLambda, b: PolyLambda) -> tuple[PolyLambda, PolyLambda]:
+    """Quotient and remainder in Q[l]; deg(r) < deg(b)."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.degree < b.degree:
+        return _PL_ZERO, a
+    rem = list(a.coeffs)
+    db, lb = b.degree, b.lead
+    quot = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        q = _exact_div(c, lb)
+        quot[i - db] = q
+        rem[i] = 0
+        for j in range(db):
+            rem[i - db + j] -= q * b.coeffs[j]
+    return PolyLambda(quot), PolyLambda(rem)
+
+
+def _primitive(p: PolyLambda) -> PolyLambda:
+    """Scale to coprime integer coefficients with positive leading coefficient."""
+    if not p:
+        return p
+    nums = [Fraction(c) for c in p.coeffs]
+    den_lcm = 1
+    for c in nums:
+        den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+    ints = [int(c * den_lcm) for c in nums]
+    g = 0
+    for v in ints:
+        g = _gcd_int(g, abs(v))
+    if ints[-1] < 0:
+        g = -g
+    return PolyLambda(v // g for v in ints)
+
+
+def _gcd_int(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def poly_gcd(a: PolyLambda, b: PolyLambda) -> PolyLambda:
+    """Monic gcd in Q[l] via Euclid with content/primitive-part reduction."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, _primitive(r)
+    return a.monic()
+
+
+class RationalFunctionLambda:
+    """Element of Q(l): gcd-reduced num/den pair with monic denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=_PL_ONE):
+        num = _coerce_pl(num)
+        den = _coerce_pl(den)
+        if not den:
+            raise ZeroDivisionError("division by zero polynomial")
+        if not num:
+            self.num, self.den = _PL_ZERO, _PL_ONE
+            return
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, _ = poly_divmod(num, g)
+            den, _ = poly_divmod(den, g)
+        inv = _exact_div(1, den.lead)
+        self.num = num * inv
+        self.den = den * inv
+
+    @classmethod
+    def zero(cls) -> "RationalFunctionLambda":
+        return cls(_PL_ZERO)
+
+    @classmethod
+    def one(cls) -> "RationalFunctionLambda":
+        return cls(_PL_ONE)
+
+    def is_polynomial(self) -> bool:
+        return self.den == _PL_ONE
+
+    def to_poly(self) -> PolyLambda:
+        if not self.is_polynomial():
+            raise ValueError(f"not a polynomial: {self.serialize()}")
+        return self.num
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __eq__(self, other) -> bool:
+        other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash(("RationalFunctionLambda", self.num.coeffs, self.den.coeffs))
+
+    def __neg__(self):
+        return RationalFunctionLambda(-self.num, self.den)
+
+    def __add__(self, other):
+        other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunctionLambda(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunctionLambda(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return RationalFunctionLambda(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        other = _as_ratfun(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def serialize(self) -> str:
+        return f"({self.num.serialize()}) / ({self.den.serialize()})"
+
+    def pretty(self) -> str:
+        if self.is_polynomial():
+            return self.num.pretty()
+        return f"({self.num.pretty()}) / ({self.den.pretty()})"
+
+    def __repr__(self) -> str:
+        return f"RationalFunctionLambda({self.serialize()!r})"
+
+
+def _coerce_pl(v) -> PolyLambda:
+    p = _as_poly_lambda(v)
+    if p is NotImplemented:
+        raise TypeError(f"expected PolyLambda or rational, got {type(v).__name__}")
+    return p
+
+
+def _as_ratfun(v):
+    if isinstance(v, RationalFunctionLambda):
+        return v
+    if isinstance(v, (PolyLambda, int, Fraction)):
+        return RationalFunctionLambda(_coerce_pl(v))
+    return NotImplemented
+
+
+def ratfun_normalize(num: PolyLambda, den: PolyLambda) -> RationalFunctionLambda:
+    """Canonical form of num/den in Q(l)."""
+    return RationalFunctionLambda(num, den)
+
+
+class PolyXOverLambda:
+    """Dense polynomial in x whose coefficients are PolyLambda, ascending in x."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable = ()):
+        cs = []
+        for c in coeffs:
+            if not isinstance(c, PolyLambda):
+                c = _coerce_pl(c)
+            cs.append(c)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def zero(cls) -> "PolyXOverLambda":
+        return _PX_ZERO
+
+    @classmethod
+    def one(cls) -> "PolyXOverLambda":
+        return _PX_ONE
+
+    @classmethod
+    def x(cls) -> "PolyXOverLambda":
+        """The variable x itself."""
+        return _PX_X
+
+    @classmethod
+    def constant(cls, c) -> "PolyXOverLambda":
+        return cls((c,))
+
+    @property
+    def degree(self) -> int:
+        """Degree in x; -1 for zero."""
+        return len(self.coeffs) - 1
+
+    @property
+    def lead(self) -> PolyLambda:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coefficient(self, j: int) -> PolyLambda:
+        return self.coeffs[j] if 0 <= j < len(self.coeffs) else _PL_ZERO
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PolyXOverLambda):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (PolyLambda, int, Fraction)):
+            c = _coerce_pl(other)
+            return self.coeffs == ((c,) if c else ())
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(("PolyXOverLambda", self.coeffs))
+
+    def __neg__(self):
+        return PolyXOverLambda(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        other = _as_poly_x(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for j, c in enumerate(b):
+            out[j] = out[j] + c
+        return PolyXOverLambda(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _as_poly_x(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = _as_poly_x(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, PolyLambda)):
+            c = _coerce_pl(other)
+            if not c:
+                return _PX_ZERO
+            return PolyXOverLambda(ci * c for ci in self.coeffs)
+        if not isinstance(other, PolyXOverLambda):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _PX_ZERO
+        out = [_PL_ZERO] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if not ca:
+                continue
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] = out[i + j] + ca * cb
+        return PolyXOverLambda(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "PolyXOverLambda":
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        out = _PX_ONE
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def evaluate(self, at):
+        """Substitute for x.
+
+        A rational or PolyLambda substitution returns PolyLambda; substituting
+        another PolyXOverLambda (e.g. x+1) returns PolyXOverLambda.
+        """
+        if isinstance(at, PolyXOverLambda):
+            acc = _PX_ZERO
+            for c in reversed(self.coeffs):
+                acc = acc * at + PolyXOverLambda.constant(c)
+            return acc
+        at = _coerce_pl(at)
+        acc = _PL_ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * at + c
+        return acc
+
+    def subs_lambda(self, q: Scalar) -> "PolyXOverLambda":
+        """Specialize l = q, leaving a polynomial in x with constant coefficients."""
+        return PolyXOverLambda(PolyLambda((c.evaluate(q),)) for c in self.coeffs)
+
+    def derivative(self) -> "PolyXOverLambda":
+        """Formal d/dx."""
+        return PolyXOverLambda(c * j for j, c in enumerate(self.coeffs) if j > 0)
+
+    def serialize(self) -> str:
+        if not self.coeffs:
+            return "(0/1)"
+        parts = []
+        for j, c in enumerate(self.coeffs):
+            s = f"({c.serialize()})"
+            if j == 1:
+                s += "*x"
+            elif j > 1:
+                s += f"*x^{j}"
+            parts.append(s)
+        return " + ".join(parts)
+
+    def pretty(self, var: str = "x") -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for j, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            inner = c.pretty()
+            if j == 0:
+                parts.append(inner)
+                continue
+            v = var if j == 1 else f"{var}^{j}"
+            if c == _PL_ONE:
+                parts.append(v)
+            elif len(c.coeffs) == 1 and " " not in inner:
+                parts.append(f"{inner}*{v}")
+            else:
+                parts.append(f"({inner})*{v}")
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"PolyXOverLambda({self.serialize()!r})"
+
+
+def _as_poly_x(v):
+    if isinstance(v, PolyXOverLambda):
+        return v
+    if isinstance(v, (PolyLambda, int, Fraction)):
+        c = _coerce_pl(v)
+        return PolyXOverLambda((c,)) if c else _PX_ZERO
+    return NotImplemented
+
+
+_PX_ZERO = PolyXOverLambda()
+_PX_ONE = PolyXOverLambda((_PL_ONE,))
+_PX_X = PolyXOverLambda((_PL_ZERO, _PL_ONE))
+
+
+def specialize(value, *, lam: Scalar | None = None, x: Scalar | None = None):
+    """Exact substitution.
+
+    specialize(PolyLambda, lam=q)      -> Fraction
+    specialize(PolyXOverLambda, x=q)   -> PolyLambda
+    specialize(PolyXOverLambda, lam=q) -> PolyXOverLambda with constant coefficients
+    """
+    if (lam is None) == (x is None):
+        raise ValueError("specialize needs exactly one of lam= or x=")
+    if isinstance(value, PolyLambda):
+        if lam is None:
+            raise ValueError("a PolyLambda can only be specialized at lam")
+        return value.evaluate(lam)
+    if isinstance(value, PolyXOverLambda):
+        if x is not None:
+            return value.evaluate(Fraction(x))
+        return value.subs_lambda(lam)
+    raise TypeError(f"cannot specialize {type(value).__name__}")

@@ -1,0 +1,302 @@
+"""Truncated formal power series with exponential normalization.
+
+A series of order N stores c_0..c_N where c_n = n! * [t^n] f(t), so that the
+product is the binomial convolution c_n(fg) = sum_i binom(n,i) c_i(f) c_{n-i}(g)
+and the coefficients of the degenerate exponential stay polynomial.
+Coefficients live in one of the exact rings from exactcore (PolyLambda or
+PolyXOverLambda); the ring is carried explicitly and mixed-ring arithmetic is
+refused.  All operations truncate to the smaller order of their operands.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+from .exactcore import PolyLambda, PolyXOverLambda
+
+__all__ = [
+    "TruncatedSeries",
+    "degenerate_exp",
+    "degenerate_log",
+    "gauss_2f1_formal",
+]
+
+_RINGS = (PolyLambda, PolyXOverLambda)
+
+
+def _ring_constant(ring, q):
+    if ring is PolyLambda:
+        return PolyLambda.constant(q)
+    return PolyXOverLambda.constant(q)
+
+
+def _ring_element(ring, v):
+    """Coerce v into ring; rationals embed as constants, PolyLambda lifts into x-polys."""
+    if isinstance(v, ring):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return _ring_constant(ring, v)
+    if ring is PolyXOverLambda and isinstance(v, PolyLambda):
+        return PolyXOverLambda.constant(v)
+    raise ValueError("coefficient ring mismatch")
+
+
+def _is_unit(ring, c):
+    """A nonzero rational constant of the ring; returns its value or None."""
+    if ring is PolyLambda:
+        if c.degree == 0:
+            return Fraction(c.coeffs[0])
+        return None
+    if c.degree == 0:
+        inner = c.coeffs[0]
+        if inner.degree == 0:
+            return Fraction(inner.coeffs[0])
+    return None
+
+
+class TruncatedSeries:
+    """Immutable truncated series; coeffs[n] is n! times the t^n coefficient."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs):
+        if ring not in _RINGS:
+            raise ValueError(f"unsupported coefficient ring: {ring!r}")
+        self.ring = ring
+        self.coeffs = tuple(_ring_element(ring, c) for c in coeffs)
+        if not self.coeffs:
+            raise ValueError("a truncated series needs at least the order-0 coefficient")
+
+    @classmethod
+    def zero(cls, ring, order: int) -> "TruncatedSeries":
+        return cls(ring, [0] * (order + 1))
+
+    @classmethod
+    def one(cls, ring, order: int) -> "TruncatedSeries":
+        return cls(ring, [1] + [0] * order)
+
+    @classmethod
+    def t(cls, ring, order: int) -> "TruncatedSeries":
+        """The series t itself."""
+        if order < 1:
+            raise ValueError("order must be at least 1 for the series t")
+        return cls(ring, [0, 1] + [0] * (order - 1))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coefficient(self, n: int):
+        """The EGF-normalized coefficient c_n = n! [t^n]."""
+        if not 0 <= n <= self.order:
+            raise ValueError(f"coefficient index {n} out of range 0..{self.order}")
+        return self.coeffs[n]
+
+    def ordinary(self) -> tuple:
+        """Ordinary coefficients [t^n] = c_n / n!."""
+        return tuple(c * Fraction(1, factorial(n)) for n, c in enumerate(self.coeffs))
+
+    @classmethod
+    def from_ordinary(cls, ring, coeffs) -> "TruncatedSeries":
+        return cls(ring, (_ring_element(ring, c) * factorial(n) for n, c in enumerate(coeffs)))
+
+    def truncate(self, order: int) -> "TruncatedSeries":
+        if order > self.order:
+            raise ValueError("cannot extend a truncated series")
+        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
+
+    def lift_to_x(self) -> "TruncatedSeries":
+        """Embed a PolyLambda-coefficient series into the PolyXOverLambda ring."""
+        if self.ring is PolyXOverLambda:
+            return self
+        return TruncatedSeries(PolyXOverLambda, (PolyXOverLambda.constant(c) for c in self.coeffs))
+
+    def _check_ring(self, other: "TruncatedSeries"):
+        if self.ring is not other.ring:
+            raise ValueError("coefficient ring mismatch")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self.ring is other.ring and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
+
+    def __neg__(self):
+        return TruncatedSeries(self.ring, (-c for c in self.coeffs))
+
+    def __add__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        self._check_ring(other)
+        n = min(self.order, other.order)
+        return TruncatedSeries(self.ring, (self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+
+    def __sub__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c) -> "TruncatedSeries":
+        """Multiply every coefficient by a ring element or rational."""
+        if isinstance(c, (int, Fraction)):
+            return TruncatedSeries(self.ring, (ci * c for ci in self.coeffs))
+        c = _ring_element(self.ring, c)
+        return TruncatedSeries(self.ring, (ci * c for ci in self.coeffs))
+
+    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Binomial-convolution product, truncated at the smaller order."""
+        if not isinstance(other, TruncatedSeries):
+            raise ValueError("series product needs two series; use scale for ring elements")
+        self._check_ring(other)
+        n = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        zero = _ring_constant(self.ring, 0)
+        out = []
+        for m in range(n + 1):
+            acc = zero
+            for i in range(m + 1):
+                ca = a[i]
+                if not ca:
+                    continue
+                cb = b[m - i]
+                if not cb:
+                    continue
+                acc = acc + ca * cb * comb(m, i)
+            out.append(acc)
+        return TruncatedSeries(self.ring, out)
+
+    __mul__ = mul
+
+    def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Quotient series; the divisor needs an invertible (rational) constant term."""
+        self._check_ring(other)
+        unit = _is_unit(self.ring, other.coeffs[0]) if other.coeffs[0] else None
+        if unit is None:
+            raise ValueError("series not invertible")
+        inv = Fraction(1) / unit
+        n = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        out: list = []
+        for m in range(n + 1):
+            acc = a[m]
+            for i in range(m):
+                ci = out[i]
+                if not ci:
+                    continue
+                cb = b[m - i]
+                if not cb:
+                    continue
+                acc = acc - ci * cb * comb(m, i)
+            out.append(acc * inv)
+        return TruncatedSeries(self.ring, out)
+
+    __truediv__ = div
+
+    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
+        """self(inner(t)), requiring inner(0) = 0.
+
+        Evaluated by accumulating the truncated powers inner^k/k! in the
+        exponential normalization; inner^k has no coefficients below t^k, so
+        the convolutions stay triangular.
+        """
+        self._check_ring(inner)
+        if inner.coeffs[0]:
+            raise ValueError("composition requires zero constant term")
+        n = min(self.order, inner.order)
+        f = self.coeffs
+        acc = TruncatedSeries.one(self.ring, n).scale(f[0])
+        power = TruncatedSeries.one(self.ring, n)
+        for k in range(1, n + 1):
+            power = power.mul(inner.truncate(n)).scale(Fraction(1, k))
+            if f[k]:
+                acc = acc + power.scale(f[k])
+        return acc
+
+    def binomial_pow(self, alpha) -> "TruncatedSeries":
+        """(1 + self)^alpha = sum_k binom(alpha, k) self^k, requiring self(0) = 0.
+
+        alpha may be a rational or a PolyLambda (e.g. l - 1 or -l - p).
+        """
+        if self.coeffs[0]:
+            raise ValueError("binomial power requires zero constant term")
+        n = self.order
+        acc = TruncatedSeries.one(self.ring, n)
+        term = TruncatedSeries.one(self.ring, n)
+        for k in range(1, n + 1):
+            factor = _ring_element(self.ring, alpha - (k - 1))
+            term = term.mul(self).scale(factor).scale(Fraction(1, k))
+            acc = acc + term
+        return acc
+
+    def divide_by_t(self) -> "TruncatedSeries":
+        """f/t for a series with zero constant term; drops the order by one."""
+        if self.coeffs[0]:
+            raise ValueError("cannot divide by t: nonzero constant term")
+        if self.order < 1:
+            raise ValueError("cannot divide by t: order 0")
+        return TruncatedSeries(
+            self.ring,
+            (self.coeffs[m + 1] * Fraction(1, m + 1) for m in range(self.order)),
+        )
+
+    def __repr__(self) -> str:
+        name = self.ring.__name__
+        return f"TruncatedSeries({name}, order={self.order})"
+
+
+def degenerate_exp(x, order: int) -> TruncatedSeries:
+    """The degenerate exponential e_l^x(t) = (1 + l t)^(x/l): c_n = (x)_{n,l}.
+
+    A rational or PolyLambda x gives a PolyLambda-coefficient series, the
+    symbol PolyXOverLambda.x() the symbolic-in-x series.
+    """
+    if isinstance(x, PolyXOverLambda):
+        ring = PolyXOverLambda
+        xe = x
+        lam = PolyXOverLambda.constant(PolyLambda.lam())
+    else:
+        ring = PolyLambda
+        xe = x if isinstance(x, PolyLambda) else PolyLambda.constant(x)
+        lam = PolyLambda.lam()
+    coeffs = [_ring_constant(ring, 1)]
+    for n in range(order):
+        coeffs.append(coeffs[-1] * (xe - lam * n))
+    return TruncatedSeries(ring, coeffs)
+
+
+def degenerate_log(order: int) -> TruncatedSeries:
+    """The compositional inverse of e_l(t) - 1: c_n = (l-1)(l-2)...(l-n+1), c_0 = 0."""
+    if order < 1:
+        raise ValueError("order must be at least 1 for the degenerate logarithm")
+    lam = PolyLambda.lam()
+    coeffs = [PolyLambda.zero(), PolyLambda.one()]
+    for n in range(2, order + 1):
+        coeffs.append(coeffs[-1] * (lam - (n - 1)))
+    return TruncatedSeries(PolyLambda, coeffs)
+
+
+def gauss_2f1_formal(a, b, c, u: TruncatedSeries) -> TruncatedSeries:
+    """Formal Gauss hypergeometric sum_k <a>_k <b>_k / <c>_k * u^k / k!.
+
+    a and b may be rationals or PolyLambda; c must be a rational with no
+    vanishing rising factorial (for positive integer c this always holds).
+    The argument u must have zero constant term so the sum truncates exactly.
+    """
+    if u.coeffs[0]:
+        raise ValueError("composition requires zero constant term")
+    c = Fraction(c)
+    n = u.order
+    acc = TruncatedSeries.one(u.ring, n)
+    term = TruncatedSeries.one(u.ring, n)
+    for k in range(1, n + 1):
+        if c + k - 1 == 0:
+            raise ValueError("invalid lower parameter")
+        # <a>_k / <a>_{k-1} = a + k - 1, likewise for b; the 1/k absorbs k!.
+        fa = _ring_element(u.ring, a + (k - 1))
+        fb = _ring_element(u.ring, b + (k - 1))
+        term = term.mul(u).scale(fa).scale(fb).scale(Fraction(1, k) / (c + k - 1))
+        acc = acc + term
+    return acc
