@@ -24,15 +24,17 @@ with all other routes, and the associated l -> 0 limit becomes a single sum
 over classical restricted Stirling numbers (gen_beta_classical_limit).
 
 The optional s2 argument on triangle-consuming routes substitutes a
-TriangleTable for the built-in degenerate second-kind triangle; results are
-memoized only when no substitute table is in play.
+TriangleTable for the built-in degenerate second-kind triangle.  One memo
+policy covers the module: classical_bernoulli, carlitz_beta, gen_beta,
+gen_beta_poly and the generating series behind the three *_gf routes (keyed
+by parameter and series order) are memoized by triangles.memoized.  Results computed with a
+substitute table are memoized on that table, never in the pristine memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
@@ -41,8 +43,8 @@ from .triangles import (
     eulerian_degenerate,
     falling_factorial,
     log_weight,
+    memoized,
     r_stirling2_classical,
-    rising_factorial,
     stirling2_deg,
     stirling2_deg_poly,
 )
@@ -64,20 +66,14 @@ __all__ = [
     "gen_beta_poly_gf",
     "gen_beta_poly_derivative",
     "RemarkReport",
+    "remark_sides",
     "verify_remark_identities",
 ]
 
 _RANGE_ERROR = "parameter out of range"
 
-_CARLITZ_CACHE: dict[int, PolyLambda] = {}
-_GEN_CACHE: dict[tuple[int, int], PolyLambda] = {}
-_GEN_POLY_CACHE: dict[tuple[int, int], PolyXOverLambda] = {}
 
-
-def _s2(s2):
-    return stirling2_deg if s2 is None else s2.entry
-
-
+@memoized
 def carlitz_beta(n: int, s2=None) -> PolyLambda:
     """Degenerate Bernoulli number as the weighted second-kind row sum.
 
@@ -86,16 +82,11 @@ def carlitz_beta(n: int, s2=None) -> PolyLambda:
     """
     if n < 0:
         raise ValueError(_RANGE_ERROR)
-    if s2 is None and n in _CARLITZ_CACHE:
-        return _CARLITZ_CACHE[n]
-    entry = _s2(s2)
     acc = PolyLambda.zero()
     for k in range(n + 1):
-        s = entry(n, k)
+        s = stirling2_deg(n, k, s2=s2)
         if s:
             acc = acc + log_weight(k) * s * Fraction(1, k + 1)
-    if s2 is None:
-        _CARLITZ_CACHE[n] = acc
     return acc
 
 
@@ -107,15 +98,23 @@ def carlitz_beta_gf(n: int, order: int | None = None) -> PolyLambda:
     """
     if n < 0:
         raise ValueError(_RANGE_ERROR)
+    return _carlitz_series(_series_order(n, order)).coefficient(n)
+
+
+def _series_order(n: int, order: int | None) -> int:
     order = n if order is None else order
     if order < n:
         raise ValueError("insufficient series order")
+    return order
+
+
+@memoized
+def _carlitz_series(order: int) -> TruncatedSeries:
     em1 = degenerate_exp(1, order + 1) - TruncatedSeries.one(PolyLambda, order + 1)
-    recip = TruncatedSeries.one(PolyLambda, order).div(em1.divide_by_t())
-    return recip.coefficient(n)
+    return TruncatedSeries.one(PolyLambda, order).div(em1.divide_by_t())
 
 
-@lru_cache(maxsize=None)
+@memoized
 def classical_bernoulli(n: int) -> Fraction:
     """B_n from the recurrence sum_{k=0}^{n} binom(n+1,k) B_k = 0, B_0 = 1."""
     if n < 0:
@@ -136,15 +135,15 @@ def gen_beta_stirling_sum(n: int, p: int, s2=None) -> PolyLambda:
     """
     if n < 0 or p < -1:
         raise ValueError(_RANGE_ERROR)
-    entry = _s2(s2)
     acc = PolyLambda.zero()
     for k in range(n + 1):
-        s = entry(n, k)
+        s = stirling2_deg(n, k, s2=s2)
         if s:
             acc = acc + log_weight(k) * s * Fraction(1, comb(p + k + 1, p + 1))
     return acc
 
 
+@memoized
 def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
     """Generalized degenerate Bernoulli number.
 
@@ -153,18 +152,9 @@ def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
     """
     if n < 0 or p < -1:
         raise ValueError(_RANGE_ERROR)
-    if s2 is None and (n, p) in _GEN_CACHE:
-        return _GEN_CACHE[(n, p)]
-    lam = PolyLambda.lam()
     if p == -1:
-        out = falling_factorial(lam - 1, n, step=lam)
-        if not isinstance(out, PolyLambda):
-            out = PolyLambda.constant(out)
-    else:
-        out = gen_beta_stirling_sum(n, p, s2=s2)
-    if s2 is None:
-        _GEN_CACHE[(n, p)] = out
-    return out
+        return falling_factorial(PolyLambda.lam() - 1, n, step=PolyLambda.lam())
+    return gen_beta_stirling_sum(n, p, s2=s2)
 
 
 def gen_beta_gf(n: int, p: int, order: int | None = None) -> PolyLambda:
@@ -172,12 +162,13 @@ def gen_beta_gf(n: int, p: int, order: int | None = None) -> PolyLambda:
     with parameters (1-l, 1; p+2) at argument 1 - e_l(t)."""
     if n < 0 or p < -1:
         raise ValueError(_RANGE_ERROR)
-    order = n if order is None else order
-    if order < n:
-        raise ValueError("insufficient series order")
+    return _gen_beta_series(p, _series_order(n, order)).coefficient(n)
+
+
+@memoized
+def _gen_beta_series(p: int, order: int) -> TruncatedSeries:
     u = TruncatedSeries.one(PolyLambda, order) - degenerate_exp(1, order)
-    f = gauss_2f1_formal(PolyLambda.one() - PolyLambda.lam(), 1, p + 2, u)
-    return f.coefficient(n)
+    return gauss_2f1_formal(PolyLambda.one() - PolyLambda.lam(), 1, p + 2, u)
 
 
 def gen_beta_eulerian(n: int, p: int, s2=None) -> PolyLambda:
@@ -229,7 +220,7 @@ def gen_beta_integral(n: int, p: int) -> PolyLambda:
 def _shifted_rising(q: int) -> RationalFunctionLambda:
     # <1>_{q,1/l} = (l+1)(l+2)...(l+q-1) / l^(q-1), kept unsimplified in Q(l)
     lam = PolyLambda.lam()
-    return RationalFunctionLambda(rising_factorial(lam + 1, q - 1), lam ** (q - 1))
+    return RationalFunctionLambda(falling_factorial(lam + 1, q - 1, step=-1), lam ** (q - 1))
 
 
 def gen_beta_rstirling(n: int, p: int, s2=None) -> RationalFunctionLambda:
@@ -285,7 +276,7 @@ def gen_beta_rstirling_simplified(n: int, p: int, s2=None) -> PolyLambda:
             c = Fraction(b * (p + 1), p + k + 1)
             if k % 2:
                 c = -c
-            acc = acc + rising_factorial(lam + p + 1, k) * table * w * c
+            acc = acc + falling_factorial(lam + p + 1, k, step=-1) * table * w * c
     return acc
 
 
@@ -308,6 +299,7 @@ def gen_beta_classical_limit(n: int, p: int) -> Fraction:
     return total
 
 
+@memoized
 def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
     """Generalized degenerate Bernoulli polynomial, symbolic in x.
 
@@ -316,8 +308,6 @@ def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
     """
     if n < 0 or p < -1:
         raise ValueError(_RANGE_ERROR)
-    if s2 is None and (n, p) in _GEN_POLY_CACHE:
-        return _GEN_POLY_CACHE[(n, p)]
     x = PolyXOverLambda.x()
     lam = PolyLambda.lam()
     acc = PolyXOverLambda.zero()
@@ -326,8 +316,6 @@ def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
         if not b:
             continue
         acc = acc + falling_factorial(x, n - l, step=lam) * (b * comb(n, l))
-    if s2 is None:
-        _GEN_POLY_CACHE[(n, p)] = acc
     return acc
 
 
@@ -352,12 +340,13 @@ def gen_beta_poly_gf(n: int, p: int, order: int | None = None) -> PolyXOverLambd
     times the symbolic degenerate exponential."""
     if n < 0 or p < -1:
         raise ValueError(_RANGE_ERROR)
-    order = n if order is None else order
-    if order < n:
-        raise ValueError("insufficient series order")
-    u = TruncatedSeries.one(PolyLambda, order) - degenerate_exp(1, order)
-    f = gauss_2f1_formal(PolyLambda.one() - PolyLambda.lam(), 1, p + 2, u).lift_to_x()
-    return f.mul(degenerate_exp(PolyXOverLambda.x(), order)).coefficient(n)
+    return _gen_beta_poly_series(p, _series_order(n, order)).coefficient(n)
+
+
+@memoized
+def _gen_beta_poly_series(p: int, order: int) -> TruncatedSeries:
+    ex = degenerate_exp(PolyXOverLambda.x(), order)
+    return _gen_beta_series(p, order).lift_to_x().mul(ex)
 
 
 def gen_beta_poly_derivative(n: int, p: int, s2=None) -> PolyXOverLambda:
@@ -395,48 +384,57 @@ class RemarkReport:
     multiplication_step_shift: bool
 
 
+_REMARK_RULES = ("addition", "difference", "ratio", "shift")
+
+
+def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2, s2=None):
+    """Both sides of one argument-shift rule for B_k = gen_beta_poly(k, p).
+
+    Every rule reads lhs = sum_k binom(n,k) B_k(x) w_{n-k}, symbolic in x:
+
+        addition     B_n(x + y)            w_j = (y)_{j,l}
+        difference   B_n(x + 1) - B_n(x)   w_j = (1)_{j,l} for j >= 1, w_0 = 0
+        ratio        B_n(m x)              w_j = (m-1)^j (x)_{j,l/(m-1)}
+        shift        B_n(m x)              w_j = (m-1)^j (x)_{j,l/m-1}
+
+    ratio and shift are the two readings of the scaling rule's step.
+    Returns (lhs, rhs) as PolyXOverLambda.
+    """
+    if rule not in _REMARK_RULES:
+        raise ValueError(f"unknown remark rule: {rule!r}")
+    if n < 0 or p < 0 or m < 2:
+        raise ValueError(_RANGE_ERROR)
+    x = PolyXOverLambda.x()
+    lam = PolyLambda.lam()
+    polys = [gen_beta_poly(k, p, s2=s2) for k in range(n + 1)]
+    if rule in ("ratio", "shift"):
+        step = lam * Fraction(1, m - 1) if rule == "ratio" else lam * Fraction(1, m) - 1
+        lhs, base, ratio = polys[n].evaluate(x * m), x, m - 1
+    else:
+        y = 1 if rule == "difference" else y
+        lhs, base, ratio, step = polys[n].evaluate(x + y), Fraction(y), 1, lam
+    rhs = PolyXOverLambda.zero()
+    for k in range(n if rule == "difference" else n + 1):
+        w = falling_factorial(base, n - k, step=step) * (ratio ** (n - k) * comb(n, k))
+        if w:
+            rhs = rhs + polys[k] * w
+    if rule == "difference":
+        lhs = lhs - polys[n]
+    return lhs, rhs
+
+
 def verify_remark_identities(n: int, p: int, m: int, s2=None) -> RemarkReport:
     """Check the addition, difference and scaling identities symbolically.
 
     Addition compares both sides as polynomials in x for each integer
     y = 0..n; both sides have y-degree at most n, so agreement on n+1 points
     proves the bivariate identity.  Difference and the two scaling readings
-    are compared fully symbolically in x.
+    are compared fully symbolically in x.  The sides come from remark_sides.
     """
-    if n < 0 or p < 0 or m < 2:
-        raise ValueError(_RANGE_ERROR)
-    x = PolyXOverLambda.x()
-    lam = PolyLambda.lam()
-    full = gen_beta_poly(n, p, s2=s2)
-    polys = [gen_beta_poly(k, p, s2=s2) for k in range(n + 1)]
 
-    addition = True
-    for y0 in range(n + 1):
-        lhs = full.evaluate(x + y0)
-        rhs = PolyXOverLambda.zero()
-        for k in range(n + 1):
-            w = falling_factorial(Fraction(y0), n - k, step=lam) * comb(n, k)
-            rhs = rhs + polys[k] * w
-        if lhs != rhs:
-            addition = False
-            break
+    def holds(rule: str, y: int = 0) -> bool:
+        lhs, rhs = remark_sides(rule, n, p, y=y, m=m, s2=s2)
+        return lhs == rhs
 
-    lhs = full.evaluate(x + 1) - full
-    rhs = PolyXOverLambda.zero()
-    for k in range(n):
-        w = falling_factorial(Fraction(1), n - k, step=lam) * comb(n, k)
-        rhs = rhs + polys[k] * w
-    difference = lhs == rhs
-
-    scaled = full.evaluate(x * m)
-
-    def scaling_rhs(step):
-        out = PolyXOverLambda.zero()
-        for k in range(n + 1):
-            w = (m - 1) ** (n - k) * comb(n, k)
-            out = out + polys[k] * falling_factorial(x, n - k, step=step) * w
-        return out
-
-    ratio = scaled == scaling_rhs(lam * Fraction(1, m - 1))
-    shift = scaled == scaling_rhs(lam * Fraction(1, m) - 1)
-    return RemarkReport(n, p, m, addition, difference, ratio, shift)
+    addition = all(holds("addition", y) for y in range(n + 1))
+    return RemarkReport(n, p, m, addition, holds("difference"), holds("ratio"), holds("shift"))

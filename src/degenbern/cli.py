@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
-from .exactcore import PolyLambda, PolyXOverLambda
+from .exactcore import PolyLambda, PolyXOverLambda, specialize
 from .triangles import (
     eulerian_classical,
     eulerian_degenerate,
@@ -60,6 +60,9 @@ FAMILIES = (
     "eulerian-deg",
 )
 
+FORMATS = ("json", "csv", "pretty")
+
+
 class UsageError(Exception):
     """Invalid flags, config, or parameters; mapped to exit code 2."""
 
@@ -80,21 +83,6 @@ class CliConfig:
     max_p: int = 4
     strict: bool = False
 
-
-_DEFAULTS = {
-    "family": None,
-    "max_n": None,
-    "p": 0,
-    "r": 1,
-    "lam": None,
-    "symbolic": False,
-    "truncation": 16,
-    "fmt": None,
-    "output": None,
-    "suite": "all",
-    "max_p": 4,
-    "strict": False,
-}
 
 # config-file key per CliConfig field (the file uses flag spellings)
 _CONFIG_KEYS = {
@@ -134,7 +122,11 @@ def _load_config(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> CliConfig:
-    """Command-line values win over config-file values win over defaults."""
+    """Command-line values win over config-file values win over defaults.
+
+    The file is outside input, so every value is checked for its type: no
+    float, no boolean standing in for an integer, no unknown format.
+    """
     file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     known = {v for v in _CONFIG_KEYS.values()}
     for key in file_cfg:
@@ -142,23 +134,27 @@ def _merge(args: argparse.Namespace) -> CliConfig:
             raise UsageError(f"unknown config key: {key}")
     cfg = CliConfig(command=args.command)
     for field, key in _CONFIG_KEYS.items():
-        cli_value = getattr(args, field, None)
-        if cli_value is not None:
-            value = cli_value
-        elif key in file_cfg:
-            value = file_cfg[key]
-        else:
-            value = _DEFAULTS[field]
+        value = getattr(args, field, None)
+        if value is None:
+            value = file_cfg.get(key, getattr(cfg, field))
         setattr(cfg, field, value)
-    if isinstance(cfg.lam, str):
+    if cfg.lam is not None:
+        if type(cfg.lam) is not int and not isinstance(cfg.lam, str):
+            raise UsageError('lambda must be an integer or a rational string such as "1/3"')
         cfg.lam = _parse_rational(cfg.lam)
     for field in ("max_n", "p", "r", "truncation", "max_p"):
         value = getattr(cfg, field)
-        if value is not None and not isinstance(value, int):
+        if type(value) is not int and not (field == "max_n" and value is None):
             raise UsageError(f"{_CONFIG_KEYS[field]} must be an integer")
     for field in ("symbolic", "strict"):
         if not isinstance(getattr(cfg, field), bool):
             raise UsageError(f"{_CONFIG_KEYS[field]} must be a boolean")
+    if not isinstance(cfg.suite, str):
+        raise UsageError("suite must be a string")
+    if cfg.output is not None and not isinstance(cfg.output, str):
+        raise UsageError("output must be a string")
+    if cfg.fmt is not None and cfg.fmt not in FORMATS:
+        raise UsageError(f"format must be one of {', '.join(FORMATS)}")
     return cfg
 
 
@@ -180,8 +176,9 @@ def _x_coeffs(poly: PolyXOverLambda) -> list[list[str]]:
 def _build_rows(cfg: CliConfig):
     """Entries for cfg.family: (parameters, [(index dict, value)]).
 
-    Values are PolyLambda or PolyXOverLambda; evaluation at a rational l
-    happens at serialization time.
+    Values are PolyLambda or PolyXOverLambda.  With a rational l they are
+    evaluated here, once, and stay in their ring (a number becomes a constant
+    PolyLambda), so the renderers never need to know about l.
     """
     if cfg.family is None:
         raise UsageError("a family is required (e.g. compute beta ...)")
@@ -232,17 +229,20 @@ def _build_rows(cfg: CliConfig):
         ]
     if cfg.lam is not None:
         params["lambda"] = _frac_str(cfg.lam)
+        rows = [(index, _at_lambda(value, cfg.lam)) for index, value in rows]
     return params, rows
 
 
-def _entry_payload(value, lam: Fraction | None) -> tuple[str, object]:
+def _at_lambda(value, lam: Fraction):
+    """value at l = lam, kept in its ring so that every renderer treats it alike."""
+    out = specialize(value, lam=lam)
+    return out if isinstance(out, PolyXOverLambda) else PolyLambda.constant(out)
+
+
+def _entry_payload(value) -> tuple[str, object]:
     """JSON field name and payload for one table value."""
     if isinstance(value, PolyXOverLambda):
-        if lam is not None:
-            value = value.subs_lambda(lam)
         return "x_coeffs", _x_coeffs(value)
-    if lam is not None:
-        return "lambda_coeffs", [_frac_str(value.evaluate(lam))]
     return "lambda_coeffs", _lambda_coeffs(value)
 
 
@@ -250,7 +250,7 @@ def _render_json(cfg: CliConfig, params: dict, rows) -> str:
     entries = []
     for index, value in rows:
         entry_obj = dict(index)
-        field, payload = _entry_payload(value, cfg.lam)
+        field, payload = _entry_payload(value)
         entry_obj[field] = payload
         entries.append(entry_obj)
     doc = {
@@ -262,40 +262,20 @@ def _render_json(cfg: CliConfig, params: dict, rows) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _csv_value(value, lam: Fraction | None) -> str:
-    if isinstance(value, PolyXOverLambda):
-        if lam is not None:
-            value = value.subs_lambda(lam)
-        return value.serialize()
-    if lam is not None:
-        return _frac_str(value.evaluate(lam))
-    return value.serialize()
-
-
-def _render_csv(cfg: CliConfig, rows) -> str:
+def _render_csv(rows) -> str:
     lines = []
     for index, value in rows:
         cells = [str(v) for v in index.values()]
-        cells.append(_csv_value(value, cfg.lam))
+        cells.append(value.serialize())
         lines.append(", ".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def _pretty_value(value, lam: Fraction | None) -> str:
-    if isinstance(value, PolyXOverLambda):
-        if lam is not None:
-            value = value.subs_lambda(lam)
-        return value.pretty()
-    if lam is not None:
-        return str(value.evaluate(lam))
-    return value.pretty()
-
-
-def _render_pretty(cfg: CliConfig, rows) -> str:
+def _render_pretty(rows) -> str:
     lines = []
     for index, value in rows:
         label = " ".join(str(v) for v in index.values())
-        lines.append(f"{label}: {_pretty_value(value, cfg.lam)}")
+        lines.append(f"{label}: {value.pretty()}")
     return "\n".join(lines) + "\n"
 
 
@@ -304,8 +284,8 @@ def _render(cfg: CliConfig, fmt: str) -> str:
     if fmt == "json":
         return _render_json(cfg, params, rows)
     if fmt == "csv":
-        return _render_csv(cfg, rows)
-    return _render_pretty(cfg, rows)
+        return _render_csv(rows)
+    return _render_pretty(rows)
 
 
 def _write_atomic(path: str, text: str):
@@ -416,7 +396,7 @@ def _add_common(sub: argparse.ArgumentParser, *, verify: bool):
             const=True,
             help="force symbolic output (the default; excludes --lambda)",
         )
-        sub.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"))
+        sub.add_argument("--format", dest="fmt", choices=FORMATS)
         sub.add_argument("--output", help="write to this path (temp file + rename)")
 
 

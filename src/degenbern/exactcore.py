@@ -17,22 +17,17 @@ as Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 __all__ = [
-    "ExactRational",
     "PolyLambda",
     "PolyXOverLambda",
     "RationalFunctionLambda",
     "poly_divmod",
     "poly_gcd",
-    "ratfun_normalize",
     "specialize",
 ]
-
-# Arbitrary-precision rational scalar.  stdlib Fraction already enforces the
-# invariants we need: gcd-reduced, denominator >= 1, canonical zero.
-ExactRational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -47,9 +42,19 @@ def _norm_coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _exact_div(a, b) -> Fraction:
-    """Field division of two rational scalars, never a float."""
-    return Fraction(a) / Fraction(b)
+def _power(self, k: int):
+    """self ** k by square-and-multiply, for either polynomial ring."""
+    if k < 0:
+        raise ValueError("negative power of a polynomial")
+    out = type(self).one()
+    base = self
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 class PolyLambda:
@@ -160,24 +165,12 @@ class PolyLambda:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "PolyLambda":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _PL_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+    __pow__ = _power
 
     def monic(self) -> "PolyLambda":
         if not self.coeffs:
             return self
-        inv = _exact_div(1, self.lead)
-        return self * inv
+        return self * (1 / Fraction(self.lead))
 
     def evaluate(self, at: Scalar) -> Fraction:
         """The value at l = at, by Horner."""
@@ -253,7 +246,7 @@ def poly_divmod(a: PolyLambda, b: PolyLambda) -> tuple[PolyLambda, PolyLambda]:
         c = rem[i]
         if not c:
             continue
-        q = _exact_div(c, lb)
+        q = Fraction(c) / lb
         quot[i - db] = q
         rem[i] = 0
         for j in range(db):
@@ -266,22 +259,12 @@ def _primitive(p: PolyLambda) -> PolyLambda:
     if not p:
         return p
     nums = [Fraction(c) for c in p.coeffs]
-    den_lcm = 1
-    for c in nums:
-        den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in nums))
     ints = [int(c * den_lcm) for c in nums]
-    g = 0
-    for v in ints:
-        g = _gcd_int(g, abs(v))
+    g = gcd(*ints)
     if ints[-1] < 0:
         g = -g
     return PolyLambda(v // g for v in ints)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def poly_gcd(a: PolyLambda, b: PolyLambda) -> PolyLambda:
@@ -310,7 +293,7 @@ class RationalFunctionLambda:
         if g.degree > 0:
             num, _ = poly_divmod(num, g)
             den, _ = poly_divmod(den, g)
-        inv = _exact_div(1, den.lead)
+        inv = 1 / Fraction(den.lead)
         self.num = num * inv
         self.den = den * inv
 
@@ -412,11 +395,6 @@ def _as_ratfun(v):
     if isinstance(v, (PolyLambda, int, Fraction)):
         return RationalFunctionLambda(_coerce_pl(v))
     return NotImplemented
-
-
-def ratfun_normalize(num: PolyLambda, den: PolyLambda) -> RationalFunctionLambda:
-    """Canonical form of num/den in Q(l)."""
-    return RationalFunctionLambda(num, den)
 
 
 class PolyXOverLambda:
@@ -530,18 +508,7 @@ class PolyXOverLambda:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "PolyXOverLambda":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _PX_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+    __pow__ = _power
 
     def evaluate(self, at):
         """Substitute for x.

@@ -16,17 +16,16 @@ integer coefficients; classical entries are plain ints.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import comb
 
 from .exactcore import PolyLambda, PolyXOverLambda
 
 __all__ = [
     "falling_factorial",
-    "rising_factorial",
     "falling_lambda",
-    "rising_lambda",
     "log_weight",
     "stirling1_deg",
     "stirling2_deg",
@@ -48,7 +47,8 @@ def falling_factorial(x, n: int, step=1):
 
     The result lives in the widest ring among x and step: Fraction for
     rational inputs, PolyLambda when either involves l, PolyXOverLambda for
-    symbolic x.
+    symbolic x.  A negated step gives the rising product x (x + step) ...,
+    e.g. the Pochhammer symbol at step=-1.
     """
     if n < 0:
         raise ValueError("factorial product length must be nonnegative")
@@ -63,47 +63,13 @@ def falling_factorial(x, n: int, step=1):
     return acc
 
 
-def rising_factorial(x, n: int, step=1):
-    """Product x (x + step) ... (x + (n-1) step); 1 when n = 0.
-
-    The default step 1 gives the Pochhammer symbol; the same ring-widening
-    rules as falling_factorial apply.
-    """
-    if n < 0:
-        raise ValueError("factorial product length must be nonnegative")
-    if isinstance(x, PolyXOverLambda):
-        acc = PolyXOverLambda.one()
-    elif isinstance(x, PolyLambda) or isinstance(step, PolyLambda):
-        acc = PolyLambda.one()
-    else:
-        acc = Fraction(1)
-    for i in range(n):
-        acc = acc * (x + step * i)
-    return acc
-
-
 def falling_lambda(x, n: int):
     """The l-falling factorial (x)_{n,l} = x (x-l) ... (x-(n-1)l).
 
     Symbolic x gives a PolyXOverLambda; rational or PolyLambda x gives a
     PolyLambda (the step already involves l).
     """
-    out = falling_factorial(x, n, step=PolyLambda.lam())
-    if isinstance(out, (PolyXOverLambda, PolyLambda)):
-        return out
-    return PolyLambda.constant(out)
-
-
-def rising_lambda(x, n: int):
-    """The l-rising factorial <x>_{n,l} = x (x+l) ... (x+(n-1)l).
-
-    The classical Pochhammer symbol is rising_factorial(x, n) with its
-    default step of 1, not a special case of this function.
-    """
-    out = rising_factorial(x, n, step=PolyLambda.lam())
-    if isinstance(out, (PolyXOverLambda, PolyLambda)):
-        return out
-    return PolyLambda.constant(out)
+    return falling_factorial(x, n, step=PolyLambda.lam())
 
 
 def log_weight(k: int) -> PolyLambda:
@@ -112,28 +78,85 @@ def log_weight(k: int) -> PolyLambda:
     These weights are the higher coefficients of the degenerate logarithm:
     log_weight(k) equals (k+1)! times its t^{k+1} coefficient.
     """
-    out = falling_factorial(PolyLambda.lam() - 1, k)
-    return out if isinstance(out, PolyLambda) else PolyLambda.constant(out)
+    return falling_factorial(PolyLambda.lam() - 1, k)
 
 
-# Monic factorial bases, grown on demand.  Index j holds the degree-j element.
-_ORD_BASIS: list[PolyXOverLambda] = [PolyXOverLambda.one()]
-_DEG_BASIS: list[PolyXOverLambda] = [PolyXOverLambda.one()]
+def memoized(fn):
+    """Memoize fn on its positional arguments, with one bypass for substitutes.
+
+    A call with s2=None reads and writes the pristine memo of fn.  A call with
+    s2=<TriangleTable> keeps its result on that table instead: a substituted
+    triangle never reads or writes the pristine memo, still reuses its own
+    results, and its results are freed together with the table.  Other
+    keyword arguments are bound to their positions first, so every call has
+    one key.  fn must not return None.  The wrapper's pristine attribute is
+    the pristine memo, for callers that need it cold.
+    """
+    pristine: dict = {}
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def call(*args, s2=None, **kwargs):
+        if kwargs:
+            args = signature.bind(*args, **kwargs).args
+        if s2 is None:
+            memo, key = pristine, args
+        else:
+            memo, key = s2._memo, (fn, args)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(*args) if s2 is None else fn(*args, s2=s2)
+        return value
+
+    call.pristine = pristine
+    return call
 
 
-def _ordinary_basis(n: int) -> list[PolyXOverLambda]:
-    while len(_ORD_BASIS) <= n:
-        j = len(_ORD_BASIS)
-        _ORD_BASIS.append(_ORD_BASIS[-1] * (PolyXOverLambda.x() - (j - 1)))
-    return _ORD_BASIS
+class TriangleTable:
+    """Read-only view of a triangle (n, k) -> PolyLambda with local overrides.
+
+    with_entry returns a new table that reports the given value at one
+    position and delegates everywhere else.  The override mechanism exists so
+    the verification suite can prove it notices a corrupted entry.  Each
+    table also holds the memo of every memoized route called with it as s2,
+    so a table made by with_entry starts with an empty memo.
+    """
+
+    __slots__ = ("_base", "_overrides", "_memo")
+
+    def __init__(self, base, overrides=None):
+        self._base = base
+        self._overrides = dict(overrides) if overrides else {}
+        self._memo: dict = {}
+
+    def entry(self, n: int, k: int) -> PolyLambda:
+        v = self._overrides.get((n, k))
+        if v is not None:
+            return v
+        return self._base(n, k)
+
+    def with_entry(self, n: int, k: int, value) -> "TriangleTable":
+        if not isinstance(value, PolyLambda):
+            value = PolyLambda.constant(value)
+        ov = dict(self._overrides)
+        ov[(n, k)] = value
+        return TriangleTable(self._base, ov)
+
+    def __repr__(self) -> str:
+        return f"TriangleTable(overrides={sorted(self._overrides)!r})"
 
 
-def _degenerate_basis(n: int) -> list[PolyXOverLambda]:
-    lam = PolyLambda.lam()
-    while len(_DEG_BASIS) <= n:
-        j = len(_DEG_BASIS)
-        _DEG_BASIS.append(_DEG_BASIS[-1] * (PolyXOverLambda.x() - lam * (j - 1)))
-    return _DEG_BASIS
+# Monic factorial bases x (x - step) ... by step, grown on demand.  Index j
+# holds the degree-j element.
+_BASES: dict = {}
+
+
+def _basis(step, n: int) -> list[PolyXOverLambda]:
+    basis = _BASES.setdefault(step, [PolyXOverLambda.one()])
+    while len(basis) <= n:
+        j = len(basis)
+        basis.append(basis[-1] * (PolyXOverLambda.x() - step * (j - 1)))
+    return basis
 
 
 def _into_basis(p: PolyXOverLambda, basis: list[PolyXOverLambda]) -> tuple[PolyLambda, ...]:
@@ -150,8 +173,10 @@ def _into_basis(p: PolyXOverLambda, basis: list[PolyXOverLambda]) -> tuple[PolyL
     return tuple(out)
 
 
-_S1_ROWS: dict[int, tuple[PolyLambda, ...]] = {}
-_S2_ROWS: dict[int, tuple[PolyLambda, ...]] = {}
+@memoized
+def _basis_row(n: int, step, basis_step) -> tuple[PolyLambda, ...]:
+    """Coordinates of the degree-n factorial with step in the basis with basis_step."""
+    return _into_basis(falling_factorial(PolyXOverLambda.x(), n, step=step), _basis(basis_step, n))
 
 
 def _check_triangle_indices(n: int, k: int):
@@ -159,20 +184,18 @@ def _check_triangle_indices(n: int, k: int):
         raise ValueError(f"triangle indices out of range: need 0 <= k <= n, got n={n}, k={k}")
 
 
-def stirling2_deg(n: int, k: int) -> PolyLambda:
+def stirling2_deg(n: int, k: int, s2=None) -> PolyLambda:
     """Degenerate Stirling number of the second kind.
 
     Coefficient of (x)_k when (x)_{n,l} is written in the ordinary falling
     factorial basis.  Reduces to the classical count of set partitions at
-    l = 0.
+    l = 0.  A TriangleTable s2 substitutes for the built-in triangle; every
+    route that takes s2 reads its second-kind entries through here.
     """
+    if s2 is not None:
+        return s2.entry(n, k)
     _check_triangle_indices(n, k)
-    row = _S2_ROWS.get(n)
-    if row is None:
-        p = falling_factorial(PolyXOverLambda.x(), n, step=PolyLambda.lam())
-        row = _into_basis(p, _ordinary_basis(n))
-        _S2_ROWS[n] = row
-    return row[k]
+    return _basis_row(n, PolyLambda.lam(), 1)[k]
 
 
 def stirling1_deg(n: int, k: int) -> PolyLambda:
@@ -183,40 +206,35 @@ def stirling1_deg(n: int, k: int) -> PolyLambda:
     stirling2_deg.  Reduces to the signed classical first kind at l = 0.
     """
     _check_triangle_indices(n, k)
-    row = _S1_ROWS.get(n)
-    if row is None:
-        p = falling_factorial(PolyXOverLambda.x(), n, step=1)
-        row = _into_basis(p, _degenerate_basis(n))
-        _S1_ROWS[n] = row
-    return row[k]
+    return _basis_row(n, 1, PolyLambda.lam())[k]
 
 
-@lru_cache(maxsize=None)
+@memoized
+def _classical_row(n: int, r: int, signed: bool) -> tuple[int, ...]:
+    """Row n of T(m,k) = w T(m-1,k) + T(m-1,k-1), T(0,0) = 1, built upward
+    from row 0 without recursion.  w = -(m-1) gives the signed first kind,
+    w = k + r the r-Stirling second kind (the plain one at r = 0)."""
+    row = (1,)
+    for m in range(1, n + 1):
+        pairs = enumerate(zip(row + (0,), (0,) + row))
+        row = tuple((1 - m if signed else k + r) * a + b for k, (a, b) in pairs)
+    return row
+
+
+def _classical_entry(n: int, k: int, r: int, signed: bool) -> int:
+    if n < 0:
+        raise ValueError("row index must be nonnegative")
+    return _classical_row(n, r, signed)[k] if 0 <= k <= n else 0
+
+
 def stirling2_classical(n: int, k: int) -> int:
-    """Set partition counts via the recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
-    if n < 0:
-        raise ValueError("row index must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    return k * stirling2_classical(n - 1, k) + stirling2_classical(n - 1, k - 1)
+    """Set partition counts by the recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
+    return _classical_entry(n, k, 0, False)
 
 
-@lru_cache(maxsize=None)
 def stirling1_classical(n: int, k: int) -> int:
-    """Signed first kind via s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k)."""
-    if n < 0:
-        raise ValueError("row index must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1
-    return stirling1_classical(n - 1, k - 1) - (n - 1) * stirling1_classical(n - 1, k)
-
-
-def _s2_entry(s2):
-    return stirling2_deg if s2 is None else s2.entry
+    """Signed first kind by the recurrence s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k)."""
+    return _classical_entry(n, k, 0, True)
 
 
 def stirling2_deg_poly(n: int, k: int, x=None, s2=None):
@@ -229,13 +247,12 @@ def stirling2_deg_poly(n: int, k: int, x=None, s2=None):
     triangle.
     """
     _check_triangle_indices(n, k)
-    entry = _s2_entry(s2)
     symbolic = x is None
     xe = PolyXOverLambda.x() if symbolic else x
     lam = PolyLambda.lam()
     acc = PolyXOverLambda.zero() if symbolic else PolyLambda.zero()
     for l in range(k, n + 1):
-        s = entry(l, k)
+        s = stirling2_deg(l, k, s2=s2)
         if not s:
             continue
         acc = acc + falling_factorial(xe, n - l, step=lam) * s * comb(n, l)
@@ -249,23 +266,16 @@ def r_stirling2_deg(n: int, k: int, r: int, s2=None) -> PolyLambda:
     it counts partitions in which r distinguished elements stay in distinct
     blocks.
     """
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise ValueError("restriction parameter r must be a positive integer")
     return stirling2_deg_poly(n, k, x=Fraction(r), s2=s2)
 
 
-@lru_cache(maxsize=None)
 def r_stirling2_classical(n: int, k: int, r: int) -> int:
     """Classical r-Stirling of the second kind by its additive recurrence."""
-    if n < 0:
-        raise ValueError("row index must be nonnegative")
     if r < 0:
         raise ValueError("restriction parameter r must be a nonnegative integer")
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return (k + r) * r_stirling2_classical(n - 1, k, r) + r_stirling2_classical(n - 1, k - 1, r)
+    return _classical_entry(n, k, r, False)
 
 
 def eulerian_classical(n: int, m: int) -> int:
@@ -292,13 +302,12 @@ def eulerian_degenerate(n: int, m: int, s2=None) -> PolyLambda:
     specialization is the classical descent count.
     """
     _check_triangle_indices(n, m)
-    entry = _s2_entry(s2)
     acc = PolyLambda.zero()
     for k in range(n - m + 1):
         b = comb(n - k, m)
         if not b:
             continue
-        s = entry(n, k)
+        s = stirling2_deg(n, k, s2=s2)
         if not s:
             continue
         acc = acc + log_weight(k) * s * b
@@ -324,37 +333,6 @@ def forward_difference(values, k: int):
             term = -term
         acc = term if acc is None else acc + term
     return acc
-
-
-class TriangleTable:
-    """Read-only view of a triangle (n, k) -> PolyLambda with local overrides.
-
-    with_entry returns a new table that reports the given value at one
-    position and delegates everywhere else.  The override mechanism exists so
-    the verification suite can prove it notices a corrupted entry.
-    """
-
-    __slots__ = ("_base", "_overrides")
-
-    def __init__(self, base, overrides=None):
-        self._base = base
-        self._overrides = dict(overrides) if overrides else {}
-
-    def entry(self, n: int, k: int) -> PolyLambda:
-        v = self._overrides.get((n, k))
-        if v is not None:
-            return v
-        return self._base(n, k)
-
-    def with_entry(self, n: int, k: int, value) -> "TriangleTable":
-        if not isinstance(value, PolyLambda):
-            value = PolyLambda.constant(value)
-        ov = dict(self._overrides)
-        ov[(n, k)] = value
-        return TriangleTable(self._base, ov)
-
-    def __repr__(self) -> str:
-        return f"TriangleTable(overrides={sorted(self._overrides)!r})"
 
 
 def stirling2_deg_table() -> TriangleTable:

@@ -27,14 +27,19 @@ from math import comb, factorial
 
 from .bernoulli import (
     carlitz_beta,
+    carlitz_beta_gf,
     classical_bernoulli,
     gen_beta_eulerian,
+    gen_beta_gf,
     gen_beta_integral,
+    gen_beta_poly,
     gen_beta_poly_derivative,
+    gen_beta_poly_gf,
     gen_beta_poly_stirling,
     gen_beta_rstirling,
     gen_beta_rstirling_simplified,
     gen_beta_stirling_sum,
+    remark_sides,
 )
 from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
@@ -180,11 +185,13 @@ def _px_mismatch_index(lhs: PolyXOverLambda, rhs: PolyXOverLambda) -> int:
 
 
 class _SuiteContext:
-    """Per-run caches: series oracles are built once per parameter value.
+    """Per-run state: the suite's bounds, its triangle and its own series.
 
     table is None for the pristine second-kind triangle or a TriangleTable
-    with substituted entries; every triangle access inside the suite goes
-    through it so mutations are visible everywhere at once.
+    with substituted entries; every triangle access inside the suite passes
+    it as s2, so mutations are visible everywhere at once.  The routes' own
+    series oracles are memoized in bernoulli; only the transformation sides
+    and the restricted-Stirling oracle, which nothing else uses, live here.
     """
 
     def __init__(self, max_n: int, max_p: int, truncation: int, table):
@@ -193,51 +200,16 @@ class _SuiteContext:
         self.truncation = truncation
         self.table = table
         self._u = None
-        self._num: dict[int, TruncatedSeries] = {}
-        self._poly: dict[int, TruncatedSeries] = {}
-        self._carlitz = None
         self._transform: dict[tuple[str, int], TruncatedSeries] = {}
         self._rs_fact: list[TruncatedSeries] | None = None
         self._rs_exp: dict[int, TruncatedSeries] = {}
         self._rs_prod: dict[tuple[int, int], TruncatedSeries] = {}
-        self._gpoly: dict[tuple[int, int], PolyXOverLambda] = {}
-
-    # triangle access
-
-    def s2(self, n: int, k: int) -> PolyLambda:
-        if self.table is not None:
-            return self.table.entry(n, k)
-        return stirling2_deg(n, k)
-
-    # series oracles
 
     def u_series(self) -> TruncatedSeries:
         if self._u is None:
             one = TruncatedSeries.one(PolyLambda, self.truncation)
             self._u = one - degenerate_exp(1, self.truncation)
         return self._u
-
-    def number_oracle(self, n: int, p: int) -> PolyLambda:
-        if p not in self._num:
-            a = PolyLambda.one() - PolyLambda.lam()
-            self._num[p] = gauss_2f1_formal(a, 1, p + 2, self.u_series())
-        return self._num[p].coefficient(n)
-
-    def poly_oracle(self, n: int, p: int) -> PolyXOverLambda:
-        if p not in self._poly:
-            if p not in self._num:
-                self.number_oracle(0, p)
-            ex = degenerate_exp(PolyXOverLambda.x(), self.truncation)
-            self._poly[p] = self._num[p].lift_to_x().mul(ex)
-        return self._poly[p].coefficient(n)
-
-    def carlitz_oracle(self, n: int) -> PolyLambda:
-        if self._carlitz is None:
-            em1 = degenerate_exp(1, self.truncation + 1)
-            em1 = em1 - TruncatedSeries.one(PolyLambda, self.truncation + 1)
-            one = TruncatedSeries.one(PolyLambda, self.truncation)
-            self._carlitz = one.div(em1.divide_by_t())
-        return self._carlitz.coefficient(n)
 
     def transform_side(self, which: str, p: int) -> TruncatedSeries:
         key = (which, p)
@@ -268,24 +240,6 @@ class _SuiteContext:
             self._rs_prod[(k, r)] = self._rs_fact[k].mul(self._rs_exp[r])
         return self._rs_prod[(k, r)].coefficient(n)
 
-    def gen_poly(self, n: int, p: int) -> PolyXOverLambda:
-        """Polynomial route built from cached numbers; local cache so corrupted
-        tables never touch the module-level memo."""
-        if (n, p) not in self._gpoly:
-            x = PolyXOverLambda.x()
-            acc = PolyXOverLambda.zero()
-            for l in range(n + 1):
-                b = (
-                    carlitz_beta(l, s2=self.table)
-                    if p == 0
-                    else gen_beta_stirling_sum(l, p, s2=self.table)
-                )
-                if not b:
-                    continue
-                acc = acc + falling_lambda(x, n - l) * (b * comb(n, l))
-            self._gpoly[(n, p)] = acc
-        return self._gpoly[(n, p)]
-
     def remark_p_range(self) -> range:
         return range(0, min(self.max_p, 2) + 1)
 
@@ -295,7 +249,7 @@ class _SuiteContext:
 
 def _ck_thm1(ctx: _SuiteContext, n: int):
     lhs = carlitz_beta(n, s2=ctx.table)
-    rhs = ctx.carlitz_oracle(n)
+    rhs = carlitz_beta_gf(n, order=ctx.truncation)
     if lhs != rhs:
         return _fail({"n": n}, lhs, rhs)
     return None
@@ -316,7 +270,7 @@ def _ck_thm2(ctx: _SuiteContext, n: int):
 def _ck_thm3(ctx: _SuiteContext, n: int):
     for p in range(-1, ctx.max_p + 1):
         lhs = gen_beta_stirling_sum(n, p, s2=ctx.table)
-        rhs = ctx.number_oracle(n, p)
+        rhs = gen_beta_gf(n, p, order=ctx.truncation)
         if lhs != rhs:
             return _fail({"n": n, "p": p}, lhs, rhs)
     return None
@@ -325,7 +279,7 @@ def _ck_thm3(ctx: _SuiteContext, n: int):
 def _ck_thm4(ctx: _SuiteContext, n: int):
     for p in range(ctx.max_p + 1):
         lhs = gen_beta_eulerian(n, p, s2=ctx.table)
-        rhs = ctx.number_oracle(n, p)
+        rhs = gen_beta_gf(n, p, order=ctx.truncation)
         if lhs != rhs:
             return _fail({"n": n, "p": p}, lhs, rhs)
     return None
@@ -333,7 +287,7 @@ def _ck_thm4(ctx: _SuiteContext, n: int):
 
 def _ck_thm5(ctx: _SuiteContext, n: int):
     for p in range(1, ctx.max_p + 1):
-        target = RationalFunctionLambda(ctx.number_oracle(n, p))
+        target = RationalFunctionLambda(gen_beta_gf(n, p, order=ctx.truncation))
         raw = gen_beta_rstirling(n, p, s2=ctx.table)
         if raw != target:
             return _fail({"n": n, "p": p}, raw, target)
@@ -346,7 +300,7 @@ def _ck_thm5(ctx: _SuiteContext, n: int):
 def _ck_thm6(ctx: _SuiteContext, n: int):
     for p in range(ctx.max_p + 1):
         lhs = gen_beta_integral(n, p)
-        rhs = ctx.number_oracle(n, p)
+        rhs = gen_beta_gf(n, p, order=ctx.truncation)
         if lhs != rhs:
             return _fail({"n": n, "p": p}, lhs, rhs)
     return None
@@ -354,8 +308,8 @@ def _ck_thm6(ctx: _SuiteContext, n: int):
 
 def _ck_thm7_vs_thm9(ctx: _SuiteContext, n: int):
     for p in range(ctx.max_p + 1):
-        oracle = ctx.poly_oracle(n, p)
-        direct = ctx.gen_poly(n, p)
+        oracle = gen_beta_poly_gf(n, p, order=ctx.truncation)
+        direct = gen_beta_poly(n, p, s2=ctx.table)
         if direct != oracle:
             return _fail({"n": n, "p": p}, direct, oracle, _px_mismatch_index(direct, oracle))
         triangle = gen_beta_poly_stirling(n, p, s2=ctx.table)
@@ -367,7 +321,7 @@ def _ck_thm7_vs_thm9(ctx: _SuiteContext, n: int):
 def _ck_prop8(ctx: _SuiteContext, n: int):
     for p in range(ctx.max_p + 1):
         lhs = gen_beta_poly_derivative(n, p, s2=ctx.table)
-        rhs = ctx.gen_poly(n, p).derivative()
+        rhs = gen_beta_poly(n, p, s2=ctx.table).derivative()
         if lhs != rhs:
             return _fail({"n": n, "p": p}, lhs, rhs, _px_mismatch_index(lhs, rhs))
     return None
@@ -386,7 +340,7 @@ def _ck_lemma38(ctx: _SuiteContext, n: int):
 
 def _ck_eq8(ctx: _SuiteContext, n: int):
     for p in range(ctx.max_p + 1):
-        lhs = ctx.number_oracle(n, p)
+        lhs = gen_beta_gf(n, p, order=ctx.truncation)
         rhs = ctx.transform_side("pfaff", p).coefficient(n)
         if lhs != rhs:
             return _fail({"n": n, "p": p}, lhs, rhs)
@@ -395,7 +349,7 @@ def _ck_eq8(ctx: _SuiteContext, n: int):
 
 def _ck_eq9(ctx: _SuiteContext, n: int):
     for p in range(ctx.max_p + 1):
-        lhs = ctx.number_oracle(n, p)
+        lhs = gen_beta_gf(n, p, order=ctx.truncation)
         rhs = ctx.transform_side("euler", p).coefficient(n)
         if lhs != rhs:
             return _fail({"n": n, "p": p}, lhs, rhs)
@@ -416,7 +370,7 @@ def _ck_eq12(ctx: _SuiteContext, n: int):
         lhs = Fraction(eulerian_classical(n, m))
         rhs = Fraction(0)
         for k in range(n - m + 1):
-            term = ctx.s2(n, k).evaluate(zero) * comb(n - k, m) * factorial(k)
+            term = stirling2_deg(n, k, s2=ctx.table).evaluate(zero) * comb(n - k, m) * factorial(k)
             rhs += -term if (n - k - m) % 2 else term
         if lhs != rhs:
             return _fail({"n": n, "m": m}, lhs, rhs)
@@ -447,7 +401,7 @@ def _ck_eq23(ctx: _SuiteContext, n: int):
 def _ck_eq26_27(ctx: _SuiteContext, n: int):
     values = [falling_lambda(Fraction(j), n) for j in range(n + 3)]
     for k in range(n + 1):
-        lhs = ctx.s2(n, k) * factorial(k)
+        lhs = stirling2_deg(n, k, s2=ctx.table) * factorial(k)
         rhs = forward_difference(values[: k + 1], k)
         if lhs != rhs:
             return _fail({"n": n, "k": k}, lhs, rhs)
@@ -463,7 +417,7 @@ def _ck_eq30(ctx: _SuiteContext, n: int):
     one = PolyXOverLambda.one()
     lhs = PolyXOverLambda.zero()
     for k in range(n + 1):
-        s = ctx.s2(n, k)
+        s = stirling2_deg(n, k, s2=ctx.table)
         if s:
             lhs = lhs + (t + 1) ** (n - k) * (log_weight(k) * s)
     rhs = PolyXOverLambda.zero()
@@ -498,67 +452,25 @@ def _ck_eq32_33(ctx: _SuiteContext, n: int):
     return None
 
 
-def _ck_remark_add(ctx: _SuiteContext, n: int):
-    x = PolyXOverLambda.x()
-    for p in ctx.remark_p_range():
-        full = ctx.gen_poly(n, p)
-        # y-degree of both sides is at most n, so agreement on the integer
-        # grid y = 0..n proves the two-variable identity
-        for y0 in range(n + 1):
-            lhs = full.evaluate(x + y0)
-            rhs = PolyXOverLambda.zero()
-            for k in range(n + 1):
-                w = falling_lambda(Fraction(y0), n - k) * comb(n, k)
-                if w:
-                    rhs = rhs + ctx.gen_poly(k, p) * w
-            if lhs != rhs:
-                return _fail({"n": n, "p": p, "y": y0}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
+def _remark_check(rule: str, inner):
+    """Case check comparing remark_sides for every p and each inner assignment."""
+
+    def check(ctx: _SuiteContext, n: int):
+        for p in ctx.remark_p_range():
+            for extra in inner(n):
+                lhs, rhs = remark_sides(rule, n, p, s2=ctx.table, **extra)
+                if lhs != rhs:
+                    index = _px_mismatch_index(lhs, rhs)
+                    return _fail({"n": n, "p": p, **extra}, lhs, rhs, index)
+        return None
+
+    return check
 
 
-def _ck_remark_diff(ctx: _SuiteContext, n: int):
-    x = PolyXOverLambda.x()
-    for p in ctx.remark_p_range():
-        full = ctx.gen_poly(n, p)
-        lhs = full.evaluate(x + 1) - full
-        rhs = PolyXOverLambda.zero()
-        for k in range(n):
-            w = falling_lambda(Fraction(1), n - k) * comb(n, k)
-            if w:
-                rhs = rhs + ctx.gen_poly(k, p) * w
-        if lhs != rhs:
-            return _fail({"n": n, "p": p}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
-
-
-def _scaling_sides(ctx: _SuiteContext, n: int, p: int, m: int, step):
-    x = PolyXOverLambda.x()
-    lhs = ctx.gen_poly(n, p).evaluate(x * m)
-    rhs = PolyXOverLambda.zero()
-    for k in range(n + 1):
-        w = (m - 1) ** (n - k) * comb(n, k)
-        rhs = rhs + ctx.gen_poly(k, p) * falling_factorial(x, n - k, step=step) * w
-    return lhs, rhs
-
-
-def _ck_remark_mult_a(ctx: _SuiteContext, n: int):
-    lam = PolyLambda.lam()
-    for p in ctx.remark_p_range():
-        for m in (2, 3):
-            lhs, rhs = _scaling_sides(ctx, n, p, m, lam * Fraction(1, m - 1))
-            if lhs != rhs:
-                return _fail({"n": n, "p": p, "m": m}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
-
-
-def _ck_remark_mult_b(ctx: _SuiteContext, n: int):
-    lam = PolyLambda.lam()
-    for p in ctx.remark_p_range():
-        for m in (2, 3):
-            lhs, rhs = _scaling_sides(ctx, n, p, m, lam * Fraction(1, m) - 1)
-            if lhs != rhs:
-                return _fail({"n": n, "p": p, "m": m}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
+_ck_remark_add = _remark_check("addition", lambda n: ({"y": y} for y in range(n + 1)))
+_ck_remark_diff = _remark_check("difference", lambda n: ({},))
+_ck_remark_mult_a = _remark_check("ratio", lambda n: ({"m": m} for m in (2, 3)))
+_ck_remark_mult_b = _remark_check("shift", lambda n: ({"m": m} for m in (2, 3)))
 
 
 def _ck_duality(ctx: _SuiteContext, n: int):
@@ -567,8 +479,8 @@ def _ck_duality(ctx: _SuiteContext, n: int):
         down = PolyLambda.zero()
         up = PolyLambda.zero()
         for l in range(k, n + 1):
-            down = down + ctx.s2(n, l) * stirling1_deg(l, k)
-            up = up + stirling1_deg(n, l) * ctx.s2(l, k)
+            down = down + stirling2_deg(n, l, s2=ctx.table) * stirling1_deg(l, k)
+            up = up + stirling1_deg(n, l) * stirling2_deg(l, k, s2=ctx.table)
         if down != delta:
             return _fail({"n": n, "k": k}, down, delta)
         if up != delta:
@@ -579,7 +491,7 @@ def _ck_duality(ctx: _SuiteContext, n: int):
 def _ck_classical_limits(ctx: _SuiteContext, n: int):
     zero = Fraction(0)
     for k in range(n + 1):
-        got = ctx.s2(n, k).evaluate(zero)
+        got = stirling2_deg(n, k, s2=ctx.table).evaluate(zero)
         want = Fraction(stirling2_classical(n, k))
         if got != want:
             return _fail({"n": n, "k": k}, got, want)

@@ -25,7 +25,7 @@ from degenbern.bernoulli import (
     verify_remark_identities,
 )
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
-from degenbern.triangles import falling_lambda
+from degenbern.triangles import falling_lambda, stirling2_deg_table
 
 LAM = PolyLambda.lam()
 X = PolyXOverLambda.x()
@@ -222,3 +222,41 @@ class TestRemarkIdentities:
     def test_multiplier_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="parameter out of range"):
             verify_remark_identities(2, 0, 1)
+
+
+class TestMemoIsolation:
+    """Results on a substituted triangle live on that table, never in the
+    pristine memo, and the pristine memo never answers for a table."""
+
+    @pytest.fixture(autouse=True)
+    def cold_pristine_memo(self):
+        # each order below must start from an empty pristine memo
+        for route in (carlitz_beta, gen_beta, gen_beta_poly):
+            route.pristine.clear()
+
+    @pytest.mark.parametrize("pristine_first", [True, False], ids=["pristine-first", "table-first"])
+    @pytest.mark.parametrize(
+        "route,args,fed",
+        [
+            (carlitz_beta, (), lambda n: n == 4),
+            (gen_beta, (2,), lambda n: n == 4),
+            (gen_beta_poly, (1,), lambda n: n >= 4),
+        ],
+        ids=["carlitz_beta", "gen_beta", "gen_beta_poly"],
+    )
+    def test_interleaved_pristine_and_corrupted_calls(self, route, args, fed, pristine_first):
+        table = stirling2_deg_table().with_entry(4, 2, 0)
+        for n in range(6):
+            if pristine_first:
+                clean = route(n, *args)
+                dirty = route(n, *args, s2=table)
+            else:
+                dirty = route(n, *args, s2=table)
+                clean = route(n, *args)
+            assert clean == route(n, *args, s2=stirling2_deg_table())
+            assert (dirty != clean) == fed(n)
+            assert route(n, *args, s2=table) is dirty
+        rebuilt = table.with_entry(4, 2, 0)
+        again = route(4, *args, s2=rebuilt)
+        assert again == route(4, *args, s2=table)
+        assert again is not route(4, *args, s2=table)

@@ -185,6 +185,29 @@ class TestConfigAndErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            (["compute", "beta"], {"lambda": 0.1}),
+            (["compute", "beta"], {"max_n": True}),
+            (["compute", "beta"], {"p": True}),
+            (["compute", "beta"], {"r": True}),
+            (["compute", "beta"], {"truncation": True}),
+            (["compute", "beta"], {"max_p": True}),
+            (["verify"], {"suite": 5}),
+            (["compute", "beta"], {"output": 5}),
+            (["compute", "beta"], {"format": "xml"}),
+        ],
+        ids=lambda v: "-".join(f"{k}={v[k]}" for k in v) if isinstance(v, dict) else v[0],
+    )
+    def test_config_value_outside_its_type_is_usage_error(self, capsys, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_n": 1, **config}))
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_bad_rational_literal(self, capsys):
         code, _, err = run(capsys, "compute", "beta", "--max-n", "2", "--lambda", "1/0")
         assert code == EXIT_USAGE

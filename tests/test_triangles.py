@@ -18,8 +18,6 @@ from degenbern.triangles import (
     log_weight,
     r_stirling2_classical,
     r_stirling2_deg,
-    rising_factorial,
-    rising_lambda,
     stirling1_classical,
     stirling1_deg,
     stirling2_classical,
@@ -84,11 +82,11 @@ class TestFactorialProducts:
 
     def test_rising_lambda(self):
         one = PolyLambda.one()
-        assert rising_lambda(1, 3) == (one + LAM) * (one + 2 * LAM)
+        assert falling_factorial(1, 3, step=-LAM) == (one + LAM) * (one + 2 * LAM)
 
     def test_rising_factorial_integer_step(self):
         a = Fraction(3, 2)
-        assert rising_factorial(a, 3) == a * (a + 1) * (a + 2)
+        assert falling_factorial(a, 3, step=-1) == a * (a + 1) * (a + 2)
 
     def test_falling_factorial_custom_step(self):
         assert falling_factorial(Fraction(10), 3, step=Fraction(2)) == 10 * 8 * 6
@@ -102,10 +100,15 @@ class TestFactorialProducts:
         with pytest.raises(ValueError, match="length must be nonnegative"):
             falling_factorial(X, -1)
         with pytest.raises(ValueError, match="length must be nonnegative"):
-            rising_factorial(Fraction(1), -2)
+            falling_factorial(Fraction(1), -2, step=-1)
 
 
 class TestClassicalTriangles:
+    def test_closed_forms_at_n_1000_without_recursion(self):
+        assert stirling2_classical(1000, 2) == 2**999 - 1
+        assert stirling1_classical(1000, 1) == -factorial(999)
+        assert r_stirling2_classical(1000, 0, 2) == 2**1000
+
     def test_stirling2_against_partition_counter(self):
         for n in range(7):
             for k in range(n + 1):
@@ -285,6 +288,10 @@ class TestPolynomialAndRestricted:
             r_stirling2_deg(3, 1, 0)
         with pytest.raises(ValueError, match="must be a positive integer"):
             r_stirling2_deg(3, 1, -2)
+
+    def test_boolean_restriction_parameter_rejected(self):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            r_stirling2_deg(3, 1, r=True)
 
 
 class TestDegenerateEulerian:
