@@ -25,10 +25,11 @@ over classical restricted Stirling numbers (gen_beta_classical_limit).
 
 The optional s2 argument on triangle-consuming routes substitutes a
 TriangleTable for the built-in degenerate second-kind triangle.  One memo
-policy covers the module: classical_bernoulli, carlitz_beta, gen_beta,
+policy covers the module: classical_bernoulli, gen_beta (and so carlitz_beta),
 gen_beta_poly and the generating series behind the three *_gf routes (keyed
-by parameter and series order) are memoized by triangles.memoized.  Results computed with a
-substitute table are memoized on that table, never in the pristine memo.
+by parameter and series order) are memoized by triangles.memoized.  Results
+computed with a substitute table are memoized on that table, never in the
+pristine memo.
 """
 
 from __future__ import annotations
@@ -73,21 +74,14 @@ __all__ = [
 _RANGE_ERROR = "parameter out of range"
 
 
-@memoized
 def carlitz_beta(n: int, s2=None) -> PolyLambda:
     """Degenerate Bernoulli number as the weighted second-kind row sum.
 
-    sum_k log_weight(k)/(k+1) * stirling2_deg(n,k); the constant term at
-    l = 0 is the classical Bernoulli number B_n.
+    sum_k log_weight(k)/(k+1) * stirling2_deg(n,k), which is gen_beta(n, 0)
+    because binom(k+1, 1) = k+1; the constant term at l = 0 is the classical
+    Bernoulli number B_n.
     """
-    if n < 0:
-        raise ValueError(_RANGE_ERROR)
-    acc = PolyLambda.zero()
-    for k in range(n + 1):
-        s = stirling2_deg(n, k, s2=s2)
-        if s:
-            acc = acc + log_weight(k) * s * Fraction(1, k + 1)
-    return acc
+    return gen_beta(n, 0, s2=s2)
 
 
 def carlitz_beta_gf(n: int, order: int | None = None) -> PolyLambda:
@@ -148,7 +142,7 @@ def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
     """Generalized degenerate Bernoulli number.
 
     p >= 0 evaluates the stirling-sum route; p = -1 is the closed form
-    (l-1)_{n,l}.  p = 0 recovers carlitz_beta.
+    (l-1)_{n,l}.  p = 0 is carlitz_beta.
     """
     if n < 0 or p < -1:
         raise ValueError(_RANGE_ERROR)

@@ -11,7 +11,9 @@ the empty sequence is the canonical zero, so structural equality is exact
 mathematical equality.  A coefficient that happens to be an integer is kept
 as a plain int (ints and Fractions mix transparently in arithmetic, equality
 and hashing); everything visible through `evaluate`/`specialize` comes back
-as Fraction.
+as Fraction.  A value equal to a simpler one (a constant PolyLambda and its
+rational, a constant PolyXOverLambda and its PolyLambda, a polynomial
+RationalFunctionLambda and its numerator) hashes like it.
 """
 
 from __future__ import annotations
@@ -113,6 +115,9 @@ class PolyLambda:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its rational value, so it hashes like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(("PolyLambda", self.coeffs))
 
     def __neg__(self) -> "PolyLambda":
@@ -323,6 +328,9 @@ class RationalFunctionLambda:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial equals its numerator, so it hashes like it
+        if self.den == _PL_ONE:
+            return hash(self.num)
         return hash(("RationalFunctionLambda", self.num.coeffs, self.den.coeffs))
 
     def __neg__(self):
@@ -455,6 +463,9 @@ class PolyXOverLambda:
         return NotImplemented
 
     def __hash__(self):
+        # a constant in x equals its PolyLambda coefficient, so it hashes like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(("PolyXOverLambda", self.coeffs))
 
     def __neg__(self):

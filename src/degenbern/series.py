@@ -218,18 +218,16 @@ class TruncatedSeries:
     def binomial_pow(self, alpha) -> "TruncatedSeries":
         """(1 + self)^alpha = sum_k binom(alpha, k) self^k, requiring self(0) = 0.
 
-        alpha may be a rational or a PolyLambda (e.g. l - 1 or -l - p).
+        alpha may be a rational or a PolyLambda (e.g. l - 1 or -l - p).  The
+        weights binom(alpha, k) k! = alpha (alpha - 1) ... (alpha - k + 1)
+        form a series that is composed with self.
         """
         if self.coeffs[0]:
             raise ValueError("binomial power requires zero constant term")
-        n = self.order
-        acc = TruncatedSeries.one(self.ring, n)
-        term = TruncatedSeries.one(self.ring, n)
-        for k in range(1, n + 1):
-            factor = _ring_element(self.ring, alpha - (k - 1))
-            term = term.mul(self).scale(factor).scale(Fraction(1, k))
-            acc = acc + term
-        return acc
+        weights = [_ring_constant(self.ring, 1)]
+        for k in range(1, self.order + 1):
+            weights.append(weights[-1] * _ring_element(self.ring, alpha - (k - 1)))
+        return TruncatedSeries(self.ring, weights).compose(self)
 
     def divide_by_t(self) -> "TruncatedSeries":
         """f/t for a series with zero constant term; drops the order by one."""
@@ -284,19 +282,17 @@ def gauss_2f1_formal(a, b, c, u: TruncatedSeries) -> TruncatedSeries:
     a and b may be rationals or PolyLambda; c must be a rational with no
     vanishing rising factorial (for positive integer c this always holds).
     The argument u must have zero constant term so the sum truncates exactly.
+    The weights <a>_k <b>_k / <c>_k form a series that is composed with u.
     """
     if u.coeffs[0]:
         raise ValueError("composition requires zero constant term")
     c = Fraction(c)
-    n = u.order
-    acc = TruncatedSeries.one(u.ring, n)
-    term = TruncatedSeries.one(u.ring, n)
-    for k in range(1, n + 1):
+    weights = [_ring_constant(u.ring, 1)]
+    for k in range(1, u.order + 1):
         if c + k - 1 == 0:
             raise ValueError("invalid lower parameter")
-        # <a>_k / <a>_{k-1} = a + k - 1, likewise for b; the 1/k absorbs k!.
+        # <a>_k / <a>_{k-1} = a + k - 1, likewise for b and c
         fa = _ring_element(u.ring, a + (k - 1))
         fb = _ring_element(u.ring, b + (k - 1))
-        term = term.mul(u).scale(fa).scale(fb).scale(Fraction(1, k) / (c + k - 1))
-        acc = acc + term
-    return acc
+        weights.append(weights[-1] * fa * fb * (1 / (c + k - 1)))
+    return TruncatedSeries(u.ring, weights).compose(u)

@@ -147,15 +147,20 @@ class TriangleTable:
 
 
 # Monic factorial bases x (x - step) ... by step, grown on demand.  Index j
-# holds the degree-j element.
+# holds the degree-j element.  A published list is never mutated: growth
+# extends a private copy and publishes it in one assignment, so a caller
+# interrupted mid-growth by another thread cannot misplace an element.
 _BASES: dict = {}
 
 
 def _basis(step, n: int) -> list[PolyXOverLambda]:
-    basis = _BASES.setdefault(step, [PolyXOverLambda.one()])
-    while len(basis) <= n:
-        j = len(basis)
-        basis.append(basis[-1] * (PolyXOverLambda.x() - step * (j - 1)))
+    basis = _BASES.get(step, [PolyXOverLambda.one()])
+    if len(basis) <= n:
+        basis = list(basis)
+        while len(basis) <= n:
+            j = len(basis)
+            basis.append(basis[-1] * (PolyXOverLambda.x() - step * (j - 1)))
+        _BASES[step] = basis
     return basis
 
 

@@ -8,8 +8,12 @@ per identity), and reports pass counts plus the first counterexample found.
 Identities carry short stable string tokens (IdentityId values) that are part
 of the command-line interface; DESCRIPTIONS maps each token to a one-line
 statement of what is compared.  A "case" is one value of the outer index n;
-inner indices (p, k, m, r, y) are swept inside the case, so a single failing
-inner assignment fails the whole case but is pinpointed in first_failure.
+inner indices (p, k, m, r, y) are swept inside the case, over ranges declared
+once per identity in _CHECKS and reported by suite_plan.  Each identity's
+check is a generator that yields its comparisons (parameters, lhs, rhs) in
+order; run_suite stops the case at the first unequal pair, so a single
+failing inner assignment fails the whole case and is pinpointed in
+first_failure.
 
 Reports are deterministic for identical inputs, except the elapsed timing
 field.  The corrupt_s2 hook substitutes one entry of the second-kind triangle
@@ -23,6 +27,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count, product
 from math import comb, factorial
 
 from .bernoulli import (
@@ -44,12 +49,14 @@ from .bernoulli import (
 from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
+    TriangleTable,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,
     falling_lambda,
     forward_difference,
     log_weight,
+    memoized,
     r_stirling2_deg,
     stirling1_classical,
     stirling1_deg,
@@ -135,8 +142,8 @@ DESCRIPTIONS: dict[IdentityId, str] = {
 class FirstFailure:
     """Earliest failing comparison: index assignment plus both canonical forms.
 
-    mismatch_index is set only for polynomial-identity failures where a
-    single coefficient position pinpoints the disagreement.
+    mismatch_index is set whenever both sides are polynomials in x
+    (PolyXOverLambda): the first coefficient position where they disagree.
     """
 
     parameters: tuple[tuple[str, int], ...]
@@ -172,406 +179,276 @@ def _canon(v) -> str:
     return str(v)
 
 
-def _fail(params: dict[str, int], lhs, rhs, index: int | None = None) -> FirstFailure:
-    return FirstFailure(tuple(params.items()), _canon(lhs), _canon(rhs), index)
+@dataclass(frozen=True)
+class _Bounds:
+    """One run's bounds and its second-kind triangle.
 
-
-def _px_mismatch_index(lhs: PolyXOverLambda, rhs: PolyXOverLambda) -> int:
-    top = max(lhs.degree, rhs.degree)
-    for j in range(top + 1):
-        if lhs.coefficient(j) != rhs.coefficient(j):
-            return j
-    raise AssertionError("polynomials compared unequal but all coefficients match")
-
-
-class _SuiteContext:
-    """Per-run state: the suite's bounds, its triangle and its own series.
-
-    table is None for the pristine second-kind triangle or a TriangleTable
-    with substituted entries; every triangle access inside the suite passes
-    it as s2, so mutations are visible everywhere at once.  The routes' own
-    series oracles are memoized in bernoulli; only the transformation sides
-    and the restricted-Stirling oracle, which nothing else uses, live here.
+    table is None for the pristine triangle or a TriangleTable with
+    substituted entries; every triangle access inside the suite passes it as
+    s2, so a mutation is visible everywhere at once.
     """
 
-    def __init__(self, max_n: int, max_p: int, truncation: int, table):
-        self.max_n = max_n
-        self.max_p = max_p
-        self.truncation = truncation
-        self.table = table
-        self._u = None
-        self._transform: dict[tuple[str, int], TruncatedSeries] = {}
-        self._rs_fact: list[TruncatedSeries] | None = None
-        self._rs_exp: dict[int, TruncatedSeries] = {}
-        self._rs_prod: dict[tuple[int, int], TruncatedSeries] = {}
-
-    def u_series(self) -> TruncatedSeries:
-        if self._u is None:
-            one = TruncatedSeries.one(PolyLambda, self.truncation)
-            self._u = one - degenerate_exp(1, self.truncation)
-        return self._u
-
-    def transform_side(self, which: str, p: int) -> TruncatedSeries:
-        key = (which, p)
-        if key not in self._transform:
-            lam = PolyLambda.lam()
-            u = self.u_series()
-            if which == "pfaff":
-                w = u.div(u - TruncatedSeries.one(PolyLambda, self.truncation))
-                inner = gauss_2f1_formal(PolyLambda.one() - lam, p + 1, p + 2, w)
-                self._transform[key] = (-u).binomial_pow(lam - 1).mul(inner)
-            else:
-                inner = gauss_2f1_formal(lam + (p + 1), p + 1, p + 2, u)
-                self._transform[key] = (-u).binomial_pow(lam + p).mul(inner)
-        return self._transform[key]
-
-    def rs_oracle(self, n: int, k: int, r: int) -> PolyLambda:
-        """n-th coefficient of (e_l(t) - 1)^k e_l(t)^r / k!."""
-        if (k, r) not in self._rs_prod:
-            if self._rs_fact is None:
-                one = TruncatedSeries.one(PolyLambda, self.truncation)
-                em1 = degenerate_exp(1, self.truncation) - one
-                self._rs_fact = [one]
-                for j in range(1, self.max_n + 1):
-                    nxt = self._rs_fact[-1].mul(em1).scale(Fraction(1, j))
-                    self._rs_fact.append(nxt)
-            if r not in self._rs_exp:
-                self._rs_exp[r] = degenerate_exp(Fraction(r), self.truncation)
-            self._rs_prod[(k, r)] = self._rs_fact[k].mul(self._rs_exp[r])
-        return self._rs_prod[(k, r)].coefficient(n)
-
-    def remark_p_range(self) -> range:
-        return range(0, min(self.max_p, 2) + 1)
+    max_n: int
+    max_p: int
+    truncation: int
+    table: TriangleTable | None = None
 
 
-# one function per identity; each returns None or the first in-case failure
+@memoized
+def _transform_side(which: str, p: int, order: int) -> TruncatedSeries:
+    """gen_beta's 2F1 series after the Pfaff (Eq8) or Euler (Eq9) transformation."""
+    lam = PolyLambda.lam()
+    one = TruncatedSeries.one(PolyLambda, order)
+    u = one - degenerate_exp(1, order)
+    if which == "pfaff":
+        inner = gauss_2f1_formal(PolyLambda.one() - lam, p + 1, p + 2, u.div(u - one))
+        return (-u).binomial_pow(lam - 1).mul(inner)
+    inner = gauss_2f1_formal(lam + (p + 1), p + 1, p + 2, u)
+    return (-u).binomial_pow(lam + p).mul(inner)
 
 
-def _ck_thm1(ctx: _SuiteContext, n: int):
-    lhs = carlitz_beta(n, s2=ctx.table)
-    rhs = carlitz_beta_gf(n, order=ctx.truncation)
-    if lhs != rhs:
-        return _fail({"n": n}, lhs, rhs)
-    return None
+@memoized
+def _column_series(k: int, order: int) -> TruncatedSeries:
+    """(e_l(t) - 1)^k / k!, from the k - 1 series (which the suite asks for first)."""
+    one = TruncatedSeries.one(PolyLambda, order)
+    if k == 0:
+        return one
+    em1 = degenerate_exp(1, order) - one
+    return _column_series(k - 1, order).mul(em1).scale(Fraction(1, k))
 
 
-def _ck_thm2(ctx: _SuiteContext, n: int):
+@memoized
+def _restricted_column(k: int, r: int, order: int) -> TruncatedSeries:
+    """(e_l(t) - 1)^k e_l(t)^r / k!, whose coefficients are r_stirling2_deg(n, k, r)."""
+    return _column_series(k, order).mul(degenerate_exp(Fraction(r), order))
+
+
+# One generator per identity.  check(bounds, n, sweep) yields (parameters,
+# lhs, rhs) for each comparison of case n, in order; sweep maps each inner
+# index to the range _CHECKS declares for it at row n.
+
+
+def _ck_thm1(b: _Bounds, n: int, sweep):
+    yield {"n": n}, carlitz_beta(n, s2=b.table), carlitz_beta_gf(n, order=b.truncation)
+
+
+def _ck_thm2(b: _Bounds, n: int, sweep):
     acc = PolyLambda.zero()
     for k in range(n + 1):
         s = stirling1_deg(n, k)
         if s:
-            acc = acc + s * carlitz_beta(k, s2=ctx.table)
-    rhs = log_weight(n) * Fraction(1, n + 1)
-    if acc != rhs:
-        return _fail({"n": n}, acc, rhs)
-    return None
+            acc = acc + s * carlitz_beta(k, s2=b.table)
+    yield {"n": n}, acc, log_weight(n) * Fraction(1, n + 1)
 
 
-def _ck_thm3(ctx: _SuiteContext, n: int):
-    for p in range(-1, ctx.max_p + 1):
-        lhs = gen_beta_stirling_sum(n, p, s2=ctx.table)
-        rhs = gen_beta_gf(n, p, order=ctx.truncation)
-        if lhs != rhs:
-            return _fail({"n": n, "p": p}, lhs, rhs)
-    return None
+def _ck_thm3(b: _Bounds, n: int, sweep):
+    for p in sweep["p"]:
+        lhs = gen_beta_stirling_sum(n, p, s2=b.table)
+        yield {"n": n, "p": p}, lhs, gen_beta_gf(n, p, order=b.truncation)
 
 
-def _ck_thm4(ctx: _SuiteContext, n: int):
-    for p in range(ctx.max_p + 1):
-        lhs = gen_beta_eulerian(n, p, s2=ctx.table)
-        rhs = gen_beta_gf(n, p, order=ctx.truncation)
-        if lhs != rhs:
-            return _fail({"n": n, "p": p}, lhs, rhs)
-    return None
+def _ck_thm4(b: _Bounds, n: int, sweep):
+    for p in sweep["p"]:
+        lhs = gen_beta_eulerian(n, p, s2=b.table)
+        yield {"n": n, "p": p}, lhs, gen_beta_gf(n, p, order=b.truncation)
 
 
-def _ck_thm5(ctx: _SuiteContext, n: int):
-    for p in range(1, ctx.max_p + 1):
-        target = RationalFunctionLambda(gen_beta_gf(n, p, order=ctx.truncation))
-        raw = gen_beta_rstirling(n, p, s2=ctx.table)
-        if raw != target:
-            return _fail({"n": n, "p": p}, raw, target)
-        simp = gen_beta_rstirling_simplified(n, p, s2=ctx.table)
-        if RationalFunctionLambda(simp) != target:
-            return _fail({"n": n, "p": p}, simp, target)
-    return None
+def _ck_thm5(b: _Bounds, n: int, sweep):
+    for p in sweep["p"]:
+        target = RationalFunctionLambda(gen_beta_gf(n, p, order=b.truncation))
+        yield {"n": n, "p": p}, gen_beta_rstirling(n, p, s2=b.table), target
+        yield {"n": n, "p": p}, gen_beta_rstirling_simplified(n, p, s2=b.table), target
 
 
-def _ck_thm6(ctx: _SuiteContext, n: int):
-    for p in range(ctx.max_p + 1):
-        lhs = gen_beta_integral(n, p)
-        rhs = gen_beta_gf(n, p, order=ctx.truncation)
-        if lhs != rhs:
-            return _fail({"n": n, "p": p}, lhs, rhs)
-    return None
+def _ck_thm6(b: _Bounds, n: int, sweep):
+    for p in sweep["p"]:
+        yield {"n": n, "p": p}, gen_beta_integral(n, p), gen_beta_gf(n, p, order=b.truncation)
 
 
-def _ck_thm7_vs_thm9(ctx: _SuiteContext, n: int):
-    for p in range(ctx.max_p + 1):
-        oracle = gen_beta_poly_gf(n, p, order=ctx.truncation)
-        direct = gen_beta_poly(n, p, s2=ctx.table)
-        if direct != oracle:
-            return _fail({"n": n, "p": p}, direct, oracle, _px_mismatch_index(direct, oracle))
-        triangle = gen_beta_poly_stirling(n, p, s2=ctx.table)
-        if triangle != oracle:
-            return _fail({"n": n, "p": p}, triangle, oracle, _px_mismatch_index(triangle, oracle))
-    return None
+def _ck_thm7_vs_thm9(b: _Bounds, n: int, sweep):
+    for p in sweep["p"]:
+        oracle = gen_beta_poly_gf(n, p, order=b.truncation)
+        yield {"n": n, "p": p}, gen_beta_poly(n, p, s2=b.table), oracle
+        yield {"n": n, "p": p}, gen_beta_poly_stirling(n, p, s2=b.table), oracle
 
 
-def _ck_prop8(ctx: _SuiteContext, n: int):
-    for p in range(ctx.max_p + 1):
-        lhs = gen_beta_poly_derivative(n, p, s2=ctx.table)
-        rhs = gen_beta_poly(n, p, s2=ctx.table).derivative()
-        if lhs != rhs:
-            return _fail({"n": n, "p": p}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
+def _ck_prop8(b: _Bounds, n: int, sweep):
+    for p in sweep["p"]:
+        lhs = gen_beta_poly_derivative(n, p, s2=b.table)
+        yield {"n": n, "p": p}, lhs, gen_beta_poly(n, p, s2=b.table).derivative()
 
 
-def _ck_lemma38(ctx: _SuiteContext, n: int):
+def _ck_lemma38(b: _Bounds, n: int, sweep):
     x = PolyXOverLambda.x()
-    shifted = [falling_lambda(x + j, n) for j in range(n + 1)]
-    for k in range(n + 1):
-        lhs = stirling2_deg_poly(n, k, s2=ctx.table)
-        rhs = forward_difference(shifted[: k + 1], k) * Fraction(1, factorial(k))
-        if lhs != rhs:
-            return _fail({"n": n, "k": k}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
+    shifted = [falling_lambda(x + j, n) for j in sweep["k"]]
+    for k in sweep["k"]:
+        rhs = forward_difference(shifted, k) * Fraction(1, factorial(k))
+        yield {"n": n, "k": k}, stirling2_deg_poly(n, k, s2=b.table), rhs
 
 
-def _ck_eq8(ctx: _SuiteContext, n: int):
-    for p in range(ctx.max_p + 1):
-        lhs = gen_beta_gf(n, p, order=ctx.truncation)
-        rhs = ctx.transform_side("pfaff", p).coefficient(n)
-        if lhs != rhs:
-            return _fail({"n": n, "p": p}, lhs, rhs)
-    return None
+def _transform_check(which: str):
+    """Check comparing gen_beta's series with its transformed form, for every p."""
+
+    def check(b: _Bounds, n: int, sweep):
+        for p in sweep["p"]:
+            rhs = _transform_side(which, p, b.truncation).coefficient(n)
+            yield {"n": n, "p": p}, gen_beta_gf(n, p, order=b.truncation), rhs
+
+    return check
 
 
-def _ck_eq9(ctx: _SuiteContext, n: int):
-    for p in range(ctx.max_p + 1):
-        lhs = gen_beta_gf(n, p, order=ctx.truncation)
-        rhs = ctx.transform_side("euler", p).coefficient(n)
-        if lhs != rhs:
-            return _fail({"n": n, "p": p}, lhs, rhs)
-    return None
+def _ck_eq11(b: _Bounds, n: int, sweep):
+    yield {"n": n}, sum(eulerian_classical(n, k) for k in range(n + 1)), factorial(n)
 
 
-def _ck_eq11(ctx: _SuiteContext, n: int):
-    lhs = sum(eulerian_classical(n, k) for k in range(n + 1))
-    rhs = factorial(n)
-    if lhs != rhs:
-        return _fail({"n": n}, lhs, rhs)
-    return None
-
-
-def _ck_eq12(ctx: _SuiteContext, n: int):
+def _ck_eq12(b: _Bounds, n: int, sweep):
     zero = Fraction(0)
-    for m in range(n + 1):
-        lhs = Fraction(eulerian_classical(n, m))
+    for m in sweep["m"]:
         rhs = Fraction(0)
         for k in range(n - m + 1):
-            term = stirling2_deg(n, k, s2=ctx.table).evaluate(zero) * comb(n - k, m) * factorial(k)
+            term = stirling2_deg(n, k, s2=b.table).evaluate(zero) * comb(n - k, m) * factorial(k)
             rhs += -term if (n - k - m) % 2 else term
-        if lhs != rhs:
-            return _fail({"n": n, "m": m}, lhs, rhs)
-    return None
+        yield {"n": n, "m": m}, eulerian_classical(n, m), rhs
 
 
-def _ck_eq13(ctx: _SuiteContext, n: int):
+def _ck_eq13(b: _Bounds, n: int, sweep):
     x = PolyXOverLambda.x()
-    lhs = x**n
     rhs = PolyXOverLambda.zero()
     for k in range(n + 1):
         e = eulerian_classical(n, k)
         if e:
             rhs = rhs + falling_factorial(x + k, n) * Fraction(e, factorial(n))
-    if lhs != rhs:
-        return _fail({"n": n}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
+    yield {"n": n}, x**n, rhs
 
 
-def _ck_eq23(ctx: _SuiteContext, n: int):
+def _ck_eq23(b: _Bounds, n: int, sweep):
     lhs = falling_lambda(PolyLambda.lam() - 1, n)
-    rhs = gen_beta_stirling_sum(n, -1, s2=ctx.table)
-    if lhs != rhs:
-        return _fail({"n": n}, lhs, rhs)
-    return None
+    yield {"n": n}, lhs, gen_beta_stirling_sum(n, -1, s2=b.table)
 
 
-def _ck_eq26_27(ctx: _SuiteContext, n: int):
-    values = [falling_lambda(Fraction(j), n) for j in range(n + 3)]
-    for k in range(n + 1):
-        lhs = stirling2_deg(n, k, s2=ctx.table) * factorial(k)
-        rhs = forward_difference(values[: k + 1], k)
-        if lhs != rhs:
-            return _fail({"n": n, "k": k}, lhs, rhs)
-    for k in (n + 1, n + 2):
-        rhs = forward_difference(values[: k + 1], k)
-        if rhs != PolyLambda.zero():
-            return _fail({"n": n, "k": k}, PolyLambda.zero(), rhs)
-    return None
+def _ck_eq26_27(b: _Bounds, n: int, sweep):
+    # k runs two past the row, where the differences must vanish
+    values = [falling_lambda(Fraction(j), n) for j in sweep["k"]]
+    for k in sweep["k"]:
+        lhs = stirling2_deg(n, k, s2=b.table) * factorial(k) if k <= n else PolyLambda.zero()
+        yield {"n": n, "k": k}, lhs, forward_difference(values, k)
 
 
-def _ck_eq30(ctx: _SuiteContext, n: int):
+def _ck_eq30(b: _Bounds, n: int, sweep):
     t = PolyXOverLambda.x()
-    one = PolyXOverLambda.one()
     lhs = PolyXOverLambda.zero()
     for k in range(n + 1):
-        s = stirling2_deg(n, k, s2=ctx.table)
+        s = stirling2_deg(n, k, s2=b.table)
         if s:
             lhs = lhs + (t + 1) ** (n - k) * (log_weight(k) * s)
     rhs = PolyXOverLambda.zero()
-    power = one
+    power = PolyXOverLambda.one()
     for m in range(n + 1):
-        e = eulerian_degenerate(n, m, s2=ctx.table)
+        e = eulerian_degenerate(n, m, s2=b.table)
         if e:
             term = power * e
             rhs = rhs + (-term if (n - m) % 2 else term)
         power = power * t
-    if lhs != rhs:
-        return _fail({"n": n}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-    return None
+    yield {"n": n}, lhs, rhs
 
 
-def _ck_eq32_33(ctx: _SuiteContext, n: int):
+def _ck_eq32_33(b: _Bounds, n: int, sweep):
     x = PolyXOverLambda.x()
-    for r in range(1, max(1, ctx.max_p) + 1):
-        lhs = falling_lambda(x + r, n)
+    for r in sweep["r"]:
+        entries = [r_stirling2_deg(n, k, r, s2=b.table) for k in sweep["k"]]
         rhs = PolyXOverLambda.zero()
-        for k in range(n + 1):
-            entry = r_stirling2_deg(n, k, r, s2=ctx.table)
+        for k, entry in zip(sweep["k"], entries):
             if entry:
                 rhs = rhs + falling_factorial(x, k) * entry
-        if lhs != rhs:
-            return _fail({"n": n, "r": r}, lhs, rhs, _px_mismatch_index(lhs, rhs))
-        for k in range(n + 1):
-            entry = r_stirling2_deg(n, k, r, s2=ctx.table)
-            oracle = ctx.rs_oracle(n, k, r)
-            if entry != oracle:
-                return _fail({"n": n, "k": k, "r": r}, entry, oracle)
-    return None
+        yield {"n": n, "r": r}, falling_lambda(x + r, n), rhs
+        for k, entry in zip(sweep["k"], entries):
+            oracle = _restricted_column(k, r, b.truncation).coefficient(n)
+            yield {"n": n, "k": k, "r": r}, entry, oracle
 
 
-def _remark_check(rule: str, inner):
-    """Case check comparing remark_sides for every p and each inner assignment."""
+def _remark_check(rule: str):
+    """Check comparing remark_sides for every p and each value of the rule's own index."""
 
-    def check(ctx: _SuiteContext, n: int):
-        for p in ctx.remark_p_range():
-            for extra in inner(n):
-                lhs, rhs = remark_sides(rule, n, p, s2=ctx.table, **extra)
-                if lhs != rhs:
-                    index = _px_mismatch_index(lhs, rhs)
-                    return _fail({"n": n, "p": p, **extra}, lhs, rhs, index)
-        return None
+    def check(b: _Bounds, n: int, sweep):
+        names = [name for name in sweep if name != "p"]
+        for p in sweep["p"]:
+            for values in product(*(sweep[name] for name in names)):
+                extra = dict(zip(names, values))
+                lhs, rhs = remark_sides(rule, n, p, s2=b.table, **extra)
+                yield {"n": n, "p": p, **extra}, lhs, rhs
 
     return check
 
 
-_ck_remark_add = _remark_check("addition", lambda n: ({"y": y} for y in range(n + 1)))
-_ck_remark_diff = _remark_check("difference", lambda n: ({},))
-_ck_remark_mult_a = _remark_check("ratio", lambda n: ({"m": m} for m in (2, 3)))
-_ck_remark_mult_b = _remark_check("shift", lambda n: ({"m": m} for m in (2, 3)))
-
-
-def _ck_duality(ctx: _SuiteContext, n: int):
-    for k in range(n + 1):
+def _ck_duality(b: _Bounds, n: int, sweep):
+    for k in sweep["k"]:
         delta = PolyLambda.one() if n == k else PolyLambda.zero()
         down = PolyLambda.zero()
         up = PolyLambda.zero()
         for l in range(k, n + 1):
-            down = down + stirling2_deg(n, l, s2=ctx.table) * stirling1_deg(l, k)
-            up = up + stirling1_deg(n, l) * stirling2_deg(l, k, s2=ctx.table)
-        if down != delta:
-            return _fail({"n": n, "k": k}, down, delta)
-        if up != delta:
-            return _fail({"n": n, "k": k}, up, delta)
-    return None
+            down = down + stirling2_deg(n, l, s2=b.table) * stirling1_deg(l, k)
+            up = up + stirling1_deg(n, l) * stirling2_deg(l, k, s2=b.table)
+        yield {"n": n, "k": k}, down, delta
+        yield {"n": n, "k": k}, up, delta
 
 
-def _ck_classical_limits(ctx: _SuiteContext, n: int):
+def _ck_classical_limits(b: _Bounds, n: int, sweep):
     zero = Fraction(0)
-    for k in range(n + 1):
-        got = stirling2_deg(n, k, s2=ctx.table).evaluate(zero)
-        want = Fraction(stirling2_classical(n, k))
-        if got != want:
-            return _fail({"n": n, "k": k}, got, want)
-        got = stirling1_deg(n, k).evaluate(zero)
-        want = Fraction(stirling1_classical(n, k))
-        if got != want:
-            return _fail({"n": n, "k": k}, got, want)
-        got = eulerian_degenerate(n, k, s2=ctx.table).evaluate(zero)
-        want = Fraction(eulerian_classical(n, k))
-        if got != want:
-            return _fail({"n": n, "k": k}, got, want)
-    got = carlitz_beta(n, s2=ctx.table).evaluate(zero)
-    want = classical_bernoulli(n)
-    if got != want:
-        return _fail({"n": n}, got, want)
-    return None
+    for k in sweep["k"]:
+        at = {"n": n, "k": k}
+        yield at, stirling2_deg(n, k, s2=b.table).evaluate(zero), stirling2_classical(n, k)
+        yield at, stirling1_deg(n, k).evaluate(zero), stirling1_classical(n, k)
+        yield at, eulerian_degenerate(n, k, s2=b.table).evaluate(zero), eulerian_classical(n, k)
+    yield {"n": n}, carlitz_beta(n, s2=b.table).evaluate(zero), classical_bernoulli(n)
 
 
-def _full_n(ctx: _SuiteContext) -> range:
-    return range(0, ctx.max_n + 1)
+def _remark_p(b: _Bounds) -> range:
+    return range(min(b.max_p, 2) + 1)
 
 
-def _pos_n(ctx: _SuiteContext) -> range:
-    return range(1, ctx.max_n + 1)
-
-
-def _p_range(ctx: _SuiteContext) -> range:
-    return range(0, ctx.max_p + 1)
-
-
-# token -> (case check, n range, documented inner ranges)
+# token -> (case check, first n, inner ranges at row n): the one declaration
+# of what a run sweeps, read by run_suite and suite_plan alike
 _CHECKS = {
-    IdentityId.THM1: (_ck_thm1, _full_n, lambda ctx: {}),
-    IdentityId.THM2: (_ck_thm2, _pos_n, lambda ctx: {}),
-    IdentityId.THM3_VS_GF: (_ck_thm3, _full_n, lambda ctx: {"p": range(-1, ctx.max_p + 1)}),
-    IdentityId.THM4: (_ck_thm4, _full_n, lambda ctx: {"p": _p_range(ctx)}),
-    IdentityId.THM5: (_ck_thm5, _pos_n, lambda ctx: {"p": range(1, ctx.max_p + 1)}),
-    IdentityId.THM6: (_ck_thm6, _full_n, lambda ctx: {"p": _p_range(ctx)}),
-    IdentityId.THM7_VS_THM9: (_ck_thm7_vs_thm9, _full_n, lambda ctx: {"p": _p_range(ctx)}),
-    IdentityId.PROP8: (_ck_prop8, _pos_n, lambda ctx: {"p": _p_range(ctx)}),
-    IdentityId.LEMMA38: (_ck_lemma38, _full_n, lambda ctx: {"k": range(0, ctx.max_n + 1)}),
-    IdentityId.EQ8_PFAFF: (_ck_eq8, _full_n, lambda ctx: {"p": _p_range(ctx)}),
-    IdentityId.EQ9_EULER: (_ck_eq9, _full_n, lambda ctx: {"p": _p_range(ctx)}),
-    IdentityId.EQ11: (_ck_eq11, _pos_n, lambda ctx: {}),
-    IdentityId.EQ12: (_ck_eq12, _full_n, lambda ctx: {"m": range(0, ctx.max_n + 1)}),
-    IdentityId.EQ13: (_ck_eq13, _full_n, lambda ctx: {}),
-    IdentityId.EQ23: (_ck_eq23, _full_n, lambda ctx: {}),
-    IdentityId.EQ26_27: (_ck_eq26_27, _full_n, lambda ctx: {"k": range(0, ctx.max_n + 3)}),
-    IdentityId.EQ30: (_ck_eq30, _full_n, lambda ctx: {}),
+    IdentityId.THM1: (_ck_thm1, 0, lambda b, n: {}),
+    IdentityId.THM2: (_ck_thm2, 1, lambda b, n: {}),
+    IdentityId.THM3_VS_GF: (_ck_thm3, 0, lambda b, n: {"p": range(-1, b.max_p + 1)}),
+    IdentityId.THM4: (_ck_thm4, 0, lambda b, n: {"p": range(b.max_p + 1)}),
+    IdentityId.THM5: (_ck_thm5, 1, lambda b, n: {"p": range(1, b.max_p + 1)}),
+    IdentityId.THM6: (_ck_thm6, 0, lambda b, n: {"p": range(b.max_p + 1)}),
+    IdentityId.THM7_VS_THM9: (_ck_thm7_vs_thm9, 0, lambda b, n: {"p": range(b.max_p + 1)}),
+    IdentityId.PROP8: (_ck_prop8, 1, lambda b, n: {"p": range(b.max_p + 1)}),
+    IdentityId.LEMMA38: (_ck_lemma38, 0, lambda b, n: {"k": range(n + 1)}),
+    IdentityId.EQ8_PFAFF: (_transform_check("pfaff"), 0, lambda b, n: {"p": range(b.max_p + 1)}),
+    IdentityId.EQ9_EULER: (_transform_check("euler"), 0, lambda b, n: {"p": range(b.max_p + 1)}),
+    IdentityId.EQ11: (_ck_eq11, 1, lambda b, n: {}),
+    IdentityId.EQ12: (_ck_eq12, 0, lambda b, n: {"m": range(n + 1)}),
+    IdentityId.EQ13: (_ck_eq13, 0, lambda b, n: {}),
+    IdentityId.EQ23: (_ck_eq23, 0, lambda b, n: {}),
+    IdentityId.EQ26_27: (_ck_eq26_27, 0, lambda b, n: {"k": range(n + 3)}),
+    IdentityId.EQ30: (_ck_eq30, 0, lambda b, n: {}),
     IdentityId.EQ32_33: (
         _ck_eq32_33,
-        _full_n,
-        lambda ctx: {"k": range(0, ctx.max_n + 1), "r": range(1, max(1, ctx.max_p) + 1)},
+        0,
+        lambda b, n: {"k": range(n + 1), "r": range(1, max(1, b.max_p) + 1)},
     ),
     IdentityId.REMARK_ADD: (
-        _ck_remark_add,
-        _full_n,
-        lambda ctx: {"p": ctx.remark_p_range(), "y": range(0, ctx.max_n + 1)},
+        _remark_check("addition"),
+        0,
+        lambda b, n: {"p": _remark_p(b), "y": range(n + 1)},
     ),
-    IdentityId.REMARK_DIFF: (_ck_remark_diff, _full_n, lambda ctx: {"p": ctx.remark_p_range()}),
+    IdentityId.REMARK_DIFF: (_remark_check("difference"), 0, lambda b, n: {"p": _remark_p(b)}),
     IdentityId.REMARK_MULT_A: (
-        _ck_remark_mult_a,
-        _full_n,
-        lambda ctx: {"p": ctx.remark_p_range(), "m": range(2, 4)},
+        _remark_check("ratio"),
+        0,
+        lambda b, n: {"p": _remark_p(b), "m": range(2, 4)},
     ),
     IdentityId.REMARK_MULT_B: (
-        _ck_remark_mult_b,
-        _full_n,
-        lambda ctx: {"p": ctx.remark_p_range(), "m": range(2, 4)},
+        _remark_check("shift"),
+        0,
+        lambda b, n: {"p": _remark_p(b), "m": range(2, 4)},
     ),
-    IdentityId.STIRLING_DUALITY: (
-        _ck_duality,
-        _full_n,
-        lambda ctx: {"k": range(0, ctx.max_n + 1)},
-    ),
-    IdentityId.CLASSICAL_LIMITS: (
-        _ck_classical_limits,
-        _full_n,
-        lambda ctx: {"k": range(0, ctx.max_n + 1)},
-    ),
+    IdentityId.STIRLING_DUALITY: (_ck_duality, 0, lambda b, n: {"k": range(n + 1)}),
+    IdentityId.CLASSICAL_LIMITS: (_ck_classical_limits, 0, lambda b, n: {"k": range(n + 1)}),
 }
 
 
@@ -591,15 +468,26 @@ def _resolve_selection(selection):
 
 
 def suite_plan(selection=None, max_n: int = 12, max_p: int = 4, truncation: int = 16):
-    """The cases a run_suite call with these arguments would sweep."""
-    ctx = _SuiteContext(max_n, max_p, truncation, None)
+    """The cases a run_suite call with these arguments would sweep: the inner
+    ranges are those of the last row, n = max_n."""
+    bounds = _Bounds(max_n, max_p, truncation)
     plan = []
     for ident in _resolve_selection(selection):
-        _, n_range, inner = _CHECKS[ident]
-        params = {"n": n_range(ctx)}
-        params.update(inner(ctx))
+        _, first_n, sweep = _CHECKS[ident]
+        params = {"n": range(first_n, bounds.max_n + 1), **sweep(bounds, bounds.max_n)}
         plan.append(IdentityCase(ident, params))
     return plan
+
+
+def _first_unequal(comparisons) -> FirstFailure | None:
+    """The first comparison of a case whose sides differ, or None."""
+    for params, lhs, rhs in comparisons:
+        if lhs != rhs:
+            index = None
+            if isinstance(lhs, PolyXOverLambda) and isinstance(rhs, PolyXOverLambda):
+                index = next(j for j in count() if lhs.coefficient(j) != rhs.coefficient(j))
+            return FirstFailure(tuple(params.items()), _canon(lhs), _canon(rhs), index)
+    return None
 
 
 def run_suite(
@@ -627,23 +515,19 @@ def run_suite(
     if corrupt_s2 is not None:
         cn, ck, cv = corrupt_s2
         table = stirling2_deg_table().with_entry(cn, ck, cv)
-    ctx = _SuiteContext(max_n, max_p, truncation, table)
+    bounds = _Bounds(max_n, max_p, truncation, table)
     reports = []
     for ident in idents:
-        check, n_range, _ = _CHECKS[ident]
+        check, first_n, sweep = _CHECKS[ident]
         start = time.perf_counter()
-        cases_run = 0
-        cases_passed = 0
-        first_failure = None
-        for n in n_range(ctx):
-            cases_run += 1
-            failure = check(ctx, n)
-            if failure is None:
-                cases_passed += 1
-            elif first_failure is None:
-                first_failure = failure
+        cases = range(first_n, bounds.max_n + 1)
+        failures = [_first_unequal(check(bounds, n, sweep(bounds, n))) for n in cases]
+        failed = [f for f in failures if f is not None]
         elapsed = time.perf_counter() - start
-        reports.append(IdentityReport(ident, cases_run, cases_passed, first_failure, elapsed))
+        first_failure = failed[0] if failed else None
+        reports.append(
+            IdentityReport(ident, len(cases), len(cases) - len(failed), first_failure, elapsed)
+        )
     return reports
 
 

@@ -184,6 +184,37 @@ class TestPolyXOverLambda:
         assert a * b == b * a
 
 
+class TestHashMatchesEquality:
+    """A value equal to a simpler one hashes like it, so either finds it in a dict."""
+
+    @pytest.mark.parametrize(
+        "value,simpler",
+        [
+            (PolyLambda.constant(1), 1),
+            (PolyLambda.constant(Fraction(-2, 3)), Fraction(-2, 3)),
+            (PolyLambda(), 0),
+            (PolyXOverLambda.constant(1), PolyLambda.constant(1)),
+            (PolyXOverLambda.constant(LAM), LAM),
+            (PolyXOverLambda(), 0),
+            (RationalFunctionLambda(LAM), LAM),
+            (RationalFunctionLambda(Fraction(1, 2)), Fraction(1, 2)),
+            (RationalFunctionLambda(PolyLambda()), 0),
+        ],
+        ids=[
+            "pl-int", "pl-fraction", "pl-zero", "px-pl-constant", "px-pl", "px-zero",
+            "ratfun-pl", "ratfun-fraction", "ratfun-zero",
+        ],
+    )
+    def test_equal_values_share_a_hash(self, value, simpler):
+        assert value == simpler
+        assert hash(value) == hash(simpler)
+        assert {value: "v"}.get(simpler) == "v"
+        assert len({value, simpler}) == 1
+
+    def test_unequal_values_stay_apart(self):
+        assert len({LAM, X, RationalFunctionLambda(ONE, LAM), PolyLambda.constant(1)}) == 4
+
+
 class TestSpecialize:
     def test_lambda_constant_term(self):
         assert specialize(pl(2, -3, 1), lam=Fraction(0)) == 2

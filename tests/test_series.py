@@ -146,6 +146,49 @@ class TestBinomialPow:
             series(1, 1).binomial_pow(Fraction(2))
 
 
+def binomial_pow_by_terms(u, alpha):
+    """sum_k binom(alpha, k) u^k by the running term t_k = t_{k-1} u (alpha - k + 1) / k."""
+    acc = term = TruncatedSeries.one(u.ring, u.order)
+    for k in range(1, u.order + 1):
+        term = term.mul(u).scale(alpha - (k - 1)).scale(Fraction(1, k))
+        acc = acc + term
+    return acc
+
+
+def gauss_2f1_by_terms(a, b, c, u):
+    """sum_k <a>_k <b>_k / <c>_k u^k / k! by the running term, ratio (a+k-1)(b+k-1)/(k(c+k-1))."""
+    acc = term = TruncatedSeries.one(u.ring, u.order)
+    for k in range(1, u.order + 1):
+        term = term.mul(u).scale(a + (k - 1)).scale(b + (k - 1))
+        term = term.scale(Fraction(1, k) / (c + k - 1))
+        acc = acc + term
+    return acc
+
+
+class TestWeightedPowerSums:
+    """binomial_pow and gauss_2f1_formal against the direct term recurrence."""
+
+    @staticmethod
+    def arguments(order):
+        u = degenerate_exp(1, order) - TruncatedSeries.one(PolyLambda, order)
+        one_x = TruncatedSeries.one(PolyXOverLambda, order)
+        ux = degenerate_exp(PolyXOverLambda.x(), order) - one_x
+        return [u, -u, u.div(u - TruncatedSeries.one(PolyLambda, order)), ux]
+
+    @pytest.mark.parametrize("alpha", [Fraction(-3, 2), Fraction(4), LAM - 1, -LAM - 2])
+    def test_binomial_pow(self, alpha):
+        for u in self.arguments(6):
+            assert u.binomial_pow(alpha) == binomial_pow_by_terms(u, alpha)
+
+    @pytest.mark.parametrize(
+        "a,b,c",
+        [(1 - LAM, 1, 3), (LAM + 2, 2, 3), (Fraction(1, 2), LAM, Fraction(5, 2)), (1, 1, 2)],
+    )
+    def test_gauss_2f1(self, a, b, c):
+        for u in self.arguments(6):
+            assert gauss_2f1_formal(a, b, c, u) == gauss_2f1_by_terms(a, b, c, u)
+
+
 class TestNamedSeries:
     def test_degenerate_exp_symbolic(self):
         x = PolyXOverLambda.x()

@@ -1,5 +1,6 @@
 """Stirling and Eulerian triangles against brute-force and generating-function oracles."""
 
+import threading
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -7,6 +8,7 @@ from math import comb, factorial
 import pytest
 
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
+from degenbern import triangles
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
 from degenbern.triangles import (
     TriangleTable,
@@ -343,6 +345,35 @@ class TestForwardDifference:
     def test_negative_order(self):
         with pytest.raises(ValueError, match="nonnegative"):
             forward_difference([Fraction(1)], -1)
+
+
+class TestBasisGrowth:
+    def test_thread_held_mid_growth_misplaces_no_element(self, monkeypatch):
+        """One thread is held inside its first basis multiply while another
+        grows the same basis; every element must still be the falling
+        factorial of its degree."""
+        step = Fraction(7, 13)  # a step no other test grows a basis for
+        entered, release = threading.Event(), threading.Event()
+        real_mul = PolyXOverLambda.__mul__
+        held = []
+
+        def mul(self, other):
+            if threading.current_thread() in held and not entered.is_set():
+                entered.set()
+                release.wait(timeout=10)
+            return real_mul(self, other)
+
+        monkeypatch.setattr(PolyXOverLambda, "__mul__", mul)
+        worker = threading.Thread(target=triangles._basis, args=(step, 3))
+        held.append(worker)
+        worker.start()
+        assert entered.wait(timeout=10)
+        triangles._basis(step, 3)
+        release.set()
+        worker.join(timeout=10)
+        basis = triangles._basis(step, 5)
+        for j in range(6):
+            assert basis[j] == falling_factorial(X, j, step=step)
 
 
 class TestTriangleTable:

@@ -1,5 +1,8 @@
 """The identity suite: selection, reporting, forensics, and mutation detection."""
 
+import hashlib
+import json
+
 import pytest
 
 from degenbern.exactcore import PolyLambda
@@ -154,3 +157,95 @@ class TestMutationDetection:
             corrupt_s2=(4, 2, PolyLambda.zero()),
         )
         assert report.first_failure.parameters[0] == ("n", 4)
+
+
+# Canonical reports of run_suite(**SMALL), clean and under five substituted
+# triangle entries, as the sha256 of their JSON form.  The corruptions fail
+# 12-14 of the 24 identities each, so these pin most failure paths: where a
+# case stops, which sides it reports and the coefficient index it names.
+_LAM = PolyLambda.lam()
+PINNED_REPORTS = {
+    "clean": (None, "337f60e0ef382b9d13e5aa85b20c64693f9032afb99ad90174cb5914ddd316a6"),
+    "s2(4,2)=0": ((4, 2, 0), "a9b6179b2ec581b34c3dabe7088a43fd2725941265815d642d6cc72b72d4b33f"),
+    "s2(3,1)=1": ((3, 1, 1), "d186d9029be77f9d66b0d2fd4f1241395273e78e01d82567b0da80e8d15485a1"),
+    "s2(5,5)=l": ((5, 5, _LAM), "e076ac8bc60ff96dc7c8057885a35847a7fb232864b7b42f7e7766353ced98bd"),
+    "s2(6,0)=1": ((6, 0, 1), "8848ac80d48ac75770c75291ee1ca9619142f20a96bca63f3e5ea36c91e732f5"),
+    "s2(2,1)=1+l": (
+        (2, 1, 1 + _LAM),
+        "a3c4bdb239403b40c06ed9860534716d8e0e2bb96097de3d4234541adf1a2b09",
+    ),
+}
+
+# suite_plan ranges as (start, stop) at max_n 6 and at max_n 0, max_p 2
+PINNED_PLAN = {
+    "ClassicalLimits": ({"n": (0, 7), "k": (0, 7)}, {"n": (0, 1), "k": (0, 1)}),
+    "Eq11": ({"n": (1, 7)}, {"n": (1, 1)}),
+    "Eq12": ({"n": (0, 7), "m": (0, 7)}, {"n": (0, 1), "m": (0, 1)}),
+    "Eq13": ({"n": (0, 7)}, {"n": (0, 1)}),
+    "Eq23": ({"n": (0, 7)}, {"n": (0, 1)}),
+    "Eq26-27": ({"n": (0, 7), "k": (0, 9)}, {"n": (0, 1), "k": (0, 3)}),
+    "Eq30": ({"n": (0, 7)}, {"n": (0, 1)}),
+    "Eq32-33": ({"n": (0, 7), "k": (0, 7), "r": (1, 3)}, {"n": (0, 1), "k": (0, 1), "r": (1, 3)}),
+    "Eq8-Pfaff": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
+    "Eq9-Euler": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
+    "Lemma38": ({"n": (0, 7), "k": (0, 7)}, {"n": (0, 1), "k": (0, 1)}),
+    "Prop8": ({"n": (1, 7), "p": (0, 3)}, {"n": (1, 1), "p": (0, 3)}),
+    "Remark-add": (
+        {"n": (0, 7), "p": (0, 3), "y": (0, 7)},
+        {"n": (0, 1), "p": (0, 3), "y": (0, 1)},
+    ),
+    "Remark-diff": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
+    "Remark-mult-A": (
+        {"n": (0, 7), "p": (0, 3), "m": (2, 4)},
+        {"n": (0, 1), "p": (0, 3), "m": (2, 4)},
+    ),
+    "Remark-mult-B": (
+        {"n": (0, 7), "p": (0, 3), "m": (2, 4)},
+        {"n": (0, 1), "p": (0, 3), "m": (2, 4)},
+    ),
+    "StirlingDuality": ({"n": (0, 7), "k": (0, 7)}, {"n": (0, 1), "k": (0, 1)}),
+    "Thm1": ({"n": (0, 7)}, {"n": (0, 1)}),
+    "Thm2": ({"n": (1, 7)}, {"n": (1, 1)}),
+    "Thm3-vs-GF": ({"n": (0, 7), "p": (-1, 3)}, {"n": (0, 1), "p": (-1, 3)}),
+    "Thm4": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
+    "Thm5": ({"n": (1, 7), "p": (1, 3)}, {"n": (1, 1), "p": (1, 3)}),
+    "Thm6": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
+    "Thm7-vs-Thm9": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
+}
+
+
+def _report_digest(reports) -> str:
+    rows = []
+    for r in reports:
+        ff = r.first_failure
+        failure = None
+        if ff is not None:
+            failure = [[list(p) for p in ff.parameters], ff.lhs, ff.rhs, ff.mismatch_index]
+        rows.append([str(r.identity_id), r.cases_run, r.cases_passed, failure])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _plan_ranges(max_n: int) -> dict:
+    plan = suite_plan(max_n=max_n, max_p=2, truncation=max_n + 2)
+    assert all(r.step == 1 for case in plan for r in case.parameters.values())
+    return {
+        str(case.identity_id): {
+            name: (r.start, r.stop) for name, r in case.parameters.items()
+        }
+        for case in plan
+    }
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", list(PINNED_REPORTS))
+    def test_reports_match_pinned_digest(self, name, small_suite):
+        corruption, digest = PINNED_REPORTS[name]
+        if corruption is None:
+            reports = small_suite
+        else:
+            reports = run_suite(**SMALL, corrupt_s2=corruption)
+        assert _report_digest(reports) == digest
+
+    def test_plan_ranges_match_pinned(self):
+        six, zero = _plan_ranges(6), _plan_ranges(0)
+        assert {k: (six[k], zero[k]) for k in six} == PINNED_PLAN
