@@ -114,7 +114,7 @@ def _load_config(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deeply nested
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")

@@ -44,6 +44,13 @@ def _norm_coeff(c):
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
+def _check_rational(at):
+    """at itself when it is an int or a Fraction: no float evaluation point."""
+    if not isinstance(at, (int, Fraction)):
+        raise TypeError(f"evaluation point must be int or Fraction, got {type(at).__name__}")
+    return at
+
+
 def _power(self, k: int):
     """self ** k by square-and-multiply, for either polynomial ring."""
     if k < 0:
@@ -178,7 +185,8 @@ class PolyLambda:
         return self * (1 / Fraction(self.lead))
 
     def evaluate(self, at: Scalar) -> Fraction:
-        """The value at l = at, by Horner."""
+        """The value at l = at, by Horner; at must be an int or a Fraction."""
+        _check_rational(at)
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * at + c
@@ -612,6 +620,6 @@ def specialize(value, *, lam: Scalar | None = None, x: Scalar | None = None):
         return value.evaluate(lam)
     if isinstance(value, PolyXOverLambda):
         if x is not None:
-            return value.evaluate(Fraction(x))
+            return value.evaluate(_check_rational(x))
         return value.subs_lambda(lam)
     raise TypeError(f"cannot specialize {type(value).__name__}")

@@ -7,11 +7,14 @@ ordinary falling factorials (x)_k = x(x-1)...(x-k+1) and the degenerate ones
     (x)_{n,l} = sum_k stirling2_deg(n, k) (x)_k
     (x)_n     = sum_k stirling1_deg(n, k) (x)_{k,l}
 
-Since both bases are monic the change of basis is a divisionless
-back-substitution, which is the normative computation here.  Generating
-functions, recurrences and finite differences serve as independent routes in
-the test and verification layers.  All degenerate entries are PolyLambda with
-integer coefficients; classical entries are plain ints.
+Multiplying (x)_{m-1,l} by x - (m-1)l, and (x)_{m-1} by x - (m-1), turns these
+relations into the row recurrence T(m,k) = w T(m-1,k) + T(m-1,k-1), with
+w = k - (m-1)l for the second kind and w = kl - (m-1) for the first; at l = 0
+it is the classical recurrence.  That one recurrence builds all four Stirling
+triangles here.  The basis relations themselves, the generating functions and
+finite differences serve as independent routes in the test and verification
+layers.  All degenerate entries are PolyLambda with integer coefficients;
+classical entries are plain ints.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def falling_factorial(x, n: int, step=1):
     The result lives in the widest ring among x and step: Fraction for
     rational inputs, PolyLambda when either involves l, PolyXOverLambda for
     symbolic x.  A negated step gives the rising product x (x + step) ...,
-    e.g. the Pochhammer symbol at step=-1.
+    e.g. the Pochhammer symbol at step=-1.  A float x or step is refused.
     """
     if n < 0:
         raise ValueError("factorial product length must be nonnegative")
@@ -56,8 +59,10 @@ def falling_factorial(x, n: int, step=1):
         acc = PolyXOverLambda.one()
     elif isinstance(x, PolyLambda) or isinstance(step, PolyLambda):
         acc = PolyLambda.one()
-    else:
+    elif isinstance(x, (int, Fraction)) and isinstance(step, (int, Fraction)):
         acc = Fraction(1)
+    else:
+        raise TypeError(f"factorial operands must be int or Fraction, got {type(x).__name__} and {type(step).__name__}")
     for i in range(n):
         acc = acc * (x - step * i)
     return acc
@@ -90,7 +95,7 @@ def memoized(fn):
     results, and its results are freed together with the table.  Other
     keyword arguments are bound to their positions first, so every call has
     one key.  fn must not return None.  The wrapper's pristine attribute is
-    the pristine memo, for callers that need it cold.
+    the pristine memo, for callers that read it or need it cold.
     """
     pristine: dict = {}
     signature = inspect.signature(fn)
@@ -146,47 +151,31 @@ class TriangleTable:
         return f"TriangleTable(overrides={sorted(self._overrides)!r})"
 
 
-# Monic factorial bases x (x - step) ... by step, grown on demand.  Index j
-# holds the degree-j element.  A published list is never mutated: growth
-# extends a private copy and publishes it in one assignment, so a caller
-# interrupted mid-growth by another thread cannot misplace an element.
-_BASES: dict = {}
-
-
-def _basis(step, n: int) -> list[PolyXOverLambda]:
-    basis = _BASES.get(step, [PolyXOverLambda.one()])
-    if len(basis) <= n:
-        basis = list(basis)
-        while len(basis) <= n:
-            j = len(basis)
-            basis.append(basis[-1] * (PolyXOverLambda.x() - step * (j - 1)))
-        _BASES[step] = basis
-    return basis
-
-
-def _into_basis(p: PolyXOverLambda, basis: list[PolyXOverLambda]) -> tuple[PolyLambda, ...]:
-    """Coordinates of p in a monic basis, by back-substitution from the top."""
-    out = [PolyLambda.zero()] * (max(p.degree, 0) + 1)
-    rem = p
-    for j in range(len(out) - 1, -1, -1):
-        c = rem.coefficient(j)
-        if c:
-            out[j] = c
-            rem = rem - basis[j] * c
-    if rem:
-        raise ArithmeticError("change of basis left a remainder")
-    return tuple(out)
-
-
-@memoized
-def _basis_row(n: int, step, basis_step) -> tuple[PolyLambda, ...]:
-    """Coordinates of the degree-n factorial with step in the basis with basis_step."""
-    return _into_basis(falling_factorial(PolyXOverLambda.x(), n, step=step), _basis(basis_step, n))
-
-
 def _check_triangle_indices(n: int, k: int):
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"triangle indices out of range: need 0 <= k <= n, got n={n}, k={k}")
+
+
+@memoized
+def _row(n: int, r: int, first: bool, lam) -> tuple:
+    """Row n of T(m,k) = w T(m-1,k) + T(m-1,k-1), T(0,0) = 1.
+
+    w = kl - (m-1) gives the first kind, w = k + r - (m-1)l the second (the
+    r-Stirling one for r > 0).  lam = 0 gives the classical rows as ints,
+    lam = l the degenerate rows as PolyLambda.  The row is built upward without
+    recursion from the nearest lower row already in the memo (row 0 at worst),
+    and only row n is kept.
+    """
+    m, row = 0, (lam**0,)  # T(0,0) = 1 in the ring of lam
+    for j in range(n - 1, 0, -1):
+        known = _row.pristine.get((j, r, first, lam))
+        if known is not None:
+            m, row = j, known
+            break
+    for m in range(m + 1, n + 1):
+        pairs = enumerate(zip(row + (0,), (0,) + row))
+        row = tuple((k * lam - (m - 1) if first else k + r - (m - 1) * lam) * a + b for k, (a, b) in pairs)
+    return row
 
 
 def stirling2_deg(n: int, k: int, s2=None) -> PolyLambda:
@@ -200,7 +189,7 @@ def stirling2_deg(n: int, k: int, s2=None) -> PolyLambda:
     if s2 is not None:
         return s2.entry(n, k)
     _check_triangle_indices(n, k)
-    return _basis_row(n, PolyLambda.lam(), 1)[k]
+    return _row(n, 0, False, PolyLambda.lam())[k]
 
 
 def stirling1_deg(n: int, k: int) -> PolyLambda:
@@ -211,25 +200,13 @@ def stirling1_deg(n: int, k: int) -> PolyLambda:
     stirling2_deg.  Reduces to the signed classical first kind at l = 0.
     """
     _check_triangle_indices(n, k)
-    return _basis_row(n, 1, PolyLambda.lam())[k]
+    return _row(n, 0, True, PolyLambda.lam())[k]
 
 
-@memoized
-def _classical_row(n: int, r: int, signed: bool) -> tuple[int, ...]:
-    """Row n of T(m,k) = w T(m-1,k) + T(m-1,k-1), T(0,0) = 1, built upward
-    from row 0 without recursion.  w = -(m-1) gives the signed first kind,
-    w = k + r the r-Stirling second kind (the plain one at r = 0)."""
-    row = (1,)
-    for m in range(1, n + 1):
-        pairs = enumerate(zip(row + (0,), (0,) + row))
-        row = tuple((1 - m if signed else k + r) * a + b for k, (a, b) in pairs)
-    return row
-
-
-def _classical_entry(n: int, k: int, r: int, signed: bool) -> int:
+def _classical_entry(n: int, k: int, r: int, first: bool) -> int:
     if n < 0:
         raise ValueError("row index must be nonnegative")
-    return _classical_row(n, r, signed)[k] if 0 <= k <= n else 0
+    return _row(n, r, first, 0)[k] if 0 <= k <= n else 0
 
 
 def stirling2_classical(n: int, k: int) -> int:
@@ -254,13 +231,12 @@ def stirling2_deg_poly(n: int, k: int, x=None, s2=None):
     _check_triangle_indices(n, k)
     symbolic = x is None
     xe = PolyXOverLambda.x() if symbolic else x
-    lam = PolyLambda.lam()
     acc = PolyXOverLambda.zero() if symbolic else PolyLambda.zero()
     for l in range(k, n + 1):
         s = stirling2_deg(l, k, s2=s2)
         if not s:
             continue
-        acc = acc + falling_factorial(xe, n - l, step=lam) * s * comb(n, l)
+        acc = acc + falling_lambda(xe, n - l) * s * comb(n, l)
     return acc
 
 
@@ -278,6 +254,8 @@ def r_stirling2_deg(n: int, k: int, r: int, s2=None) -> PolyLambda:
 
 def r_stirling2_classical(n: int, k: int, r: int) -> int:
     """Classical r-Stirling of the second kind by its additive recurrence."""
+    if type(r) is not int:
+        raise TypeError(f"restriction parameter r must be int, got {type(r).__name__}")
     if r < 0:
         raise ValueError("restriction parameter r must be a nonnegative integer")
     return _classical_entry(n, k, r, False)
@@ -309,13 +287,10 @@ def eulerian_degenerate(n: int, m: int, s2=None) -> PolyLambda:
     _check_triangle_indices(n, m)
     acc = PolyLambda.zero()
     for k in range(n - m + 1):
-        b = comb(n - k, m)
-        if not b:
-            continue
         s = stirling2_deg(n, k, s2=s2)
         if not s:
             continue
-        acc = acc + log_weight(k) * s * b
+        acc = acc + log_weight(k) * s * comb(n - k, m)
     return acc if (n - m) % 2 == 0 else -acc
 
 

@@ -208,6 +208,17 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100_000, b'{"max_n": 2, "suite": "\xff"}'], ids=["nested", "not-utf-8"]
+    )
+    def test_undecodable_config_is_usage_error(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, "compute", "beta", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: config file is not valid JSON: ")
+
     def test_bad_rational_literal(self, capsys):
         code, _, err = run(capsys, "compute", "beta", "--max-n", "2", "--lambda", "1/0")
         assert code == EXIT_USAGE

@@ -231,6 +231,17 @@ class TestSpecialize:
         with pytest.raises(ValueError):
             specialize(X, lam=Fraction(0), x=Fraction(0))
 
+    def test_float_evaluation_point_rejected(self):
+        for route in (
+            lambda: LAM.evaluate(0.1),
+            lambda: specialize(LAM, lam=0.1),
+            lambda: (X * LAM).subs_lambda(0.1),
+            lambda: specialize(X * LAM, lam=0.1),
+            lambda: specialize(X * LAM, x=0.5),
+        ):
+            with pytest.raises(TypeError, match="evaluation point must be int or Fraction, got float"):
+                route()
+
     @given(polys, polys, rationals)
     @settings(max_examples=60)
     def test_homomorphism_in_lambda(self, a, b, v):

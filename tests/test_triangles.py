@@ -1,6 +1,5 @@
 """Stirling and Eulerian triangles against brute-force and generating-function oracles."""
 
-import threading
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -8,7 +7,6 @@ from math import comb, factorial
 import pytest
 
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
-from degenbern import triangles
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
 from degenbern.triangles import (
     TriangleTable,
@@ -98,6 +96,12 @@ class TestFactorialProducts:
         assert log_weight(1) == LAM - 1
         assert log_weight(2) == (LAM - 1) * (LAM - 2)
 
+    def test_float_operand_rejected(self):
+        with pytest.raises(TypeError, match="must be int or Fraction, got float and int"):
+            falling_factorial(0.5, 3)
+        with pytest.raises(TypeError, match="must be int or Fraction, got int and float"):
+            falling_factorial(1, 3, step=0.5)
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="length must be nonnegative"):
             falling_factorial(X, -1)
@@ -153,6 +157,14 @@ class TestClassicalTriangles:
         for n in range(8):
             for k in range(n + 1):
                 assert r_stirling2_classical(n, k, 0) == stirling2_classical(n, k)
+
+    def test_r_stirling_parameter_must_be_int(self):
+        with pytest.raises(TypeError, match="r must be int, got float"):
+            r_stirling2_classical(3, 1, 1.5)
+        with pytest.raises(TypeError, match="r must be int, got bool"):
+            r_stirling2_classical(3, 1, True)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            r_stirling2_classical(3, 1, -1)
 
     def test_r_stirling_brute_force(self):
         """r distinguished elements in distinct blocks: place each of the n free
@@ -215,6 +227,22 @@ class TestDegenerateStirling:
                     PolyLambda.zero(),
                 )
                 assert s == delta
+
+    def test_change_of_basis_symbolically_in_x(self):
+        """The defining relations (x)_{n,l} = sum_k stirling2_deg(n,k) (x)_k and
+        (x)_n = sum_k stirling1_deg(n,k) (x)_{k,l}, independent of the row
+        recurrence that builds both triangles."""
+        for n in range(13):
+            second = sum(
+                (falling_factorial(X, k) * stirling2_deg(n, k) for k in range(n + 1)),
+                PolyXOverLambda.zero(),
+            )
+            assert second == falling_lambda(X, n)
+            first = sum(
+                (falling_lambda(X, k) * stirling1_deg(n, k) for k in range(n + 1)),
+                PolyXOverLambda.zero(),
+            )
+            assert first == falling_factorial(X, n)
 
     def test_stirling2_recurrence(self):
         for n in range(12):
@@ -345,35 +373,6 @@ class TestForwardDifference:
     def test_negative_order(self):
         with pytest.raises(ValueError, match="nonnegative"):
             forward_difference([Fraction(1)], -1)
-
-
-class TestBasisGrowth:
-    def test_thread_held_mid_growth_misplaces_no_element(self, monkeypatch):
-        """One thread is held inside its first basis multiply while another
-        grows the same basis; every element must still be the falling
-        factorial of its degree."""
-        step = Fraction(7, 13)  # a step no other test grows a basis for
-        entered, release = threading.Event(), threading.Event()
-        real_mul = PolyXOverLambda.__mul__
-        held = []
-
-        def mul(self, other):
-            if threading.current_thread() in held and not entered.is_set():
-                entered.set()
-                release.wait(timeout=10)
-            return real_mul(self, other)
-
-        monkeypatch.setattr(PolyXOverLambda, "__mul__", mul)
-        worker = threading.Thread(target=triangles._basis, args=(step, 3))
-        held.append(worker)
-        worker.start()
-        assert entered.wait(timeout=10)
-        triangles._basis(step, 3)
-        release.set()
-        worker.join(timeout=10)
-        basis = triangles._basis(step, 5)
-        for j in range(6):
-            assert basis[j] == falling_factorial(X, j, step=step)
 
 
 class TestTriangleTable:
