@@ -8,121 +8,21 @@ computation routes; the verify module runs the whole identity catalogue and
 reports the first counterexample if any route disagrees.
 """
 
-from .bernoulli import (
-    RemarkReport,
-    carlitz_beta,
-    carlitz_beta_gf,
-    classical_bernoulli,
-    gen_beta,
-    gen_beta_classical_limit,
-    gen_beta_eulerian,
-    gen_beta_gf,
-    gen_beta_integral,
-    gen_beta_poly,
-    gen_beta_poly_derivative,
-    gen_beta_poly_gf,
-    gen_beta_poly_stirling,
-    gen_beta_rstirling,
-    gen_beta_rstirling_simplified,
-    gen_beta_stirling_sum,
-    remark_sides,
-    verify_remark_identities,
-)
-from .exactcore import (
-    PolyLambda,
-    PolyXOverLambda,
-    RationalFunctionLambda,
-    poly_divmod,
-    poly_gcd,
-    specialize,
-)
-from .series import (
-    TruncatedSeries,
-    degenerate_exp,
-    degenerate_log,
-    gauss_2f1_formal,
-)
-from .triangles import (
-    TriangleTable,
-    eulerian_classical,
-    eulerian_degenerate,
-    falling_factorial,
-    falling_lambda,
-    forward_difference,
-    log_weight,
-    r_stirling2_classical,
-    r_stirling2_deg,
-    stirling1_classical,
-    stirling1_deg,
-    stirling2_classical,
-    stirling2_deg,
-    stirling2_deg_poly,
-    stirling2_deg_table,
-)
-from .verify import (
-    DESCRIPTIONS,
-    FirstFailure,
-    IdentityCase,
-    IdentityId,
-    IdentityReport,
-    explain_failure,
-    run_suite,
-    suite_plan,
-)
+from . import bernoulli, exactcore, series, triangles, verify
+from .bernoulli import *  # noqa: F401,F403
+from .exactcore import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .triangles import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    "PolyLambda",
-    "RationalFunctionLambda",
-    "PolyXOverLambda",
-    "poly_divmod",
-    "poly_gcd",
-    "specialize",
-    "TruncatedSeries",
-    "degenerate_exp",
-    "degenerate_log",
-    "gauss_2f1_formal",
-    "TriangleTable",
-    "falling_factorial",
-    "falling_lambda",
-    "log_weight",
-    "stirling1_deg",
-    "stirling2_deg",
-    "stirling1_classical",
-    "stirling2_classical",
-    "stirling2_deg_poly",
-    "r_stirling2_deg",
-    "r_stirling2_classical",
-    "eulerian_classical",
-    "eulerian_degenerate",
-    "forward_difference",
-    "stirling2_deg_table",
-    "carlitz_beta",
-    "carlitz_beta_gf",
-    "classical_bernoulli",
-    "gen_beta",
-    "gen_beta_stirling_sum",
-    "gen_beta_gf",
-    "gen_beta_eulerian",
-    "gen_beta_integral",
-    "gen_beta_rstirling",
-    "gen_beta_rstirling_simplified",
-    "gen_beta_classical_limit",
-    "gen_beta_poly",
-    "gen_beta_poly_stirling",
-    "gen_beta_poly_gf",
-    "gen_beta_poly_derivative",
-    "RemarkReport",
-    "remark_sides",
-    "verify_remark_identities",
-    "IdentityId",
-    "IdentityCase",
-    "IdentityReport",
-    "FirstFailure",
-    "DESCRIPTIONS",
-    "run_suite",
-    "suite_plan",
-    "explain_failure",
+    *exactcore.__all__,
+    *series.__all__,
+    *triangles.__all__,
+    *bernoulli.__all__,
+    *verify.__all__,
     "__version__",
 ]

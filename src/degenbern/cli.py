@@ -7,9 +7,10 @@ Three subcommands:
   export    write a family table to --output as JSON or CSV, default JSON
 
 Families are symbolic by default (exact coefficient lists in l); --lambda a/b
-evaluates every entry at that rational instead.  A JSON --config file may
-supply any long-flag value under its underscored name (e.g. "max_n"); flags
-given on the command line win.  File writes go through a temp file and rename
+evaluates every entry at that rational instead.  --p and --r are refused for
+a family that does not take them.  A JSON --config file may supply any
+long-flag value under its underscored name (e.g. "max_n"); flags given on the
+command line win.  File writes go through a temp file and rename
 so an interrupted run never leaves a partial file.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
@@ -25,7 +26,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
@@ -48,19 +49,21 @@ EXIT_USAGE = 2
 
 _INFORMATIONAL = {IdentityId.REMARK_MULT_A, IdentityId.REMARK_MULT_B}
 
-FAMILIES = (
-    "beta",
-    "gen-beta",
-    "gen-beta-poly",
-    "stirling1",
-    "stirling2",
-    "stirling2-poly",
-    "r-stirling2",
-    "eulerian",
-    "eulerian-deg",
-)
-
-FORMATS = ("json", "csv", "pretty")
+# family -> (entry function, indexed by (n, k) rather than n, CliConfig fields
+# it takes after the index)
+_FAMILY_TABLE = {
+    "beta": (carlitz_beta, False, ()),
+    "gen-beta": (gen_beta, False, ("p",)),
+    "gen-beta-poly": (gen_beta_poly, False, ("p",)),
+    "stirling1": (stirling1_deg, True, ()),
+    "stirling2": (stirling2_deg, True, ()),
+    "stirling2-poly": (stirling2_deg_poly, True, ()),
+    "r-stirling2": (r_stirling2_deg, True, ("r",)),
+    "eulerian": (lambda n, k: PolyLambda.constant(eulerian_classical(n, k)), True, ()),
+    "eulerian-deg": (eulerian_degenerate, True, ()),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+_FAMILY_PARAMS = {name for _, _, takes in _FAMILY_TABLE.values() for name in takes}
 
 
 class UsageError(Exception):
@@ -75,7 +78,6 @@ class CliConfig:
     p: int = 0
     r: int = 1
     lam: Fraction | None = None
-    symbolic: bool = False
     truncation: int = 16
     fmt: str | None = None
     output: str | None = None
@@ -86,18 +88,9 @@ class CliConfig:
 
 # config-file key per CliConfig field (the file uses flag spellings)
 _CONFIG_KEYS = {
-    "family": "family",
-    "max_n": "max_n",
-    "p": "p",
-    "r": "r",
-    "lam": "lambda",
-    "symbolic": "symbolic",
-    "truncation": "truncation",
-    "fmt": "format",
-    "output": "output",
-    "suite": "suite",
-    "max_p": "max_p",
-    "strict": "strict",
+    f.name: {"lam": "lambda", "fmt": "format"}.get(f.name, f.name)
+    for f in fields(CliConfig)
+    if f.name != "command"
 }
 
 
@@ -128,9 +121,8 @@ def _merge(args: argparse.Namespace) -> CliConfig:
     float, no boolean standing in for an integer, no unknown format.
     """
     file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    known = {v for v in _CONFIG_KEYS.values()}
     for key in file_cfg:
-        if key not in known:
+        if key not in _CONFIG_KEYS.values():
             raise UsageError(f"unknown config key: {key}")
     cfg = CliConfig(command=args.command)
     for field, key in _CONFIG_KEYS.items():
@@ -146,9 +138,8 @@ def _merge(args: argparse.Namespace) -> CliConfig:
         value = getattr(cfg, field)
         if type(value) is not int and not (field == "max_n" and value is None):
             raise UsageError(f"{_CONFIG_KEYS[field]} must be an integer")
-    for field in ("symbolic", "strict"):
-        if not isinstance(getattr(cfg, field), bool):
-            raise UsageError(f"{_CONFIG_KEYS[field]} must be a boolean")
+    if not isinstance(cfg.strict, bool):
+        raise UsageError("strict must be a boolean")
     if not isinstance(cfg.suite, str):
         raise UsageError("suite must be a string")
     if cfg.output is not None and not isinstance(cfg.output, str):
@@ -173,11 +164,13 @@ def _x_coeffs(poly: PolyXOverLambda) -> list[list[str]]:
     return [_lambda_coeffs(poly.coefficient(j)) for j in range(poly.degree + 1)]
 
 
-def _build_rows(cfg: CliConfig):
+def _build_rows(cfg: CliConfig, given):
     """Entries for cfg.family: (parameters, [(index dict, value)]).
 
-    Values are PolyLambda or PolyXOverLambda.  With a rational l they are
-    evaluated here, once, and stay in their ring (a number becomes a constant
+    given holds the CliConfig fields set on the command line; a family
+    parameter among them that the family does not take is refused.  Values
+    are PolyLambda or PolyXOverLambda.  With a rational l they are evaluated
+    here, once, and stay in their ring (a number becomes a constant
     PolyLambda), so the renderers never need to know about l.
     """
     if cfg.family is None:
@@ -188,45 +181,18 @@ def _build_rows(cfg: CliConfig):
         raise UsageError("--max-n is required")
     if cfg.max_n < 0:
         raise UsageError("--max-n must be nonnegative")
-    if cfg.symbolic and cfg.lam is not None:
-        raise UsageError("choose either --symbolic or --lambda, not both")
-    n_range = range(cfg.max_n + 1)
-    fam = cfg.family
-    params: dict = {}
-    rows = []
-    if fam == "beta":
-        rows = [({"n": n}, carlitz_beta(n)) for n in n_range]
-    elif fam == "gen-beta":
-        params["p"] = cfg.p
-        rows = [({"n": n}, gen_beta(n, cfg.p)) for n in n_range]
-    elif fam == "gen-beta-poly":
-        params["p"] = cfg.p
-        rows = [({"n": n}, gen_beta_poly(n, cfg.p)) for n in n_range]
-    elif fam == "stirling1":
-        rows = [({"n": n, "k": k}, stirling1_deg(n, k)) for n in n_range for k in range(n + 1)]
-    elif fam == "stirling2":
-        rows = [({"n": n, "k": k}, stirling2_deg(n, k)) for n in n_range for k in range(n + 1)]
-    elif fam == "stirling2-poly":
-        rows = [
-            ({"n": n, "k": k}, stirling2_deg_poly(n, k)) for n in n_range for k in range(n + 1)
-        ]
-    elif fam == "r-stirling2":
-        params["r"] = cfg.r
-        rows = [
-            ({"n": n, "k": k}, r_stirling2_deg(n, k, cfg.r))
-            for n in n_range
-            for k in range(n + 1)
-        ]
-    elif fam == "eulerian":
-        rows = [
-            ({"n": n, "k": k}, PolyLambda.constant(eulerian_classical(n, k)))
-            for n in n_range
-            for k in range(n + 1)
-        ]
-    elif fam == "eulerian-deg":
-        rows = [
-            ({"n": n, "k": k}, eulerian_degenerate(n, k)) for n in n_range for k in range(n + 1)
-        ]
+    entry, triangle, takes = _FAMILY_TABLE[cfg.family]
+    refused = sorted(given & _FAMILY_PARAMS - set(takes))
+    if refused:
+        flags = ", ".join(f"--{name}" for name in refused)
+        raise UsageError(f"family {cfg.family} does not take {flags}")
+    params = {name: getattr(cfg, name) for name in takes}
+    indices = (
+        [(n, k) for n in range(cfg.max_n + 1) for k in range(n + 1)]
+        if triangle
+        else [(n,) for n in range(cfg.max_n + 1)]
+    )
+    rows = [(dict(zip("nk", index)), entry(*index, *params.values())) for index in indices]
     if cfg.lam is not None:
         params["lambda"] = _frac_str(cfg.lam)
         rows = [(index, _at_lambda(value, cfg.lam)) for index, value in rows]
@@ -262,7 +228,7 @@ def _render_json(cfg: CliConfig, params: dict, rows) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _render_csv(rows) -> str:
+def _render_csv(cfg: CliConfig, params: dict, rows) -> str:
     lines = []
     for index, value in rows:
         cells = [str(v) for v in index.values()]
@@ -271,7 +237,7 @@ def _render_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_pretty(rows) -> str:
+def _render_pretty(cfg: CliConfig, params: dict, rows) -> str:
     lines = []
     for index, value in rows:
         label = " ".join(str(v) for v in index.values())
@@ -279,13 +245,8 @@ def _render_pretty(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(cfg: CliConfig, fmt: str) -> str:
-    params, rows = _build_rows(cfg)
-    if fmt == "json":
-        return _render_json(cfg, params, rows)
-    if fmt == "csv":
-        return _render_csv(rows)
-    return _render_pretty(rows)
+_RENDERERS = {"json": _render_json, "csv": _render_csv, "pretty": _render_pretty}
+FORMATS = tuple(_RENDERERS)
 
 
 def _write_atomic(path: str, text: str):
@@ -306,24 +267,18 @@ def _write_atomic(path: str, text: str):
         raise UsageError(f"cannot write output file: {exc}") from exc
 
 
-def _emit(cfg: CliConfig, text: str) -> int:
+def _cmd_table(cfg: CliConfig, given) -> int:
+    """compute and export: export defaults to JSON and requires --output."""
+    export = cfg.command == "export"
+    if export and not cfg.output:
+        raise UsageError("export requires --output")
+    params, rows = _build_rows(cfg, given)
+    text = _RENDERERS[cfg.fmt or ("json" if export else "pretty")](cfg, params, rows)
     if cfg.output:
         _write_atomic(cfg.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _cmd_compute(cfg: CliConfig) -> int:
-    fmt = cfg.fmt or "pretty"
-    return _emit(cfg, _render(cfg, fmt))
-
-
-def _cmd_export(cfg: CliConfig) -> int:
-    if not cfg.output:
-        raise UsageError("export requires --output")
-    fmt = cfg.fmt or "json"
-    return _emit(cfg, _render(cfg, fmt))
 
 
 def _parse_suite(token: str):
@@ -360,10 +315,10 @@ def _cmd_verify(cfg: CliConfig) -> int:
 def _add_common(sub: argparse.ArgumentParser, *, verify: bool):
     sub.add_argument("--config", help="JSON file with default flag values")
     sub.add_argument("--max-n", dest="max_n", type=int, help="largest index n")
-    sub.add_argument(
-        "--truncation", type=int, help="series order for oracle checks (default 16)"
-    )
     if verify:
+        sub.add_argument(
+            "--truncation", type=int, help="series order for oracle checks (default 16)"
+        )
         sub.add_argument("--suite", help='identity tokens, comma separated, or "all"')
         sub.add_argument("--max-p", dest="max_p", type=int, help="largest p swept (default 4)")
         sub.add_argument(
@@ -380,12 +335,6 @@ def _add_common(sub: argparse.ArgumentParser, *, verify: bool):
             "--lambda",
             dest="lam",
             help='rational value "a/b" to evaluate at instead of symbolic output',
-        )
-        sub.add_argument(
-            "--symbolic",
-            action="store_const",
-            const=True,
-            help="force symbolic output (the default; excludes --lambda)",
         )
         sub.add_argument("--format", dest="fmt", choices=FORMATS)
         sub.add_argument("--output", help="write to this path (temp file + rename)")
@@ -407,15 +356,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge(args)
-        if args.command == "compute":
-            return _cmd_compute(cfg)
-        if args.command == "verify":
+        if cfg.command == "verify":
             return _cmd_verify(cfg)
-        return _cmd_export(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        return _cmd_table(cfg, {f for f in _CONFIG_KEYS if getattr(args, f, None) is not None})
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

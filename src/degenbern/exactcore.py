@@ -39,14 +39,14 @@ def _norm_coeff(c):
         return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):
         return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
 def _check_rational(at):
-    """at itself when it is an int or a Fraction: no float evaluation point."""
-    if not isinstance(at, (int, Fraction)):
+    """at itself when it is an int or a Fraction: no float or bool evaluation point."""
+    if not isinstance(at, (int, Fraction)) or isinstance(at, bool):
         raise TypeError(f"evaluation point must be int or Fraction, got {type(at).__name__}")
     return at
 
@@ -107,9 +107,6 @@ class PolyLambda:
 
     def coefficient(self, i: int) -> Scalar:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -25,18 +25,12 @@ __all__ = [
 _RINGS = (PolyLambda, PolyXOverLambda)
 
 
-def _ring_constant(ring, q):
-    if ring is PolyLambda:
-        return PolyLambda.constant(q)
-    return PolyXOverLambda.constant(q)
-
-
 def _ring_element(ring, v):
     """Coerce v into ring; rationals embed as constants, PolyLambda lifts into x-polys."""
     if isinstance(v, ring):
         return v
     if isinstance(v, (int, Fraction)):
-        return _ring_constant(ring, v)
+        return ring.constant(v)
     if ring is PolyXOverLambda and isinstance(v, PolyLambda):
         return PolyXOverLambda.constant(v)
     raise ValueError("coefficient ring mismatch")
@@ -141,9 +135,8 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by a ring element or rational."""
-        if isinstance(c, (int, Fraction)):
-            return TruncatedSeries(self.ring, (ci * c for ci in self.coeffs))
-        c = _ring_element(self.ring, c)
+        if not isinstance(c, (int, Fraction)):
+            c = _ring_element(self.ring, c)
         return TruncatedSeries(self.ring, (ci * c for ci in self.coeffs))
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -153,7 +146,7 @@ class TruncatedSeries:
         self._check_ring(other)
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        zero = _ring_constant(self.ring, 0)
+        zero = self.ring.constant(0)
         out = []
         for m in range(n + 1):
             acc = zero
@@ -206,11 +199,12 @@ class TruncatedSeries:
         if inner.coeffs[0]:
             raise ValueError("composition requires zero constant term")
         n = min(self.order, inner.order)
+        inner = inner.truncate(n)
         f = self.coeffs
         acc = TruncatedSeries.one(self.ring, n).scale(f[0])
         power = TruncatedSeries.one(self.ring, n)
         for k in range(1, n + 1):
-            power = power.mul(inner.truncate(n)).scale(Fraction(1, k))
+            power = power.mul(inner).scale(Fraction(1, k))
             if f[k]:
                 acc = acc + power.scale(f[k])
         return acc
@@ -224,7 +218,7 @@ class TruncatedSeries:
         """
         if self.coeffs[0]:
             raise ValueError("binomial power requires zero constant term")
-        weights = [_ring_constant(self.ring, 1)]
+        weights = [self.ring.constant(1)]
         for k in range(1, self.order + 1):
             weights.append(weights[-1] * _ring_element(self.ring, alpha - (k - 1)))
         return TruncatedSeries(self.ring, weights).compose(self)
@@ -259,7 +253,7 @@ def degenerate_exp(x, order: int) -> TruncatedSeries:
         ring = PolyLambda
         xe = x if isinstance(x, PolyLambda) else PolyLambda.constant(x)
         lam = PolyLambda.lam()
-    coeffs = [_ring_constant(ring, 1)]
+    coeffs = [ring.constant(1)]
     for n in range(order):
         coeffs.append(coeffs[-1] * (xe - lam * n))
     return TruncatedSeries(ring, coeffs)
@@ -287,7 +281,7 @@ def gauss_2f1_formal(a, b, c, u: TruncatedSeries) -> TruncatedSeries:
     if u.coeffs[0]:
         raise ValueError("composition requires zero constant term")
     c = Fraction(c)
-    weights = [_ring_constant(u.ring, 1)]
+    weights = [u.ring.constant(1)]
     for k in range(1, u.order + 1):
         if c + k - 1 == 0:
             raise ValueError("invalid lower parameter")

@@ -51,7 +51,7 @@ def falling_factorial(x, n: int, step=1):
     The result lives in the widest ring among x and step: Fraction for
     rational inputs, PolyLambda when either involves l, PolyXOverLambda for
     symbolic x.  A negated step gives the rising product x (x + step) ...,
-    e.g. the Pochhammer symbol at step=-1.  A float x or step is refused.
+    e.g. the Pochhammer symbol at step=-1.  A float or bool x or step is refused.
     """
     if n < 0:
         raise ValueError("factorial product length must be nonnegative")
@@ -62,6 +62,8 @@ def falling_factorial(x, n: int, step=1):
     elif isinstance(x, (int, Fraction)) and isinstance(step, (int, Fraction)):
         acc = Fraction(1)
     else:
+        acc = None
+    if acc is None or isinstance(x, bool) or isinstance(step, bool):
         raise TypeError(f"factorial operands must be int or Fraction, got {type(x).__name__} and {type(step).__name__}")
     for i in range(n):
         acc = acc * (x - step * i)

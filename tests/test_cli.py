@@ -1,4 +1,5 @@
-"""Command-line interface: golden outputs, config merging, exit codes, atomic export."""
+"""The user surfaces: the package namespace, and the command-line interface's
+golden outputs, config merging, exit codes and atomic export."""
 
 import json
 import os
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import degenbern
+from degenbern import bernoulli, exactcore, series, triangles, verify
 from degenbern.bernoulli import carlitz_beta
 from degenbern.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from degenbern.exactcore import specialize
@@ -15,6 +18,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestPackageNamespace:
+    def test_all_is_the_modules_all_plus_version(self):
+        modules = (exactcore, series, triangles, bernoulli, verify)
+        expected = [name for module in modules for name in module.__all__] + ["__version__"]
+        assert degenbern.__all__ == expected
+        assert len(set(degenbern.__all__)) == len(degenbern.__all__)
+        for name in degenbern.__all__:
+            assert hasattr(degenbern, name), name
 
 
 class TestCompute:
@@ -224,12 +237,41 @@ class TestConfigAndErrors:
         assert code == EXIT_USAGE
         assert "invalid rational literal" in err
 
-    def test_symbolic_and_lambda_conflict(self, capsys):
-        code, _, err = run(
-            capsys, "compute", "beta", "--max-n", "2", "--symbolic", "--lambda", "1/2"
-        )
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["compute", "beta", "--p", "3"], "--p"),
+            (["compute", "gen-beta", "--r", "2"], "--r"),
+            (["compute", "eulerian", "--p", "1"], "--p"),
+        ],
+        ids=["beta-p", "gen-beta-r", "eulerian-p"],
+    )
+    def test_flag_the_family_does_not_take_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--max-n", "1")
         assert code == EXIT_USAGE
-        assert "not both" in err
+        assert out == ""
+        assert f"does not take {flag}" in err
+
+    def test_family_parameter_from_config_is_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_n": 1, "p": 3, "r": 2}))
+        code, out, _ = run(capsys, "compute", "beta", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert out == "0: 1\n1: -1/2 + 1/2*l\n"
+
+    @pytest.mark.parametrize("command", ["compute", "export"])
+    def test_truncation_is_a_verify_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "beta", "--max-n", "1", "--truncation", "3"])
+        capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+
+    def test_symbolic_is_no_longer_a_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_n": 1, "symbolic": False}))
+        code, _, err = run(capsys, "compute", "beta", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "unknown config key: symbolic" in err
 
     def test_unknown_family_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,11 @@ class TestPolyLambda:
         assert p.evaluate(Fraction(1)) == 0
         assert p.evaluate(Fraction(1, 2)) == Fraction(3, 4)
 
+    def test_boolean_coefficient_rejected(self):
+        for coeffs in ((True,), (1, False)):
+            with pytest.raises(TypeError, match="coefficient must be int or Fraction, got bool"):
+                PolyLambda(coeffs)
+
     def test_serialize_dense_ascending(self):
         assert pl(Fraction(1, 6), 0, Fraction(-1, 6)).serialize() == "1/6 + 0/1*l + -1/6*l^2"
         assert PolyLambda.zero().serialize() == "0/1"
@@ -230,6 +235,15 @@ class TestSpecialize:
             specialize(LAM)
         with pytest.raises(ValueError):
             specialize(X, lam=Fraction(0), x=Fraction(0))
+
+    def test_boolean_evaluation_point_rejected(self):
+        for route in (
+            lambda: LAM.evaluate(True),
+            lambda: specialize(LAM, lam=False),
+            lambda: specialize(X * LAM, x=True),
+        ):
+            with pytest.raises(TypeError, match="evaluation point must be int or Fraction, got bool"):
+                route()
 
     def test_float_evaluation_point_rejected(self):
         for route in (

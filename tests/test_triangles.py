@@ -102,6 +102,14 @@ class TestFactorialProducts:
         with pytest.raises(TypeError, match="must be int or Fraction, got int and float"):
             falling_factorial(1, 3, step=0.5)
 
+    def test_boolean_operand_rejected(self):
+        with pytest.raises(TypeError, match="must be int or Fraction, got bool and int"):
+            falling_factorial(True, 1)
+        with pytest.raises(TypeError, match="must be int or Fraction, got int and bool"):
+            falling_factorial(2, 2, step=True)
+        with pytest.raises(TypeError, match="must be int or Fraction, got PolyXOverLambda and bool"):
+            falling_factorial(X, 2, step=True)
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="length must be nonnegative"):
             falling_factorial(X, -1)
