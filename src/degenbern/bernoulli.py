@@ -26,10 +26,12 @@ over classical restricted Stirling numbers (gen_beta_classical_limit).
 The optional s2 argument on triangle-consuming routes substitutes a
 TriangleTable for the built-in degenerate second-kind triangle.  One memo
 policy covers the module: classical_bernoulli, gen_beta (and so carlitz_beta),
-gen_beta_poly and the generating series behind the three *_gf routes (keyed
-by parameter and series order) are memoized by triangles.memoized.  Results
-computed with a substitute table are memoized on that table, never in the
-pristine memo.
+gen_beta_poly, the Pochhammer ratios of the rstirling route and the
+generating series behind the three *_gf routes (keyed by parameter and
+series order) are memoized by triangles.memoized.  Results computed with a
+substitute table are memoized on that table, never in the pristine memo.
+Every index is a plain int: a bool or a float is refused with TypeError
+before any memo is read.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from math import comb, factorial
 from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
+    _index,
     eulerian_degenerate,
     falling_factorial,
     log_weight,
@@ -74,6 +77,13 @@ __all__ = [
 _RANGE_ERROR = "parameter out of range"
 
 
+def _check_range(n: int, p: int, n_min: int = 0, p_min: int = -1):
+    """Refuse a non-int index, then an n below n_min or a p below p_min."""
+    _index(n=n, p=p)
+    if n < n_min or p < p_min:
+        raise ValueError(_RANGE_ERROR)
+
+
 def carlitz_beta(n: int, s2=None) -> PolyLambda:
     """Degenerate Bernoulli number as the weighted second-kind row sum.
 
@@ -90,6 +100,7 @@ def carlitz_beta_gf(n: int, order: int | None = None) -> PolyLambda:
     The common factor t is cancelled first, so the division is by a unit
     series with constant term 1.
     """
+    _index(n=n)
     if n < 0:
         raise ValueError(_RANGE_ERROR)
     return _carlitz_series(_series_order(n, order)).coefficient(n)
@@ -97,6 +108,7 @@ def carlitz_beta_gf(n: int, order: int | None = None) -> PolyLambda:
 
 def _series_order(n: int, order: int | None) -> int:
     order = n if order is None else order
+    _index(order=order)
     if order < n:
         raise ValueError("insufficient series order")
     return order
@@ -127,8 +139,7 @@ def gen_beta_stirling_sum(n: int, p: int, s2=None) -> PolyLambda:
     form; gen_beta uses that closed form directly and keeps this evaluation
     as a cross-check.
     """
-    if n < 0 or p < -1:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p)
     acc = PolyLambda.zero()
     for k in range(n + 1):
         s = stirling2_deg(n, k, s2=s2)
@@ -144,8 +155,7 @@ def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
     p >= 0 evaluates the stirling-sum route; p = -1 is the closed form
     (l-1)_{n,l}.  p = 0 is carlitz_beta.
     """
-    if n < 0 or p < -1:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p)
     if p == -1:
         return falling_factorial(PolyLambda.lam() - 1, n, step=PolyLambda.lam())
     return gen_beta_stirling_sum(n, p, s2=s2)
@@ -154,8 +164,7 @@ def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
 def gen_beta_gf(n: int, p: int, order: int | None = None) -> PolyLambda:
     """Series-oracle route: n-th coefficient of the hypergeometric sum
     with parameters (1-l, 1; p+2) at argument 1 - e_l(t)."""
-    if n < 0 or p < -1:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p)
     return _gen_beta_series(p, _series_order(n, order)).coefficient(n)
 
 
@@ -167,8 +176,7 @@ def _gen_beta_series(p: int, order: int) -> TruncatedSeries:
 
 def gen_beta_eulerian(n: int, p: int, s2=None) -> PolyLambda:
     """Eulerian route: (p+1)/(n+p+1) sum_k eulerian_degenerate(n,k) (-1)^(n-k) / binom(p+n, p+k)."""
-    if n < 0 or p < 0:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p, 0, 0)
     acc = PolyLambda.zero()
     for k in range(n + 1):
         e = eulerian_degenerate(n, k, s2=s2)
@@ -192,8 +200,7 @@ def gen_beta_integral(n: int, p: int) -> PolyLambda:
     The inner alternating sum replaces the Stirling triangle, so this route
     shares no code path with gen_beta beyond the factorial primitives.
     """
-    if n < 0 or p < 0:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p, 0, 0)
     lam = PolyLambda.lam()
     fall = [falling_factorial(j, n, step=lam) for j in range(n + 1)]
     acc = PolyLambda.zero()
@@ -211,6 +218,7 @@ def gen_beta_integral(n: int, p: int) -> PolyLambda:
     return acc
 
 
+@memoized
 def _shifted_rising(q: int) -> RationalFunctionLambda:
     # <1>_{q,1/l} = (l+1)(l+2)...(l+q-1) / l^(q-1), kept unsimplified in Q(l)
     lam = PolyLambda.lam()
@@ -228,8 +236,7 @@ def gen_beta_rstirling(n: int, p: int, s2=None) -> RationalFunctionLambda:
     gen_beta(n,p).  Defined for n >= 1; p = 0 is an extension of the
     published p >= 1 domain that the test suite confirms.
     """
-    if n < 1 or p < 0:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p, 1, 0)
     lam = PolyLambda.lam()
     pref = RationalFunctionLambda.one() * (p + 1) / _shifted_rising(p + 1)
     acc = RationalFunctionLambda.zero()
@@ -254,13 +261,10 @@ def gen_beta_rstirling_simplified(n: int, p: int, s2=None) -> PolyLambda:
     (-1)^k (l+p+1)...(l+p+k), leaving a polynomial-only sum over the two
     surviving m.
     """
-    if n < 1 or p < 0:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p, 1, 0)
     lam = PolyLambda.lam()
     acc = PolyLambda.zero()
     for m in (n - 1, n):
-        if m < 0:
-            continue
         w = falling_factorial(lam, n - m, step=lam)
         b = comb(n, m)
         for k in range(m + 1):
@@ -281,8 +285,7 @@ def gen_beta_classical_limit(n: int, p: int) -> Fraction:
     the single sum the rstirling route degenerates to at l = 0.  Uses the
     independent integer recurrence, not the degenerate triangle.
     """
-    if n < 1 or p < 0:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p, 1, 0)
     total = Fraction(0)
     for k in range(n + 1):
         s = r_stirling2_classical(n, k, p)
@@ -300,8 +303,7 @@ def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
     sum_l binom(n,l) gen_beta(l,p) (x)_{n-l,l}; monic of x-degree n, value
     at x = 0 is gen_beta(n,p).
     """
-    if n < 0 or p < -1:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p)
     x = PolyXOverLambda.x()
     lam = PolyLambda.lam()
     acc = PolyXOverLambda.zero()
@@ -318,8 +320,7 @@ def gen_beta_poly_stirling(n: int, p: int, s2=None) -> PolyXOverLambda:
 
     sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg_poly(n,k).
     """
-    if n < 0 or p < -1:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p)
     acc = PolyXOverLambda.zero()
     for k in range(n + 1):
         table = stirling2_deg_poly(n, k, s2=s2)
@@ -332,8 +333,7 @@ def gen_beta_poly_stirling(n: int, p: int, s2=None) -> PolyXOverLambda:
 def gen_beta_poly_gf(n: int, p: int, order: int | None = None) -> PolyXOverLambda:
     """Series-oracle route for the polynomials: coefficient of the 2F1 series
     times the symbolic degenerate exponential."""
-    if n < 0 or p < -1:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p)
     return _gen_beta_poly_series(p, _series_order(n, order)).coefficient(n)
 
 
@@ -350,8 +350,7 @@ def gen_beta_poly_derivative(n: int, p: int, s2=None) -> PolyXOverLambda:
     Must coincide with the coefficientwise derivative of gen_beta_poly(n,p);
     at l(ambda) = 0 only the first term survives, the classical rule.
     """
-    if n < 1 or p < -1:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, p, 1)
     lam = PolyLambda.lam()
     acc = PolyXOverLambda.zero()
     for l in range(1, n + 1):
@@ -396,7 +395,9 @@ def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2, s2=None):
     """
     if rule not in _REMARK_RULES:
         raise ValueError(f"unknown remark rule: {rule!r}")
-    if n < 0 or p < 0 or m < 2:
+    _index(y=y, m=m)
+    _check_range(n, p, 0, 0)
+    if m < 2:
         raise ValueError(_RANGE_ERROR)
     x = PolyXOverLambda.x()
     lam = PolyLambda.lam()
@@ -425,6 +426,8 @@ def verify_remark_identities(n: int, p: int, m: int, s2=None) -> RemarkReport:
     proves the bivariate identity.  Difference and the two scaling readings
     are compared fully symbolically in x.  The sides come from remark_sides.
     """
+
+    _index(n=n, p=p, m=m)
 
     def holds(rule: str, y: int = 0) -> bool:
         lhs, rhs = remark_sides(rule, n, p, y=y, m=m, s2=s2)

@@ -13,7 +13,9 @@ as a plain int (ints and Fractions mix transparently in arithmetic, equality
 and hashing); everything visible through `evaluate`/`specialize` comes back
 as Fraction.  A value equal to a simpler one (a constant PolyLambda and its
 rational, a constant PolyXOverLambda and its PolyLambda, a polynomial
-RationalFunctionLambda and its numerator) hashes like it.
+RationalFunctionLambda and its numerator) hashes like it.  Equality with a
+bool is plain False: a bool is never a coefficient.  The RationalFunctionLambda
+constructor normalizes fully; its arithmetic reduces by Henrici's smaller gcds.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class PolyLambda:
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyLambda):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.coeffs == ((_norm_coeff(other),) if other else ())
         return NotImplemented
 
@@ -234,7 +236,8 @@ def _as_poly_lambda(v):
     if isinstance(v, PolyLambda):
         return v
     if isinstance(v, (int, Fraction)):
-        return PolyLambda((v,)) if v else _PL_ZERO
+        # False goes to the constructor too, which refuses a bool
+        return PolyLambda((v,)) if v or v is False else _PL_ZERO
     return NotImplemented
 
 
@@ -287,7 +290,12 @@ def poly_gcd(a: PolyLambda, b: PolyLambda) -> PolyLambda:
 
 
 class RationalFunctionLambda:
-    """Element of Q(l): gcd-reduced num/den pair with monic denominator."""
+    """Element of Q(l): gcd-reduced num/den pair with monic denominator.
+
+    The constructor normalizes fully.  The arithmetic starts from reduced
+    operands, so it needs only Henrici's smaller gcds (Knuth, TAOCP Vol. 2,
+    4.5.1), and none when a denominator is 1 or an operand is a constant.
+    """
 
     __slots__ = ("num", "den")
 
@@ -308,12 +316,19 @@ class RationalFunctionLambda:
         self.den = den * inv
 
     @classmethod
+    def _reduced(cls, num: PolyLambda, den: PolyLambda = _PL_ONE) -> "RationalFunctionLambda":
+        """Trust num/den: coprime with monic den (den = 1 when num = 0)."""
+        self = object.__new__(cls)
+        self.num, self.den = num, den
+        return self
+
+    @classmethod
     def zero(cls) -> "RationalFunctionLambda":
-        return cls(_PL_ZERO)
+        return _RF_ZERO
 
     @classmethod
     def one(cls) -> "RationalFunctionLambda":
-        return cls(_PL_ONE)
+        return _RF_ONE
 
     def is_polynomial(self) -> bool:
         return self.den == _PL_ONE
@@ -327,7 +342,7 @@ class RationalFunctionLambda:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        other = _as_ratfun(other)
+        other = _as_ratfun(other) if not isinstance(other, bool) else NotImplemented
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -339,15 +354,26 @@ class RationalFunctionLambda:
         return hash(("RationalFunctionLambda", self.num.coeffs, self.den.coeffs))
 
     def __neg__(self):
-        return RationalFunctionLambda(-self.num, self.den)
+        return RationalFunctionLambda._reduced(-self.num, self.den)
 
     def __add__(self, other):
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunctionLambda(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # a/b + c/d: g = gcd(b, d), then only gcd(t, g) for t = a d/g + c b/g
+        (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
+        if b == d:
+            t = a + c  # t = 0 reduces to 0/1: gcd(0, b) = b
+            g = poly_gcd(t, b) if b.degree > 0 else _PL_ONE
+            return RationalFunctionLambda._reduced(_exact_quo(t, g), _exact_quo(b, g))
+        g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else _PL_ONE
+        if g.degree == 0:
+            # coprime denominators leave (ad + cb)/(bd) reduced
+            return RationalFunctionLambda._reduced(a * d + c * b, b * d)
+        b1 = _exact_quo(b, g)
+        t = a * _exact_quo(d, g) + c * b1
+        g2 = poly_gcd(t, g)
+        return RationalFunctionLambda._reduced(_exact_quo(t, g2), b1 * _exact_quo(d, g2))
 
     __radd__ = __add__
 
@@ -367,7 +393,19 @@ class RationalFunctionLambda:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunctionLambda(self.num * other.num, self.den * other.den)
+        # (a/b)(c/d): gcd(a, d) and gcd(c, b)
+        (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
+        if not a or not c:
+            return _RF_ZERO
+        if c.degree == 0 and d.degree == 0:
+            return RationalFunctionLambda._reduced(a * c.coeffs[0], b)
+        if a.degree == 0 and b.degree == 0:
+            return RationalFunctionLambda._reduced(c * a.coeffs[0], d)
+        g1 = poly_gcd(a, d) if d.degree > 0 else _PL_ONE
+        g2 = poly_gcd(c, b) if b.degree > 0 else _PL_ONE
+        return RationalFunctionLambda._reduced(
+            _exact_quo(a, g1) * _exact_quo(c, g2), _exact_quo(b, g2) * _exact_quo(d, g1)
+        )
 
     __rmul__ = __mul__
 
@@ -375,7 +413,10 @@ class RationalFunctionLambda:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunctionLambda(self.num * other.den, self.den * other.num)
+        if not other.num:
+            raise ZeroDivisionError("division by zero polynomial")
+        inv = 1 / Fraction(other.num.lead)
+        return self * RationalFunctionLambda._reduced(other.den * inv, other.num * inv)
 
     def __rtruediv__(self, other):
         other = _as_ratfun(other)
@@ -395,6 +436,15 @@ class RationalFunctionLambda:
         return f"RationalFunctionLambda({self.serialize()!r})"
 
 
+def _exact_quo(a: PolyLambda, g: PolyLambda) -> PolyLambda:
+    """a / g for a monic g known to divide a."""
+    return poly_divmod(a, g)[0] if g.degree > 0 else a
+
+
+_RF_ZERO = RationalFunctionLambda._reduced(_PL_ZERO)
+_RF_ONE = RationalFunctionLambda._reduced(_PL_ONE)
+
+
 def _coerce_pl(v) -> PolyLambda:
     p = _as_poly_lambda(v)
     if p is NotImplemented:
@@ -406,7 +456,8 @@ def _as_ratfun(v):
     if isinstance(v, RationalFunctionLambda):
         return v
     if isinstance(v, (PolyLambda, int, Fraction)):
-        return RationalFunctionLambda(_coerce_pl(v))
+        # a polynomial over 1 is already reduced
+        return RationalFunctionLambda._reduced(_coerce_pl(v))
     return NotImplemented
 
 
@@ -462,7 +513,7 @@ class PolyXOverLambda:
     def __eq__(self, other) -> bool:
         if isinstance(other, PolyXOverLambda):
             return self.coeffs == other.coeffs
-        if isinstance(other, (PolyLambda, int, Fraction)):
+        if isinstance(other, (PolyLambda, int, Fraction)) and not isinstance(other, bool):
             c = _coerce_pl(other)
             return self.coeffs == ((c,) if c else ())
         return NotImplemented

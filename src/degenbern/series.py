@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exactcore import PolyLambda, PolyXOverLambda
+from .triangles import _index, memoized
 
 __all__ = [
     "TruncatedSeries",
@@ -38,14 +39,10 @@ def _ring_element(ring, v):
 
 def _is_unit(ring, c):
     """A nonzero rational constant of the ring; returns its value or None."""
-    if ring is PolyLambda:
-        if c.degree == 0:
-            return Fraction(c.coeffs[0])
-        return None
-    if c.degree == 0:
-        inner = c.coeffs[0]
-        if inner.degree == 0:
-            return Fraction(inner.coeffs[0])
+    if ring is PolyXOverLambda and c.degree == 0:
+        c = c.coeffs[0]
+    if isinstance(c, PolyLambda) and c.degree == 0:
+        return Fraction(c.coeffs[0])
     return None
 
 
@@ -64,15 +61,18 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ring, order: int) -> "TruncatedSeries":
+        _index(order=order)
         return cls(ring, [0] * (order + 1))
 
     @classmethod
     def one(cls, ring, order: int) -> "TruncatedSeries":
+        _index(order=order)
         return cls(ring, [1] + [0] * order)
 
     @classmethod
     def t(cls, ring, order: int) -> "TruncatedSeries":
         """The series t itself."""
+        _index(order=order)
         if order < 1:
             raise ValueError("order must be at least 1 for the series t")
         return cls(ring, [0, 1] + [0] * (order - 1))
@@ -83,6 +83,7 @@ class TruncatedSeries:
 
     def coefficient(self, n: int):
         """The EGF-normalized coefficient c_n = n! [t^n]."""
+        _index(n=n)
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient index {n} out of range 0..{self.order}")
         return self.coeffs[n]
@@ -96,6 +97,7 @@ class TruncatedSeries:
         return cls(ring, (_ring_element(ring, c) * factorial(n) for n, c in enumerate(coeffs)))
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        _index(order=order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.ring, self.coeffs[: order + 1])
@@ -166,7 +168,7 @@ class TruncatedSeries:
     def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient series; the divisor needs an invertible (rational) constant term."""
         self._check_ring(other)
-        unit = _is_unit(self.ring, other.coeffs[0]) if other.coeffs[0] else None
+        unit = _is_unit(self.ring, other.coeffs[0])
         if unit is None:
             raise ValueError("series not invertible")
         inv = Fraction(1) / unit
@@ -191,22 +193,19 @@ class TruncatedSeries:
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(t)), requiring inner(0) = 0.
 
-        Evaluated by accumulating the truncated powers inner^k/k! in the
-        exponential normalization; inner^k has no coefficients below t^k, so
-        the convolutions stay triangular.
+        Evaluated as the weighted sum of the truncated powers inner^k/k! in
+        the exponential normalization, which are memoized per (inner, order).
         """
         self._check_ring(inner)
         if inner.coeffs[0]:
             raise ValueError("composition requires zero constant term")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
         f = self.coeffs
-        acc = TruncatedSeries.one(self.ring, n).scale(f[0])
-        power = TruncatedSeries.one(self.ring, n)
+        powers = _scaled_powers(inner, n)
+        acc = powers[0].scale(f[0])
         for k in range(1, n + 1):
-            power = power.mul(inner).scale(Fraction(1, k))
             if f[k]:
-                acc = acc + power.scale(f[k])
+                acc = acc + powers[k].scale(f[k])
         return acc
 
     def binomial_pow(self, alpha) -> "TruncatedSeries":
@@ -239,12 +238,23 @@ class TruncatedSeries:
         return f"TruncatedSeries({name}, order={self.order})"
 
 
+@memoized
+def _scaled_powers(inner: TruncatedSeries, order: int) -> tuple:
+    """inner^k/k! for k = 0..order, with inner truncated to order."""
+    inner = inner.truncate(order)
+    powers = [TruncatedSeries.one(inner.ring, order)]
+    for k in range(1, order + 1):
+        powers.append(powers[-1].mul(inner).scale(Fraction(1, k)))
+    return tuple(powers)
+
+
 def degenerate_exp(x, order: int) -> TruncatedSeries:
     """The degenerate exponential e_l^x(t) = (1 + l t)^(x/l): c_n = (x)_{n,l}.
 
     A rational or PolyLambda x gives a PolyLambda-coefficient series, the
     symbol PolyXOverLambda.x() the symbolic-in-x series.
     """
+    _index(order=order)
     if isinstance(x, PolyXOverLambda):
         ring = PolyXOverLambda
         xe = x
@@ -261,6 +271,7 @@ def degenerate_exp(x, order: int) -> TruncatedSeries:
 
 def degenerate_log(order: int) -> TruncatedSeries:
     """The compositional inverse of e_l(t) - 1: c_n = (l-1)(l-2)...(l-n+1), c_0 = 0."""
+    _index(order=order)
     if order < 1:
         raise ValueError("order must be at least 1 for the degenerate logarithm")
     lam = PolyLambda.lam()

@@ -52,22 +52,24 @@ def falling_factorial(x, n: int, step=1):
     rational inputs, PolyLambda when either involves l, PolyXOverLambda for
     symbolic x.  A negated step gives the rising product x (x + step) ...,
     e.g. the Pochhammer symbol at step=-1.  A float or bool x or step is refused.
+    Each (x, step) keeps its chain of products, so a longer call costs one
+    product per extra factor.
     """
+    _index(n=n)
     if n < 0:
         raise ValueError("factorial product length must be nonnegative")
     if isinstance(x, PolyXOverLambda):
-        acc = PolyXOverLambda.one()
+        one = PolyXOverLambda.one()
     elif isinstance(x, PolyLambda) or isinstance(step, PolyLambda):
-        acc = PolyLambda.one()
+        one = PolyLambda.one()
     elif isinstance(x, (int, Fraction)) and isinstance(step, (int, Fraction)):
-        acc = Fraction(1)
+        one = Fraction(1)
     else:
-        acc = None
-    if acc is None or isinstance(x, bool) or isinstance(step, bool):
+        one = None
+    if one is None or isinstance(x, bool) or isinstance(step, bool):
         raise TypeError(f"factorial operands must be int or Fraction, got {type(x).__name__} and {type(step).__name__}")
-    for i in range(n):
-        acc = acc * (x - step * i)
-    return acc
+    # 2, Fraction(2) and PolyLambda 2 are equal keys: the types keep them apart
+    return _falling_chain(type(x), x, type(step), step, one, n)[n]
 
 
 def falling_lambda(x, n: int):
@@ -85,7 +87,15 @@ def log_weight(k: int) -> PolyLambda:
     These weights are the higher coefficients of the degenerate logarithm:
     log_weight(k) equals (k+1)! times its t^{k+1} coefficient.
     """
+    _index(k=k)
     return falling_factorial(PolyLambda.lam() - 1, k)
+
+
+def _index(**named):
+    """Refuse an index that is not a plain int: a bool, a float, a Fraction."""
+    for name, v in named.items():
+        if type(v) is not int:
+            raise TypeError(f"index {name} must be int, got {type(v).__name__}")
 
 
 def memoized(fn):
@@ -96,16 +106,21 @@ def memoized(fn):
     triangle never reads or writes the pristine memo, still reuses its own
     results, and its results are freed together with the table.  Other
     keyword arguments are bound to their positions first, so every call has
-    one key.  fn must not return None.  The wrapper's pristine attribute is
+    one key, and an argument annotated int must pass _index before any memo
+    is read.  fn must not return None.  The wrapper's pristine attribute is
     the pristine memo, for callers that read it or need it cold.
     """
     pristine: dict = {}
     signature = inspect.signature(fn)
+    indices = [(i, name) for i, (name, prm) in enumerate(signature.parameters.items()) if prm.annotation in ("int", int)]
 
     @wraps(fn)
     def call(*args, s2=None, **kwargs):
         if kwargs:
             args = signature.bind(*args, **kwargs).args
+        for i, name in indices:
+            if i < len(args) and type(args[i]) is not int:
+                _index(**{name: args[i]})
         if s2 is None:
             memo, key = pristine, args
         else:
@@ -117,6 +132,21 @@ def memoized(fn):
 
     call.pristine = pristine
     return call
+
+
+@memoized
+def _falling_chain(x_type, x, step_type, step, one, n: int) -> tuple:
+    """(x)_0 = one, (x)_1, ..., (x)_n for one (x, step), extended one product
+    at a time from the longest shorter chain already in the memo."""
+    chain = [one]
+    for j in range(n - 1, 0, -1):
+        known = _falling_chain.pristine.get((x_type, x, step_type, step, one, j))
+        if known is not None:
+            chain = list(known)
+            break
+    for i in range(len(chain) - 1, n):
+        chain.append(chain[-1] * (x - step * i))
+    return tuple(chain)
 
 
 class TriangleTable:
@@ -154,6 +184,7 @@ class TriangleTable:
 
 
 def _check_triangle_indices(n: int, k: int):
+    _index(n=n, k=k)
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"triangle indices out of range: need 0 <= k <= n, got n={n}, k={k}")
 
@@ -189,6 +220,7 @@ def stirling2_deg(n: int, k: int, s2=None) -> PolyLambda:
     route that takes s2 reads its second-kind entries through here.
     """
     if s2 is not None:
+        _index(n=n, k=k)
         return s2.entry(n, k)
     _check_triangle_indices(n, k)
     return _row(n, 0, False, PolyLambda.lam())[k]
@@ -206,6 +238,7 @@ def stirling1_deg(n: int, k: int) -> PolyLambda:
 
 
 def _classical_entry(n: int, k: int, r: int, first: bool) -> int:
+    _index(n=n, k=k)
     if n < 0:
         raise ValueError("row index must be nonnegative")
     return _row(n, r, first, 0)[k] if 0 <= k <= n else 0
@@ -256,8 +289,7 @@ def r_stirling2_deg(n: int, k: int, r: int, s2=None) -> PolyLambda:
 
 def r_stirling2_classical(n: int, k: int, r: int) -> int:
     """Classical r-Stirling of the second kind by its additive recurrence."""
-    if type(r) is not int:
-        raise TypeError(f"restriction parameter r must be int, got {type(r).__name__}")
+    _index(r=r)
     if r < 0:
         raise ValueError("restriction parameter r must be a nonnegative integer")
     return _classical_entry(n, k, r, False)
@@ -270,6 +302,7 @@ def eulerian_classical(n: int, m: int) -> int:
     (m+1-j)^n; the last term has base zero and vanishes, and is read as
     zero here (so the n = 0 row is 1 rather than tripping over 0^0).
     """
+    _index(m=m)
     _check_triangle_indices(n, m)
     total = 0
     for j in range(m + 2):
@@ -286,6 +319,7 @@ def eulerian_degenerate(n: int, m: int, s2=None) -> PolyLambda:
     (-1)^{n-m} sum_k log_weight(k) binom(n-k,m) stirling2_deg(n,k); the l = 0
     specialization is the classical descent count.
     """
+    _index(m=m)
     _check_triangle_indices(n, m)
     acc = PolyLambda.zero()
     for k in range(n - m + 1):
@@ -303,6 +337,7 @@ def forward_difference(values, k: int):
     (rationals, PolyLambda, or PolyXOverLambda for symbolic x); the result is
     sum_j (-1)^(k-j) binom(k,j) values[j].  Extra trailing values are ignored.
     """
+    _index(k=k)
     if k < 0:
         raise ValueError("difference order must be nonnegative")
     values = list(values)

@@ -50,6 +50,7 @@ from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
     TriangleTable,
+    _index,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,
@@ -470,6 +471,7 @@ def _resolve_selection(selection):
 def suite_plan(selection=None, max_n: int = 12, max_p: int = 4, truncation: int = 16):
     """The cases a run_suite call with these arguments would sweep: the inner
     ranges are those of the last row, n = max_n."""
+    _index(max_n=max_n, max_p=max_p, truncation=truncation)
     bounds = _Bounds(max_n, max_p, truncation)
     plan = []
     for ident in _resolve_selection(selection):
@@ -504,6 +506,7 @@ def run_suite(
     (n, k, value) substitutes one second-kind triangle entry for the whole
     run; the suite is expected to catch any such corruption.
     """
+    _index(max_n=max_n, max_p=max_p, truncation=truncation)
     if max_n < 0:
         raise ValueError("max_n must be nonnegative")
     if max_p < 0:

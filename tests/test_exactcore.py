@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenbern import exactcore
 from degenbern.exactcore import (
     PolyLambda,
     PolyXOverLambda,
@@ -149,6 +150,105 @@ class TestRationalFunction:
     def test_field_arithmetic_matches_cross_forms(self, a, b, c, d):
         lhs = RationalFunctionLambda(a, b) + RationalFunctionLambda(c, d)
         assert lhs == RationalFunctionLambda(a * d + c * b, b * d)
+
+
+def typed(p):
+    """A PolyLambda's coefficients with their types: 1 and Fraction(1) differ."""
+    return tuple((type(c), c) for c in p.coeffs)
+
+
+def same_reduction(got, num, den):
+    """got carries exactly the coefficients the full-normalizing constructor gives num/den."""
+    want = RationalFunctionLambda(num, den)
+    assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den))
+
+
+constants = st.lists(rationals, max_size=1).map(PolyLambda)
+# (num, den) pairs: a general one, one over 1, and a constant over 1
+fractions_of_polys = st.one_of(
+    st.tuples(polys, nonzero_polys),
+    st.tuples(polys, st.just(ONE)),
+    st.tuples(constants, st.just(ONE)),
+)
+
+
+class TestHenriciArithmetic:
+    """Each operation reduces by Henrici's smaller gcds; the reference is the
+    full-normalizing constructor applied to the unreduced cross form."""
+
+    @given(fractions_of_polys, fractions_of_polys)
+    @settings(max_examples=80)
+    def test_ring_operations_match_the_cross_form(self, x, y):
+        (a, b), (c, d) = x, y
+        u, v = RationalFunctionLambda(a, b), RationalFunctionLambda(c, d)
+        same_reduction(u + v, a * d + c * b, b * d)
+        same_reduction(u - v, a * d - c * b, b * d)
+        same_reduction(u * v, a * c, b * d)
+        same_reduction(-u, -a, b)
+        if c:
+            same_reduction(u / v, a * d, b * c)
+
+    @given(polys, polys, nonzero_polys, nonzero_polys)
+    @settings(max_examples=60)
+    def test_equal_denominators(self, a, c, b, common):
+        # both operands share the denominator b * common before and after reduction
+        den = b * common
+        u, v = RationalFunctionLambda(a, den), RationalFunctionLambda(c, den)
+        same_reduction(u + v, a + c, den)
+        same_reduction(u - v, a - c, den)
+        same_reduction(u + u, a * 2, den)
+
+    @given(polys, nonzero_polys, polys, rationals)
+    @settings(max_examples=60)
+    def test_mixed_operands(self, a, b, c, q):
+        u = RationalFunctionLambda(a, b)
+        same_reduction(u + c, a + c * b, b)
+        same_reduction(c - u, c * b - a, b)
+        same_reduction(c * u, c * a, b)
+        same_reduction(u * q, a * q, b)
+        if a:
+            same_reduction(q / u, b * q, a)
+
+    def test_coercion_runs_no_gcd(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr(exactcore, "poly_gcd", refuse)
+        u = RationalFunctionLambda.one() * (LAM + 1) + Fraction(1, 3)
+        assert (u.num, u.den) == (LAM + Fraction(4, 3), ONE)
+        assert (u * 3).num == 3 * LAM + 4
+        assert (-u + u) == RationalFunctionLambda.zero()
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+            RationalFunctionLambda(ONE, LAM) / RationalFunctionLambda.zero()
+
+
+class TestBooleanEquality:
+    """A bool is never a coefficient: comparing with one is plain False,
+    while construction stays strict."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [PolyLambda.one(), PolyXOverLambda.one(), RationalFunctionLambda.one(), PolyLambda.zero()],
+        ids=["pl", "px", "ratfun", "pl-zero"],
+    )
+    def test_comparison_with_bool_is_false(self, value):
+        for flag in (True, False):
+            assert (value == flag) is False
+            assert (flag == value) is False
+            assert value != flag
+        assert len({True, value}) == 2
+
+    def test_construction_with_bool_still_refused(self):
+        for build in (
+            lambda: RationalFunctionLambda(True),
+            lambda: RationalFunctionLambda(ONE, False),
+            lambda: PolyXOverLambda((ONE, False)),
+            lambda: PolyXOverLambda((True,)),
+        ):
+            with pytest.raises(TypeError, match="got bool"):
+                build()
 
 
 class TestPolyXOverLambda:

@@ -122,6 +122,27 @@ class TestCompose:
         with pytest.raises(ValueError, match="composition requires zero constant term"):
             degenerate_log(4).compose(degenerate_exp(1, 4))
 
+    def test_repeated_and_lower_order_calls_match_the_power_sum(self):
+        """The powers of an inner series are kept per (inner, order); the
+        reference is sum_k f_k g^k in ordinary coefficients, multiplied out
+        by plain truncated convolution."""
+        inner = series(0, LAM + Fraction(5, 7), 3, -LAM, Fraction(1, 11), 2 * LAM, 1)
+        outers = [degenerate_exp(LAM - 3, 6), series(2, -1, LAM, 0, Fraction(3, 2), 1, LAM * LAM)]
+
+        def power_sum(f, g, order):
+            f, g = f.ordinary()[: order + 1], g.ordinary()[: order + 1]
+            total = [PolyLambda.zero()] * (order + 1)
+            power = [PolyLambda.one()] + [PolyLambda.zero()] * order
+            for fk in f:
+                total = [t + fk * c for t, c in zip(total, power)]
+                power = [sum((power[i] * g[m - i] for i in range(m + 1)), PolyLambda.zero()) for m in range(order + 1)]
+            return TruncatedSeries.from_ordinary(PolyLambda, total)
+
+        for outer in outers + outers:
+            assert outer.compose(inner) == power_sum(outer, inner, 6)
+        low = outers[1].truncate(4)
+        assert low.compose(inner) == power_sum(low, inner, 4)
+
 
 class TestBinomialPow:
     def test_zeroth_power(self):

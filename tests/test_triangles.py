@@ -1,5 +1,8 @@
 """Stirling and Eulerian triangles against brute-force and generating-function oracles."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -109,6 +112,58 @@ class TestFactorialProducts:
             falling_factorial(2, 2, step=True)
         with pytest.raises(TypeError, match="must be int or Fraction, got PolyXOverLambda and bool"):
             falling_factorial(X, 2, step=True)
+
+    def test_equal_operands_of_different_types_keep_their_ring(self):
+        # 2, Fraction(2) and the constant polynomials 2 are equal and hash
+        # alike, yet each call answers in its own ring
+        cases = [
+            (2, 1, Fraction),
+            (PolyLambda.constant(2), 1, PolyLambda),
+            (Fraction(2), 1, Fraction),
+            (PolyXOverLambda.constant(2), 1, PolyXOverLambda),
+            (2, PolyLambda.constant(1), PolyLambda),
+            (2, Fraction(1), Fraction),
+        ]
+        for x, step, ring in cases:
+            value = falling_factorial(x, 2, step=step)
+            assert type(value) is ring
+            assert value == 2
+
+    def test_longer_and_shorter_calls_on_one_chain(self):
+        x, step = PolyLambda((Fraction(7, 3), 2)), Fraction(1, 2)
+        for n in (8, 3, 12, 8):
+            expected = PolyLambda.one()
+            for i in range(n):
+                expected = expected * PolyLambda((Fraction(7, 3) - Fraction(i, 2), 2))
+            assert falling_factorial(x, n, step=step) == expected
+        assert falling_factorial(x, 12, step=step) is falling_factorial(x, 12, step=step)
+
+    def test_concurrent_calls_only_see_whole_chains(self):
+        x, step = PolyLambda((Fraction(5, 9), 3)), Fraction(-2, 7)
+        expected = [PolyLambda.one()]
+        for i in range(24):
+            expected.append(expected[-1] * PolyLambda((Fraction(5, 9) + Fraction(2 * i, 7), 3)))
+        results = []
+
+        def work(seed):
+            lengths = list(range(25)) * 2
+            random.Random(seed).shuffle(lengths)
+            found = [(n, falling_factorial(x, n, step=step)) for n in lengths]
+            results.extend(found)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6 * 50
+        assert all(value == expected[n] for n, value in results)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="length must be nonnegative"):
