@@ -40,10 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
+from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
-    _index,
     eulerian_degenerate,
     falling_factorial,
     log_weight,

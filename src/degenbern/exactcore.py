@@ -6,6 +6,9 @@ Three value types are built on stdlib rationals:
     RationalFunctionLambda  reduced quotient of PolyLambda, monic denominator
     PolyXOverLambda         polynomial in x with PolyLambda coefficients
 
+The two polynomial rings share one dense-polynomial definition (the
+_dense_ring class decorator), which takes the coefficient coercer, the
+scalar types, the variable name and the coefficient renderer of each.
 Coefficient sequences are dense, ascending and never carry trailing zeros;
 the empty sequence is the canonical zero, so structural equality is exact
 mathematical equality.  A coefficient that happens to be an integer is kept
@@ -53,130 +56,196 @@ def _check_rational(at):
     return at
 
 
-def _power(self, k: int):
-    """self ** k by square-and-multiply, for either polynomial ring."""
-    if k < 0:
-        raise ValueError("negative power of a polynomial")
-    out = type(self).one()
-    base = self
-    while k:
-        if k & 1:
-            out = out * base
-        k >>= 1
-        if k:
-            base = base * base
-    return out
+def _index(**named):
+    """Refuse an index that is not a plain int: a bool, a float, a Fraction."""
+    for name, v in named.items():
+        if type(v) is not int:
+            raise TypeError(f"index {name} must be int, got {type(v).__name__}")
 
 
+def _dense_ring(coerce, scalars, var, render):
+    """Class decorator: the dense-polynomial methods of one coefficient ring.
+
+    coerce turns one coefficient into canonical form or raises TypeError,
+    scalars are the types that scale a polynomial as a constant, var names
+    the variable and render writes one coefficient for serialize.  As with
+    functools.total_ordering, the methods are built anew for each decorated
+    class, so each class holds its own function objects in its own namespace:
+    rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
+    PolyXOverLambda.__mul__ alone.
+    """
+
+    def decorate(cls):
+        name = cls.__name__
+
+        def __init__(self, coeffs=()):
+            cs = []
+            for c in coeffs:
+                cs.append(c if type(c) is ctype else coerce(c))
+            while cs and not cs[-1]:
+                cs.pop()
+            self.coeffs = tuple(cs)
+
+        czero = coerce(0)
+        ctype = type(czero)  # a coefficient of exactly this type is canonical
+
+        def lift(v):
+            """v as an element of the ring, or NotImplemented."""
+            if isinstance(v, cls):
+                return v
+            if isinstance(v, scalars):
+                return cls((v,))  # the coercer refuses a bool
+            return NotImplemented
+
+        def zero(cls):
+            return zero_poly
+
+        def one(cls):
+            return one_poly
+
+        def constant(cls, c):
+            return cls((c,))
+
+        def degree(self) -> int:
+            """Degree in the variable; -1 for the zero polynomial."""
+            return len(self.coeffs) - 1
+
+        def lead(self):
+            if not self.coeffs:
+                raise ValueError("zero polynomial has no leading coefficient")
+            return self.coeffs[-1]
+
+        def coefficient(self, i: int):
+            return self.coeffs[i] if 0 <= i < len(self.coeffs) else czero
+
+        def __bool__(self) -> bool:
+            return bool(self.coeffs)
+
+        def __eq__(self, other) -> bool:
+            if isinstance(other, cls):
+                return self.coeffs == other.coeffs
+            if isinstance(other, scalars) and not isinstance(other, bool):
+                c = coerce(other)
+                return self.coeffs == ((c,) if c else ())
+            return NotImplemented
+
+        def __hash__(self):
+            # a constant equals its coefficient, so it hashes like it
+            if len(self.coeffs) <= 1:
+                return hash(self.coefficient(0))
+            return hash((name, self.coeffs))
+
+        def __neg__(self):
+            return cls(-c for c in self.coeffs)
+
+        def __add__(self, other):
+            other = lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+            a, b = self.coeffs, other.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] += c
+            return cls(out)
+
+        def __sub__(self, other):
+            other = lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+            return self + (-other)
+
+        def __rsub__(self, other):
+            other = lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+            return other + (-self)
+
+        def __mul__(self, other):
+            if isinstance(other, scalars):
+                s = other if type(other) is ctype else coerce(other)
+                if not s:
+                    return zero_poly
+                return cls(c * s for c in self.coeffs)
+            if not isinstance(other, cls):
+                return NotImplemented
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return zero_poly
+            out = [czero] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if not ca:
+                    continue
+                for j, cb in enumerate(b):
+                    if cb:
+                        out[i + j] += ca * cb
+            return cls(out)
+
+        def __pow__(self, k):
+            """self ** k by square-and-multiply."""
+            if type(k) is not int:
+                _index(k=k)
+            if k < 0:
+                raise ValueError("negative power of a polynomial")
+            out, base = one_poly, self
+            while k:
+                if k & 1:
+                    out = out * base
+                k >>= 1
+                if k:
+                    base = base * base
+            return out
+
+        def serialize(self) -> str:
+            """Canonical machine form: every coefficient rendered, ascending in var."""
+            if not self.coeffs:
+                return render(czero)
+            parts = []
+            for i, c in enumerate(self.coeffs):
+                s = render(c)
+                if i == 1:
+                    s += f"*{var}"
+                elif i > 1:
+                    s += f"*{var}^{i}"
+                parts.append(s)
+            return " + ".join(parts)
+
+        def __repr__(self) -> str:
+            return f"{name}({self.serialize()!r})"
+
+        methods = (
+            __init__, __bool__, __eq__, __hash__, __neg__, __add__, __sub__, __rsub__,
+            __mul__, __pow__, coefficient, serialize, __repr__,
+        )
+        for fn in methods:
+            fn.__qualname__ = f"{name}.{fn.__name__}"
+            setattr(cls, fn.__name__, fn)
+        cls.__radd__, cls.__rmul__ = __add__, __mul__
+        for fn in (zero, one, constant):
+            setattr(cls, fn.__name__, classmethod(fn))
+        cls.degree, cls.lead = property(degree), property(lead)
+        zero_poly, one_poly = cls(), cls((1,))
+        return cls
+
+    return decorate
+
+
+def _render_rational(c) -> str:
+    """'num/den' for one coefficient; an int coefficient has denominator 1."""
+    return f"{c.numerator}/{c.denominator}"
+
+
+@_dense_ring(_norm_coeff, (int, Fraction), "l", _render_rational)
 class PolyLambda:
     """Dense polynomial in l with exact rational coefficients, ascending order."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_norm_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "PolyLambda":
-        return _PL_ZERO
-
-    @classmethod
-    def one(cls) -> "PolyLambda":
-        return _PL_ONE
-
     @classmethod
     def lam(cls) -> "PolyLambda":
         """The variable l itself."""
         return _PL_LAM
-
-    @classmethod
-    def constant(cls, q: Scalar) -> "PolyLambda":
-        return cls((q,))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> Scalar:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PolyLambda):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self.coeffs == ((_norm_coeff(other),) if other else ())
-        return NotImplemented
-
-    def __hash__(self):
-        # a constant equals its rational value, so it hashes like it
-        if len(self.coeffs) <= 1:
-            return hash(self.coefficient(0))
-        return hash(("PolyLambda", self.coeffs))
-
-    def __neg__(self) -> "PolyLambda":
-        return PolyLambda(-c for c in self.coeffs)
-
-    def __add__(self, other) -> "PolyLambda":
-        other = _as_poly_lambda(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyLambda(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "PolyLambda":
-        other = _as_poly_lambda(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "PolyLambda":
-        other = _as_poly_lambda(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "PolyLambda":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _PL_ZERO
-            return PolyLambda(c * other for c in self.coeffs)
-        if not isinstance(other, PolyLambda):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _PL_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return PolyLambda(out)
-
-    __rmul__ = __mul__
-
-    __pow__ = _power
 
     def monic(self) -> "PolyLambda":
         if not self.coeffs:
@@ -190,21 +259,6 @@ class PolyLambda:
         for c in reversed(self.coeffs):
             acc = acc * at + c
         return Fraction(acc)
-
-    def serialize(self) -> str:
-        """Canonical machine form: 'c0 + c1*l + c2*l^2' with num/den coefficients."""
-        if not self.coeffs:
-            return "0/1"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            f = Fraction(c)
-            s = f"{f.numerator}/{f.denominator}"
-            if i == 1:
-                s += "*l"
-            elif i > 1:
-                s += f"*l^{i}"
-            parts.append(s)
-        return " + ".join(parts)
 
     def pretty(self, var: str = "l") -> str:
         """Human form: zero terms skipped, unit coefficients and /1 suppressed."""
@@ -228,21 +282,8 @@ class PolyLambda:
                 parts.append(f"- {term}" if f < 0 else f"+ {term}")
         return " ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"PolyLambda({self.serialize()!r})"
 
-
-def _as_poly_lambda(v):
-    if isinstance(v, PolyLambda):
-        return v
-    if isinstance(v, (int, Fraction)):
-        # False goes to the constructor too, which refuses a bool
-        return PolyLambda((v,)) if v or v is False else _PL_ZERO
-    return NotImplemented
-
-
-_PL_ZERO = PolyLambda()
-_PL_ONE = PolyLambda((1,))
+_PL_ZERO, _PL_ONE = PolyLambda.zero(), PolyLambda.one()
 _PL_LAM = PolyLambda((0, 1))
 
 
@@ -446,10 +487,11 @@ _RF_ONE = RationalFunctionLambda._reduced(_PL_ONE)
 
 
 def _coerce_pl(v) -> PolyLambda:
-    p = _as_poly_lambda(v)
-    if p is NotImplemented:
-        raise TypeError(f"expected PolyLambda or rational, got {type(v).__name__}")
-    return p
+    if isinstance(v, PolyLambda):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return PolyLambda((v,))  # which refuses a bool
+    raise TypeError(f"expected PolyLambda or rational, got {type(v).__name__}")
 
 
 def _as_ratfun(v):
@@ -461,134 +503,36 @@ def _as_ratfun(v):
     return NotImplemented
 
 
+def _render_parenthesized(c: PolyLambda) -> str:
+    """A PolyLambda coefficient's own serialization, in parentheses."""
+    return f"({c.serialize()})"
+
+
+@_dense_ring(_coerce_pl, (PolyLambda, int, Fraction), "x", _render_parenthesized)
 class PolyXOverLambda:
     """Dense polynomial in x whose coefficients are PolyLambda, ascending in x."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, PolyLambda):
-                c = _coerce_pl(c)
-            cs.append(c)
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "PolyXOverLambda":
-        return _PX_ZERO
-
-    @classmethod
-    def one(cls) -> "PolyXOverLambda":
-        return _PX_ONE
-
     @classmethod
     def x(cls) -> "PolyXOverLambda":
         """The variable x itself."""
-        return _PX_X
-
-    @classmethod
-    def constant(cls, c) -> "PolyXOverLambda":
-        return cls((c,))
-
-    @property
-    def degree(self) -> int:
-        """Degree in x; -1 for zero."""
-        return len(self.coeffs) - 1
-
-    @property
-    def lead(self) -> PolyLambda:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, j: int) -> PolyLambda:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else _PL_ZERO
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PolyXOverLambda):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (PolyLambda, int, Fraction)) and not isinstance(other, bool):
-            c = _coerce_pl(other)
-            return self.coeffs == ((c,) if c else ())
-        return NotImplemented
-
-    def __hash__(self):
-        # a constant in x equals its PolyLambda coefficient, so it hashes like it
-        if len(self.coeffs) <= 1:
-            return hash(self.coefficient(0))
-        return hash(("PolyXOverLambda", self.coeffs))
-
-    def __neg__(self):
-        return PolyXOverLambda(-c for c in self.coeffs)
-
-    def __add__(self, other):
-        other = _as_poly_x(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return PolyXOverLambda(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_poly_x(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_poly_x(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PolyLambda)):
-            c = _coerce_pl(other)
-            if not c:
-                return _PX_ZERO
-            return PolyXOverLambda(ci * c for ci in self.coeffs)
-        if not isinstance(other, PolyXOverLambda):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _PX_ZERO
-        out = [_PL_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return PolyXOverLambda(out)
-
-    __rmul__ = __mul__
-
-    __pow__ = _power
+        return cls((0, 1))
 
     def evaluate(self, at):
         """Substitute for x.
 
         A rational or PolyLambda substitution returns PolyLambda; substituting
-        another PolyXOverLambda (e.g. x+1) returns PolyXOverLambda.
+        another PolyXOverLambda (e.g. x+1) returns PolyXOverLambda.  A rational
+        point must be an int or a Fraction.
         """
         if isinstance(at, PolyXOverLambda):
-            acc = _PX_ZERO
+            acc = self.zero()
             for c in reversed(self.coeffs):
                 acc = acc * at + PolyXOverLambda.constant(c)
             return acc
-        at = _coerce_pl(at)
+        if not isinstance(at, PolyLambda):
+            at = PolyLambda.constant(_check_rational(at))
         acc = _PL_ZERO
         for c in reversed(self.coeffs):
             acc = acc * at + c
@@ -601,19 +545,6 @@ class PolyXOverLambda:
     def derivative(self) -> "PolyXOverLambda":
         """Formal d/dx."""
         return PolyXOverLambda(c * j for j, c in enumerate(self.coeffs) if j > 0)
-
-    def serialize(self) -> str:
-        if not self.coeffs:
-            return "(0/1)"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            s = f"({c.serialize()})"
-            if j == 1:
-                s += "*x"
-            elif j > 1:
-                s += f"*x^{j}"
-            parts.append(s)
-        return " + ".join(parts)
 
     def pretty(self, var: str = "x") -> str:
         if not self.coeffs:
@@ -635,23 +566,6 @@ class PolyXOverLambda:
                 parts.append(f"({inner})*{v}")
         return " + ".join(parts) if parts else "0"
 
-    def __repr__(self) -> str:
-        return f"PolyXOverLambda({self.serialize()!r})"
-
-
-def _as_poly_x(v):
-    if isinstance(v, PolyXOverLambda):
-        return v
-    if isinstance(v, (PolyLambda, int, Fraction)):
-        c = _coerce_pl(v)
-        return PolyXOverLambda((c,)) if c else _PX_ZERO
-    return NotImplemented
-
-
-_PX_ZERO = PolyXOverLambda()
-_PX_ONE = PolyXOverLambda((_PL_ONE,))
-_PX_X = PolyXOverLambda((_PL_ZERO, _PL_ONE))
-
 
 def specialize(value, *, lam: Scalar | None = None, x: Scalar | None = None):
     """Exact substitution.
@@ -668,6 +582,6 @@ def specialize(value, *, lam: Scalar | None = None, x: Scalar | None = None):
         return value.evaluate(lam)
     if isinstance(value, PolyXOverLambda):
         if x is not None:
-            return value.evaluate(_check_rational(x))
+            return value.evaluate(x)
         return value.subs_lambda(lam)
     raise TypeError(f"cannot specialize {type(value).__name__}")

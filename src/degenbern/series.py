@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactcore import PolyLambda, PolyXOverLambda
-from .triangles import _index, memoized
+from .exactcore import PolyLambda, PolyXOverLambda, _index
+from .triangles import memoized
 
 __all__ = [
     "TruncatedSeries",

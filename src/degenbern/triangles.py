@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import wraps
 from math import comb
 
-from .exactcore import PolyLambda, PolyXOverLambda
+from .exactcore import PolyLambda, PolyXOverLambda, _index
 
 __all__ = [
     "falling_factorial",
@@ -89,13 +89,6 @@ def log_weight(k: int) -> PolyLambda:
     """
     _index(k=k)
     return falling_factorial(PolyLambda.lam() - 1, k)
-
-
-def _index(**named):
-    """Refuse an index that is not a plain int: a bool, a float, a Fraction."""
-    for name, v in named.items():
-        if type(v) is not int:
-            raise TypeError(f"index {name} must be int, got {type(v).__name__}")
 
 
 def memoized(fn):
@@ -282,7 +275,8 @@ def r_stirling2_deg(n: int, k: int, r: int, s2=None) -> PolyLambda:
     it counts partitions in which r distinguished elements stay in distinct
     blocks.
     """
-    if type(r) is not int or r < 1:
+    _index(r=r)
+    if r < 1:
         raise ValueError("restriction parameter r must be a positive integer")
     return stirling2_deg_poly(n, k, x=Fraction(r), s2=s2)
 

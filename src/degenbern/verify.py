@@ -46,11 +46,10 @@ from .bernoulli import (
     gen_beta_stirling_sum,
     remark_sides,
 )
-from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
+from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
     TriangleTable,
-    _index,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,

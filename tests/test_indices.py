@@ -68,11 +68,13 @@ ROUTES = [
     ("stirling1_classical", stirling1_classical, {"n": 2, "k": 1}, ("n", "k")),
     ("stirling2_classical", stirling2_classical, {"n": 2, "k": 1}, ("n", "k")),
     ("stirling2_deg_poly", stirling2_deg_poly, {"n": 2, "k": 1}, ("n", "k")),
-    ("r_stirling2_deg", r_stirling2_deg, {"n": 2, "k": 1, "r": 1}, ("n", "k")),
+    ("r_stirling2_deg", r_stirling2_deg, {"n": 2, "k": 1, "r": 1}, ("n", "k", "r")),
     ("r_stirling2_classical", r_stirling2_classical, {"n": 2, "k": 1, "r": 1}, ("n", "k", "r")),
     ("eulerian_classical", eulerian_classical, {"n": 2, "m": 1}, ("n", "m")),
     ("eulerian_degenerate", eulerian_degenerate, {"n": 2, "m": 1}, ("n", "m")),
     ("forward_difference", lambda k: forward_difference([1, 2, 4], k), {"k": 2}, ("k",)),
+    ("PolyLambda.__pow__", lambda k: LAM**k, {"k": 2}, ("k",)),
+    ("PolyXOverLambda.__pow__", lambda k: PolyXOverLambda.x() ** k, {"k": 2}, ("k",)),
     ("TruncatedSeries.zero", lambda order: TruncatedSeries.zero(PolyLambda, order), {"order": 2}, ("order",)),
     ("TruncatedSeries.one", lambda order: TruncatedSeries.one(PolyLambda, order), {"order": 2}, ("order",)),
     ("TruncatedSeries.t", lambda order: TruncatedSeries.t(PolyLambda, order), {"order": 2}, ("order",)),

@@ -383,7 +383,7 @@ class TestPolynomialAndRestricted:
             r_stirling2_deg(3, 1, -2)
 
     def test_boolean_restriction_parameter_rejected(self):
-        with pytest.raises(ValueError, match="must be a positive integer"):
+        with pytest.raises(TypeError, match="r must be int, got bool"):
             r_stirling2_deg(3, 1, r=True)
 
 
