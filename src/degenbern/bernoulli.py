@@ -7,13 +7,15 @@ Every quantity here is reachable by several genuinely independent routes:
   gen_beta_gf             coefficient of the 2F1 generating series
   gen_beta_eulerian       signed sum over the degenerate Eulerian row
   gen_beta_integral       termwise Beta-function integration of the integral
-                          representation, using alternating falling-factorial
-                          sums instead of the Stirling triangle
+                          representation, using forward differences of
+                          falling factorials instead of the Stirling triangle
   gen_beta_rstirling      double sum over restricted second-kind entries,
                           carried out in Q(l) and normalized afterwards
 
 and likewise for the polynomials in x.  Route agreement is exercised by the
-verification suite; the functions themselves do not cross-check.
+verification suite; the functions themselves do not cross-check.  Likewise
+remark_sides only builds both sides of the argument-shift rules; the suite's
+Remark-* identities compare them.
 
 The rstirling route deserves a note.  Its published double-sum form breaks
 down for l != 0 because a step in its derivation silently rewrites the
@@ -36,7 +38,6 @@ before any memo is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -45,6 +46,7 @@ from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
     eulerian_degenerate,
     falling_factorial,
+    forward_difference,
     log_weight,
     memoized,
     r_stirling2_classical,
@@ -68,9 +70,7 @@ __all__ = [
     "gen_beta_poly_stirling",
     "gen_beta_poly_gf",
     "gen_beta_poly_derivative",
-    "RemarkReport",
     "remark_sides",
-    "verify_remark_identities",
 ]
 
 _RANGE_ERROR = "parameter out of range"
@@ -196,21 +196,16 @@ def gen_beta_integral(n: int, p: int) -> PolyLambda:
 
         (p+1) sum_k log_weight(k) p!/(p+k+1)! sum_j binom(k,j)(-1)^(k-j) (j)_{n,l}.
 
-    The inner alternating sum replaces the Stirling triangle, so this route
-    shares no code path with gen_beta beyond the factorial primitives.
+    The inner alternating sum is the k-th forward difference of (j)_{n,l} at
+    j = 0; it replaces the Stirling triangle, so this route shares no code
+    path with gen_beta beyond the factorial and difference primitives.
     """
     _check_range(n, p, 0, 0)
     lam = PolyLambda.lam()
     fall = [falling_factorial(j, n, step=lam) for j in range(n + 1)]
     acc = PolyLambda.zero()
     for k in range(n + 1):
-        alt = PolyLambda.zero()
-        for j in range(k + 1):
-            f = fall[j]
-            if not f:
-                continue
-            c = comb(k, j)
-            alt = alt + (f * c if (k - j) % 2 == 0 else f * (-c))
+        alt = forward_difference(fall, k)
         if not alt:
             continue
         acc = acc + log_weight(k) * alt * Fraction((p + 1) * factorial(p), factorial(p + k + 1))
@@ -358,24 +353,6 @@ def gen_beta_poly_derivative(n: int, p: int, s2=None) -> PolyXOverLambda:
     return acc
 
 
-@dataclass(frozen=True)
-class RemarkReport:
-    """Outcome of the argument-shift identities at one (n, p, m).
-
-    multiplication_step_ratio reads the scaling identity's step as l/(m-1);
-    multiplication_step_shift reads it as l/m - 1.  Both readings of the
-    ambiguous subscript are evaluated and recorded, never presumed.
-    """
-
-    n: int
-    p: int
-    m: int
-    addition: bool
-    difference: bool
-    multiplication_step_ratio: bool
-    multiplication_step_shift: bool
-
-
 _REMARK_RULES = ("addition", "difference", "ratio", "shift")
 
 
@@ -415,22 +392,3 @@ def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2, s2=None):
     if rule == "difference":
         lhs = lhs - polys[n]
     return lhs, rhs
-
-
-def verify_remark_identities(n: int, p: int, m: int, s2=None) -> RemarkReport:
-    """Check the addition, difference and scaling identities symbolically.
-
-    Addition compares both sides as polynomials in x for each integer
-    y = 0..n; both sides have y-degree at most n, so agreement on n+1 points
-    proves the bivariate identity.  Difference and the two scaling readings
-    are compared fully symbolically in x.  The sides come from remark_sides.
-    """
-
-    _index(n=n, p=p, m=m)
-
-    def holds(rule: str, y: int = 0) -> bool:
-        lhs, rhs = remark_sides(rule, n, p, y=y, m=m, s2=s2)
-        return lhs == rhs
-
-    addition = all(holds("addition", y) for y in range(n + 1))
-    return RemarkReport(n, p, m, addition, holds("difference"), holds("ratio"), holds("shift"))

@@ -268,18 +268,19 @@ class PolyLambda:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            f = Fraction(c)
-            mag = abs(f)
-            coef = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+            # an int coefficient has numerator c and denominator 1, as in serialize
+            num, den = c.numerator, c.denominator
+            mag = -num if num < 0 else num
+            coef = str(mag) if den == 1 else f"{mag}/{den}"
             if i == 0:
                 term = coef
             else:
                 v = var if i == 1 else f"{var}^{i}"
-                term = v if mag == 1 else f"{coef}*{v}"
+                term = v if mag == den == 1 else f"{coef}*{v}"
             if not parts:
-                parts.append(f"-{term}" if f < 0 else term)
+                parts.append(f"-{term}" if num < 0 else term)
             else:
-                parts.append(f"- {term}" if f < 0 else f"+ {term}")
+                parts.append(f"- {term}" if num < 0 else f"+ {term}")
         return " ".join(parts)
 
 

@@ -5,7 +5,9 @@ product is the binomial convolution c_n(fg) = sum_i binom(n,i) c_i(f) c_{n-i}(g)
 and the coefficients of the degenerate exponential stay polynomial.
 Coefficients live in one of the exact rings from exactcore (PolyLambda or
 PolyXOverLambda); the ring is carried explicitly and mixed-ring arithmetic is
-refused.  All operations truncate to the smaller order of their operands.
+refused.  All operations truncate to the smaller order of their operands.  The
+named series and the binomial_pow and gauss_2f1_formal weights are the
+memoized factorial chains of triangles.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .exactcore import PolyLambda, PolyXOverLambda, _index
-from .triangles import memoized
+from .triangles import _chain, memoized
 
 __all__ = [
     "TruncatedSeries",
@@ -211,16 +213,13 @@ class TruncatedSeries:
     def binomial_pow(self, alpha) -> "TruncatedSeries":
         """(1 + self)^alpha = sum_k binom(alpha, k) self^k, requiring self(0) = 0.
 
-        alpha may be a rational or a PolyLambda (e.g. l - 1 or -l - p).  The
-        weights binom(alpha, k) k! = alpha (alpha - 1) ... (alpha - k + 1)
-        form a series that is composed with self.
+        alpha may be an int, a Fraction or a PolyLambda (e.g. l - 1 or -l - p).
+        The weights binom(alpha, k) k! = alpha (alpha - 1) ... (alpha - k + 1)
+        are the memoized falling chain of alpha, composed with self.
         """
         if self.coeffs[0]:
             raise ValueError("binomial power requires zero constant term")
-        weights = [self.ring.constant(1)]
-        for k in range(1, self.order + 1):
-            weights.append(weights[-1] * _ring_element(self.ring, alpha - (k - 1)))
-        return TruncatedSeries(self.ring, weights).compose(self)
+        return TruncatedSeries(self.ring, _chain(alpha, self.order)).compose(self)
 
     def divide_by_t(self) -> "TruncatedSeries":
         """f/t for a series with zero constant term; drops the order by one."""
@@ -255,18 +254,8 @@ def degenerate_exp(x, order: int) -> TruncatedSeries:
     symbol PolyXOverLambda.x() the symbolic-in-x series.
     """
     _index(order=order)
-    if isinstance(x, PolyXOverLambda):
-        ring = PolyXOverLambda
-        xe = x
-        lam = PolyXOverLambda.constant(PolyLambda.lam())
-    else:
-        ring = PolyLambda
-        xe = x if isinstance(x, PolyLambda) else PolyLambda.constant(x)
-        lam = PolyLambda.lam()
-    coeffs = [ring.constant(1)]
-    for n in range(order):
-        coeffs.append(coeffs[-1] * (xe - lam * n))
-    return TruncatedSeries(ring, coeffs)
+    coeffs = _chain(x, order, PolyLambda.lam())
+    return TruncatedSeries(type(coeffs[0]), coeffs)
 
 
 def degenerate_log(order: int) -> TruncatedSeries:
@@ -274,30 +263,23 @@ def degenerate_log(order: int) -> TruncatedSeries:
     _index(order=order)
     if order < 1:
         raise ValueError("order must be at least 1 for the degenerate logarithm")
-    lam = PolyLambda.lam()
-    coeffs = [PolyLambda.zero(), PolyLambda.one()]
-    for n in range(2, order + 1):
-        coeffs.append(coeffs[-1] * (lam - (n - 1)))
-    return TruncatedSeries(PolyLambda, coeffs)
+    return TruncatedSeries(PolyLambda, (0,) + _chain(PolyLambda.lam() - 1, order - 1))
 
 
 def gauss_2f1_formal(a, b, c, u: TruncatedSeries) -> TruncatedSeries:
     """Formal Gauss hypergeometric sum_k <a>_k <b>_k / <c>_k * u^k / k!.
 
-    a and b may be rationals or PolyLambda; c must be a rational with no
-    vanishing rising factorial (for positive integer c this always holds).
-    The argument u must have zero constant term so the sum truncates exactly.
-    The weights <a>_k <b>_k / <c>_k form a series that is composed with u.
+    a and b may be ints, Fractions or PolyLambda; c must be an int or a
+    Fraction with no vanishing rising factorial (for positive integer c this
+    always holds).  The argument u must have zero constant term so the sum
+    truncates exactly.  The weights <a>_k <b>_k / <c>_k, rising factorials
+    read as falling chains at step -1, form a series composed with u.
     """
     if u.coeffs[0]:
         raise ValueError("composition requires zero constant term")
-    c = Fraction(c)
-    weights = [u.ring.constant(1)]
-    for k in range(1, u.order + 1):
-        if c + k - 1 == 0:
-            raise ValueError("invalid lower parameter")
-        # <a>_k / <a>_{k-1} = a + k - 1, likewise for b and c
-        fa = _ring_element(u.ring, a + (k - 1))
-        fb = _ring_element(u.ring, b + (k - 1))
-        weights.append(weights[-1] * fa * fb * (1 / (c + k - 1)))
-    return TruncatedSeries(u.ring, weights).compose(u)
+    if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+        raise TypeError(f"lower parameter must be int or Fraction, got {type(c).__name__}")
+    ra, rb, rc = (_chain(v, u.order, -1) for v in (a, b, c))
+    if not rc[-1]:
+        raise ValueError("invalid lower parameter")
+    return TruncatedSeries(u.ring, (ra[k] * rb[k] * (1 / rc[k]) for k in range(u.order + 1))).compose(u)

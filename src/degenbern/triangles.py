@@ -55,21 +55,25 @@ def falling_factorial(x, n: int, step=1):
     Each (x, step) keeps its chain of products, so a longer call costs one
     product per extra factor.
     """
+    return _chain(x, n, step)[n]
+
+
+def _chain(x, n: int, step=1) -> tuple:
+    """The memoized products (x)_0 ... (x)_n: the one reader of the factorial chains."""
     _index(n=n)
     if n < 0:
         raise ValueError("factorial product length must be nonnegative")
-    if isinstance(x, PolyXOverLambda):
+    for v in (x, step):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction, PolyLambda, PolyXOverLambda)):
+            raise TypeError(f"factorial operands must be int or Fraction, got {type(x).__name__} and {type(step).__name__}")
+    if isinstance(x, PolyXOverLambda) or isinstance(step, PolyXOverLambda):
         one = PolyXOverLambda.one()
     elif isinstance(x, PolyLambda) or isinstance(step, PolyLambda):
         one = PolyLambda.one()
-    elif isinstance(x, (int, Fraction)) and isinstance(step, (int, Fraction)):
-        one = Fraction(1)
     else:
-        one = None
-    if one is None or isinstance(x, bool) or isinstance(step, bool):
-        raise TypeError(f"factorial operands must be int or Fraction, got {type(x).__name__} and {type(step).__name__}")
+        one = Fraction(1)
     # 2, Fraction(2) and PolyLambda 2 are equal keys: the types keep them apart
-    return _falling_chain(type(x), x, type(step), step, one, n)[n]
+    return _falling_chain(type(x), x, type(step), step, one, n)
 
 
 def falling_lambda(x, n: int):

@@ -47,7 +47,7 @@ from .bernoulli import (
     remark_sides,
 )
 from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index
-from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
+from .series import TruncatedSeries, _scaled_powers, degenerate_exp, gauss_2f1_formal
 from .triangles import (
     TriangleTable,
     eulerian_classical,
@@ -208,19 +208,13 @@ def _transform_side(which: str, p: int, order: int) -> TruncatedSeries:
 
 
 @memoized
-def _column_series(k: int, order: int) -> TruncatedSeries:
-    """(e_l(t) - 1)^k / k!, from the k - 1 series (which the suite asks for first)."""
-    one = TruncatedSeries.one(PolyLambda, order)
-    if k == 0:
-        return one
-    em1 = degenerate_exp(1, order) - one
-    return _column_series(k - 1, order).mul(em1).scale(Fraction(1, k))
-
-
-@memoized
 def _restricted_column(k: int, r: int, order: int) -> TruncatedSeries:
-    """(e_l(t) - 1)^k e_l(t)^r / k!, whose coefficients are r_stirling2_deg(n, k, r)."""
-    return _column_series(k, order).mul(degenerate_exp(Fraction(r), order))
+    """(e_l(t) - 1)^k e_l(t)^r / k!, whose coefficients are r_stirling2_deg(n, k, r).
+
+    The powers of e_l(t) - 1 come from the memo that compose shares with Eq8/Eq9.
+    """
+    em1 = degenerate_exp(1, order) - TruncatedSeries.one(PolyLambda, order)
+    return _scaled_powers(em1, order)[k].mul(degenerate_exp(r, order))
 
 
 # One generator per identity.  check(bounds, n, sweep) yields (parameters,
@@ -431,6 +425,7 @@ _CHECKS = {
         0,
         lambda b, n: {"k": range(n + 1), "r": range(1, max(1, b.max_p) + 1)},
     ),
+    # both sides have y-degree at most n, so y = 0..n proves the rule for every y
     IdentityId.REMARK_ADD: (
         _remark_check("addition"),
         0,

@@ -21,7 +21,7 @@ from degenbern.bernoulli import (
     gen_beta_rstirling,
     gen_beta_rstirling_simplified,
     gen_beta_stirling_sum,
-    verify_remark_identities,
+    remark_sides,
 )
 from degenbern.exactcore import PolyLambda, PolyXOverLambda, specialize
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
@@ -144,15 +144,18 @@ def test_criterion_09_polynomial_routes_and_remark_identities():
                 assert gen_beta_poly_derivative(n, p) == reference.derivative()
     for n in range(11):
         for p in range(3):
-            report = verify_remark_identities(n, p, 2)
-            assert report.addition
-            assert report.difference
+            for y in range(n + 1):
+                lhs, rhs = remark_sides("addition", n, p, y=y)
+                assert lhs == rhs
+            lhs, rhs = remark_sides("difference", n, p)
+            assert lhs == rhs
     for n in range(5):
         for p in range(3):
             for m in (2, 3):
-                report = verify_remark_identities(n, p, m)
-                assert report.multiplication_step_ratio
-                assert report.multiplication_step_shift == (n <= 1)
+                lhs, rhs = remark_sides("ratio", n, p, m=m)
+                assert lhs == rhs
+                lhs, rhs = remark_sides("shift", n, p, m=m)
+                assert (lhs == rhs) == (n <= 1)
 
 
 def test_criterion_10_pfaff_and_euler_transformations_order_16():

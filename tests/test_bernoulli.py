@@ -22,7 +22,7 @@ from degenbern.bernoulli import (
     gen_beta_rstirling,
     gen_beta_rstirling_simplified,
     gen_beta_stirling_sum,
-    verify_remark_identities,
+    remark_sides,
 )
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.triangles import falling_lambda, stirling2_deg_table
@@ -196,32 +196,37 @@ class TestPolynomials:
                 assert acc == gen_beta_poly(n, p)
 
 
+def remark_holds(rule, n, p, m=2):
+    """Both sides of one remark rule agree; the addition rule at every y = 0..n."""
+    for y in range(n + 1) if rule == "addition" else (0,):
+        lhs, rhs = remark_sides(rule, n, p, y=y, m=m)
+        if lhs != rhs:
+            return False
+    return True
+
+
 class TestRemarkIdentities:
     def test_all_hold_for_first_order(self):
-        report = verify_remark_identities(1, 0, 2)
-        assert report.addition
-        assert report.difference
-        assert report.multiplication_step_ratio
-        assert report.multiplication_step_shift
+        for rule in ("addition", "difference", "ratio", "shift"):
+            assert remark_holds(rule, 1, 0)
 
     def test_shift_reading_fails_from_second_order(self):
         for n in (2, 3, 4):
-            report = verify_remark_identities(n, 0, 2)
-            assert report.addition
-            assert report.difference
-            assert report.multiplication_step_ratio
-            assert not report.multiplication_step_shift
+            assert remark_holds("addition", n, 0)
+            assert remark_holds("difference", n, 0)
+            assert remark_holds("ratio", n, 0)
+            assert not remark_holds("shift", n, 0)
 
     def test_other_parameters(self):
         for m in (2, 3):
             for p in (0, 1):
-                report = verify_remark_identities(3, p, m)
-                assert report.multiplication_step_ratio
-                assert not report.multiplication_step_shift
+                assert remark_holds("ratio", 3, p, m)
+                assert not remark_holds("shift", 3, p, m)
 
     def test_multiplier_must_be_at_least_two(self):
-        with pytest.raises(ValueError, match="parameter out of range"):
-            verify_remark_identities(2, 0, 1)
+        for rule in ("addition", "difference", "ratio", "shift"):
+            with pytest.raises(ValueError, match="parameter out of range"):
+                remark_sides(rule, 2, 0, m=1)
 
 
 class TestMemoIsolation:

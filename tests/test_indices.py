@@ -26,7 +26,6 @@ from degenbern.bernoulli import (
     gen_beta_rstirling_simplified,
     gen_beta_stirling_sum,
     remark_sides,
-    verify_remark_identities,
 )
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
@@ -103,7 +102,6 @@ ROUTES = [
         {"n": 2, "p": 1, "y": 1, "m": 2},
         ("n", "p", "y", "m"),
     ),
-    ("verify_remark_identities", verify_remark_identities, {"n": 1, "p": 1, "m": 2}, ("n", "p", "m")),
     (
         "run_suite",
         lambda max_n, max_p, truncation: run_suite(["Eq11"], max_n, max_p, truncation),

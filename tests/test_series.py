@@ -1,7 +1,7 @@
 """Truncated EGF series: arithmetic, composition, the named generating functions."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +235,23 @@ class TestNamedSeries:
         for n in range(1, 6):
             assert f.coefficient(n) == log_weight(n - 1)
 
+    @pytest.mark.parametrize(
+        "x",
+        [3, Fraction(-5, 2), 2 * LAM - 1, PolyXOverLambda.x()],
+        ids=["int", "Fraction", "PolyLambda", "symbol"],
+    )
+    def test_degenerate_exp_coefficients_are_the_written_out_products(self, x):
+        f = degenerate_exp(x, 7)
+        one = PolyXOverLambda.one() if isinstance(x, PolyXOverLambda) else PolyLambda.one()
+        for n in range(8):
+            assert f.coefficient(n) == prod((x - j * LAM for j in range(n)), start=one)
+
+    def test_degenerate_log_coefficients_are_the_written_out_products(self):
+        f = degenerate_log(9)
+        assert f.coefficient(0) == PolyLambda.zero()
+        for n in range(1, 10):
+            assert f.coefficient(n) == prod((LAM - j for j in range(1, n)), start=PolyLambda.one())
+
     def test_degenerate_log_classical_limit(self):
         f = degenerate_log(6)
         for n in range(1, 7):
@@ -259,6 +276,24 @@ class TestNamedSeries:
         u = TruncatedSeries.t(PolyLambda, 6)
         with pytest.raises(ValueError, match="invalid lower parameter"):
             gauss_2f1_formal(1, 1, -2, u)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u: gauss_2f1_formal(1, 1, 0.1, u),
+            lambda u: gauss_2f1_formal(1, 1, 2.5, u),
+            lambda u: gauss_2f1_formal(True, 1, 2, u),
+            lambda u: gauss_2f1_formal(1, 1, True, u),
+            lambda u: gauss_2f1_formal(0.5, 1, 2, u),
+            lambda u: u.binomial_pow(True),
+            lambda u: u.binomial_pow(0.5),
+        ],
+        ids=["c-float", "c-half-float", "a-bool", "c-bool", "a-float", "alpha-bool", "alpha-float"],
+    )
+    def test_float_or_bool_parameter_refused(self, call):
+        u = degenerate_exp(1, 4) - TruncatedSeries.one(PolyLambda, 4)
+        with pytest.raises(TypeError):
+            call(u)
 
     def test_coefficient_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -104,6 +104,10 @@ class TestFactorialProducts:
             falling_factorial(0.5, 3)
         with pytest.raises(TypeError, match="must be int or Fraction, got int and float"):
             falling_factorial(1, 3, step=0.5)
+        # a polynomial step does not let a float x through, not even for the empty product
+        for n in (0, 2):
+            with pytest.raises(TypeError, match="must be int or Fraction, got float and PolyLambda"):
+                falling_factorial(0.5, n, step=LAM)
 
     def test_boolean_operand_rejected(self):
         with pytest.raises(TypeError, match="must be int or Fraction, got bool and int"):
