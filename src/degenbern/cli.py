@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
-from .exactcore import PolyLambda, PolyXOverLambda, specialize
+from .exactcore import PolyLambda, PolyXOverLambda, _render_rational, specialize
 from .triangles import (
     eulerian_classical,
     eulerian_degenerate,
@@ -149,21 +149,6 @@ def _merge(args: argparse.Namespace) -> CliConfig:
     return cfg
 
 
-def _frac_str(value) -> str:
-    q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _lambda_coeffs(poly: PolyLambda) -> list[str]:
-    if not poly.coeffs:
-        return ["0/1"]
-    return [_frac_str(c) for c in poly.coeffs]
-
-
-def _x_coeffs(poly: PolyXOverLambda) -> list[list[str]]:
-    return [_lambda_coeffs(poly.coefficient(j)) for j in range(poly.degree + 1)]
-
-
 def _build_rows(cfg: CliConfig, given):
     """Entries for cfg.family: (parameters, [(index dict, value)]).
 
@@ -194,7 +179,7 @@ def _build_rows(cfg: CliConfig, given):
     )
     rows = [(dict(zip("nk", index)), entry(*index, *params.values())) for index in indices]
     if cfg.lam is not None:
-        params["lambda"] = _frac_str(cfg.lam)
+        params["lambda"] = f"{cfg.lam.numerator}/{cfg.lam.denominator}"
         rows = [(index, _at_lambda(value, cfg.lam)) for index, value in rows]
     return params, rows
 
@@ -208,8 +193,8 @@ def _at_lambda(value, lam: Fraction):
 def _entry_payload(value) -> tuple[str, object]:
     """JSON field name and payload for one table value."""
     if isinstance(value, PolyXOverLambda):
-        return "x_coeffs", _x_coeffs(value)
-    return "lambda_coeffs", _lambda_coeffs(value)
+        return "x_coeffs", [_render_rational(c) for c in value.coeffs]
+    return "lambda_coeffs", _render_rational(value)
 
 
 def _render_json(cfg: CliConfig, params: dict, rows) -> str:

@@ -1,20 +1,22 @@
 """Exact coefficient arithmetic underneath the degenerate families.
 
-Three value types are built on stdlib rationals:
+Three value types are built on stdlib ints and rationals:
 
     PolyLambda              polynomial in the deformation parameter l over Q
     RationalFunctionLambda  reduced quotient of PolyLambda, monic denominator
     PolyXOverLambda         polynomial in x with PolyLambda coefficients
 
 The two polynomial rings share one dense-polynomial definition (the
-_dense_ring class decorator), which takes the coefficient coercer, the
-scalar types, the variable name and the coefficient renderer of each.
-Coefficient sequences are dense, ascending and never carry trailing zeros;
-the empty sequence is the canonical zero, so structural equality is exact
-mathematical equality.  A coefficient that happens to be an integer is kept
-as a plain int (ints and Fractions mix transparently in arithmetic, equality
-and hashing); everything visible through `evaluate`/`specialize` comes back
-as Fraction.  A value equal to a simpler one (a constant PolyLambda and its
+_dense_ring class decorator).  An element stores a dense, ascending term
+tuple without trailing zeros over one denominator.  A PolyLambda stores int
+numerators over one positive int denominator, coprime to their content, so
+its arithmetic runs on plain ints and pays one gcd per result, none when the
+denominator is 1; zero is ((), 1).  A PolyXOverLambda stores its PolyLambda
+coefficients over 1.  The canonical form makes structural equality exact
+mathematical equality.  The .coeffs view is built on each read: a
+PolyLambda coefficient that is an integer is a plain int, any other a
+Fraction; everything visible through `evaluate`/`specialize` comes back as
+Fraction.  A value equal to a simpler one (a constant PolyLambda and its
 rational, a constant PolyXOverLambda and its PolyLambda, a polynomial
 RationalFunctionLambda and its numerator) hashes like it.  Equality with a
 bool is plain False: a bool is never a coefficient.  The RationalFunctionLambda
@@ -25,7 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from operator import attrgetter
+from typing import Union
 
 __all__ = [
     "PolyLambda",
@@ -63,31 +66,28 @@ def _index(**named):
             raise TypeError(f"index {name} must be int, got {type(v).__name__}")
 
 
-def _dense_ring(coerce, scalars, var, render):
+def _dense_ring(coerce, scalars, var, render, *, build, reduce, scale):
     """Class decorator: the dense-polynomial methods of one coefficient ring.
 
-    coerce turns one coefficient into canonical form or raises TypeError,
-    scalars are the types that scale a polynomial as a constant, var names
-    the variable and render writes one coefficient for serialize.  As with
-    functools.total_ordering, the methods are built anew for each decorated
-    class, so each class holds its own function objects in its own namespace:
-    rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
+    An instance stores _terms over _den, each term falsy exactly where its
+    coefficient is zero.  coerce turns one coefficient into canonical form or
+    raises TypeError, scalars are the types that scale a polynomial as a
+    constant, var names the variable and render(p) lists the rendered
+    coefficients of p (one, for zero).  The ring's core: build(p, coeffs) sets
+    p from public coefficients, reduce(terms, den) is the canonical element of
+    a computed term list and scale(p, s) the product with a scalar.  As
+    with functools.total_ordering, the methods are built anew for each
+    decorated class, so each class holds its own function objects in its own
+    namespace: rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
     PolyXOverLambda.__mul__ alone.
     """
 
     def decorate(cls):
         name = cls.__name__
+        czero = coerce(0)
 
         def __init__(self, coeffs=()):
-            cs = []
-            for c in coeffs:
-                cs.append(c if type(c) is ctype else coerce(c))
-            while cs and not cs[-1]:
-                cs.pop()
-            self.coeffs = tuple(cs)
-
-        czero = coerce(0)
-        ctype = type(czero)  # a coefficient of exactly this type is canonical
+            build(self, coeffs)
 
         def lift(v):
             """v as an element of the ring, or NotImplemented."""
@@ -108,47 +108,53 @@ def _dense_ring(coerce, scalars, var, render):
 
         def degree(self) -> int:
             """Degree in the variable; -1 for the zero polynomial."""
-            return len(self.coeffs) - 1
+            return len(self._terms) - 1
 
         def lead(self):
-            if not self.coeffs:
+            if not self._terms:
                 raise ValueError("zero polynomial has no leading coefficient")
             return self.coeffs[-1]
 
         def coefficient(self, i: int):
-            return self.coeffs[i] if 0 <= i < len(self.coeffs) else czero
+            return self.coeffs[i] if 0 <= i < len(self._terms) else czero
 
         def __bool__(self) -> bool:
-            return bool(self.coeffs)
+            return bool(self._terms)
 
         def __eq__(self, other) -> bool:
-            if isinstance(other, cls):
-                return self.coeffs == other.coeffs
-            if isinstance(other, scalars) and not isinstance(other, bool):
-                c = coerce(other)
-                return self.coeffs == ((c,) if c else ())
-            return NotImplemented
+            if not isinstance(other, cls):
+                if not isinstance(other, scalars) or isinstance(other, bool):
+                    return NotImplemented
+                other = cls((other,))
+            return self._terms == other._terms and self._den == other._den
 
         def __hash__(self):
             # a constant equals its coefficient, so it hashes like it
-            if len(self.coeffs) <= 1:
+            if len(self._terms) <= 1:
                 return hash(self.coefficient(0))
-            return hash((name, self.coeffs))
+            return hash((name, self._terms, self._den))
 
         def __neg__(self):
-            return cls(-c for c in self.coeffs)
+            return reduce([-c for c in self._terms], self._den)
 
         def __add__(self, other):
             other = lift(other)
             if other is NotImplemented:
                 return NotImplemented
-            a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
+            x, dx, y, dy = self._terms, self._den, other._terms, other._den
+            if not y:
+                return self
+            if not x:
+                return other
+            if dx != dy:
+                m = lcm(dx, dy)
+                x, y, dx = [c * (m // dx) for c in x], [c * (m // dy) for c in y], m
+            if len(x) < len(y):
+                x, y = y, x
+            out = list(x)
+            for i, c in enumerate(y):
                 out[i] += c
-            return cls(out)
+            return reduce(out, dx)
 
         def __sub__(self, other):
             other = lift(other)
@@ -163,24 +169,22 @@ def _dense_ring(coerce, scalars, var, render):
             return other + (-self)
 
         def __mul__(self, other):
-            if isinstance(other, scalars):
-                s = other if type(other) is ctype else coerce(other)
-                if not s:
+            if isinstance(other, cls):
+                x, y = self._terms, other._terms
+                if not x or not y:
                     return zero_poly
-                return cls(c * s for c in self.coeffs)
-            if not isinstance(other, cls):
-                return NotImplemented
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return zero_poly
-            out = [czero] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-            return cls(out)
+                if len(x) < len(y):
+                    x, y = y, x
+                out = [czero] * (len(x) + len(y) - 1)
+                for i, c in enumerate(y):
+                    if c:
+                        for j, d in enumerate(x, i):
+                            if d:
+                                out[j] += c * d
+                return reduce(out, self._den * other._den)
+            if isinstance(other, scalars):
+                return scale(self, other)
+            return NotImplemented
 
         def __pow__(self, k):
             """self ** k by square-and-multiply."""
@@ -199,16 +203,9 @@ def _dense_ring(coerce, scalars, var, render):
 
         def serialize(self) -> str:
             """Canonical machine form: every coefficient rendered, ascending in var."""
-            if not self.coeffs:
-                return render(czero)
-            parts = []
-            for i, c in enumerate(self.coeffs):
-                s = render(c)
-                if i == 1:
-                    s += f"*{var}"
-                elif i > 1:
-                    s += f"*{var}^{i}"
-                parts.append(s)
+            parts = render(self)
+            for i in range(1, len(parts)):
+                parts[i] += f"*{var}" if i == 1 else f"*{var}^{i}"
             return " + ".join(parts)
 
         def __repr__(self) -> str:
@@ -231,16 +228,64 @@ def _dense_ring(coerce, scalars, var, render):
     return decorate
 
 
-def _render_rational(c) -> str:
-    """'num/den' for one coefficient; an int coefficient has denominator 1."""
-    return f"{c.numerator}/{c.denominator}"
+def _pl_reduce(terms: list, den: int) -> "PolyLambda":
+    """Trusted constructor for int terms over den > 0: trailing zeros dropped, one gcd.
+
+    Tuples are built from lists: tuple(generator) overallocates, and on the
+    verify workload its leftovers in the tuple free lists raised peak RSS by
+    0.5 MB."""
+    while terms and not terms[-1]:
+        terms.pop()
+    if den != 1:
+        g = gcd(den, *terms)  # den itself when terms is empty
+        if g != 1:
+            terms = [t // g for t in terms]
+            den //= g
+    p = object.__new__(PolyLambda)
+    p._terms, p._den = tuple(terms), den
+    return p
 
 
-@_dense_ring(_norm_coeff, (int, Fraction), "l", _render_rational)
+def _pl_build(p, coeffs):
+    cs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
+    # over the lcm of the reduced denominators the numerators stay coprime to it
+    den = lcm(*[c.denominator for c in cs if type(c) is not int])
+    if den != 1:
+        cs = [c.numerator * (den // c.denominator) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    p._terms, p._den = tuple(cs), den
+
+
+def _pl_scale(a, s):
+    if type(s) is not int:
+        s = _norm_coeff(s)
+    return _pl_reduce([c * s.numerator for c in a._terms], a._den * s.denominator)
+
+
+def _render_rational(p) -> list[str]:
+    """'num/den' for each coefficient of p, from its numerators and denominator."""
+    d = p._den
+    return [f"{c // g}/{d // g}" for c in p._terms or (0,) for g in (gcd(c, d),)]
+
+
+@_dense_ring(
+    _norm_coeff, (int, Fraction), "l", _render_rational,
+    build=_pl_build, reduce=_pl_reduce, scale=_pl_scale,
+)
 class PolyLambda:
     """Dense polynomial in l with exact rational coefficients, ascending order."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_terms", "_den")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, ascending: an int where one is an integer, else a
+        Fraction.  Built from the numerators on each read, never stored."""
+        d = self._den
+        if d == 1:
+            return self._terms
+        return tuple([Fraction(c, d) if c % d else c // d for c in self._terms])
 
     @classmethod
     def lam(cls) -> "PolyLambda":
@@ -248,28 +293,26 @@ class PolyLambda:
         return _PL_LAM
 
     def monic(self) -> "PolyLambda":
-        if not self.coeffs:
-            return self
-        return self * (1 / Fraction(self.lead))
+        return self * Fraction(self._den, self._terms[-1]) if self._terms else self
 
     def evaluate(self, at: Scalar) -> Fraction:
-        """The value at l = at, by Horner; at must be an int or a Fraction."""
+        """The value at l = at, by Horner on the numerators; at must be an int or a Fraction."""
         _check_rational(at)
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._terms):
             acc = acc * at + c
-        return Fraction(acc)
+        return Fraction(acc, self._den)
 
     def pretty(self, var: str = "l") -> str:
         """Human form: zero terms skipped, unit coefficients and /1 suppressed."""
-        if not self.coeffs:
+        if not self._terms:
             return "0"
         parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._terms):
             if not c:
                 continue
-            # an int coefficient has numerator c and denominator 1, as in serialize
-            num, den = c.numerator, c.denominator
+            g = gcd(c, self._den)
+            num, den = c // g, self._den // g
             mag = -num if num < 0 else num
             coef = str(mag) if den == 1 else f"{mag}/{den}"
             if i == 0:
@@ -292,34 +335,40 @@ def poly_divmod(a: PolyLambda, b: PolyLambda) -> tuple[PolyLambda, PolyLambda]:
     """Quotient and remainder in Q[l]; deg(r) < deg(b)."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    if a.degree < b.degree:
+    n = b.degree
+    if a.degree < n:
         return _PL_ZERO, a
-    rem = list(a.coeffs)
-    db, lb = b.degree, b.lead
-    quot = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
+    # divide the numerators A by B, keeping rem and quot over one denominator
+    # d, a power of B's lead lb: each step scales both by lb
+    bs, lb = b._terms, b._terms[-1]
+    rem, quot, d = list(a._terms), [0] * (a.degree - n + 1), 1
+    for i in range(len(rem) - 1, n - 1, -1):
         c = rem[i]
         if not c:
             continue
-        q = Fraction(c) / lb
-        quot[i - db] = q
-        rem[i] = 0
-        for j in range(db):
-            rem[i - db + j] -= q * b.coeffs[j]
-    return PolyLambda(quot), PolyLambda(rem)
+        rem = [v * lb for v in rem[:i]]
+        for j in range(n):
+            rem[i - n + j] -= c * bs[j]
+        quot = [v * lb for v in quot]
+        quot[i - n] = c
+        d *= lb
+    # A = (quot / d) B + rem / d; with a = A / a._den and b = B / b._den
+    # that makes q = quot b._den / (d a._den) and r = rem / (d a._den)
+    d *= a._den
+    if d < 0:
+        d, rem, quot = -d, [-v for v in rem], [-v for v in quot]
+    return _pl_reduce([v * b._den for v in quot], d), _pl_reduce(rem, d)
 
 
 def _primitive(p: PolyLambda) -> PolyLambda:
     """Scale to coprime integer coefficients with positive leading coefficient."""
-    if not p:
+    t = p._terms
+    if not t:
         return p
-    nums = [Fraction(c) for c in p.coeffs]
-    den_lcm = lcm(*(c.denominator for c in nums))
-    ints = [int(c * den_lcm) for c in nums]
-    g = gcd(*ints)
-    if ints[-1] < 0:
+    g = gcd(*t)
+    if t[-1] < 0:
         g = -g
-    return PolyLambda(v // g for v in ints)
+    return _pl_reduce([v // g for v in t], 1)
 
 
 def poly_gcd(a: PolyLambda, b: PolyLambda) -> PolyLambda:
@@ -393,7 +442,7 @@ class RationalFunctionLambda:
         # a polynomial equals its numerator, so it hashes like it
         if self.den == _PL_ONE:
             return hash(self.num)
-        return hash(("RationalFunctionLambda", self.num.coeffs, self.den.coeffs))
+        return hash(("RationalFunctionLambda", self.num, self.den))
 
     def __neg__(self):
         return RationalFunctionLambda._reduced(-self.num, self.den)
@@ -440,9 +489,9 @@ class RationalFunctionLambda:
         if not a or not c:
             return _RF_ZERO
         if c.degree == 0 and d.degree == 0:
-            return RationalFunctionLambda._reduced(a * c.coeffs[0], b)
+            return RationalFunctionLambda._reduced(a * c, b)
         if a.degree == 0 and b.degree == 0:
-            return RationalFunctionLambda._reduced(c * a.coeffs[0], d)
+            return RationalFunctionLambda._reduced(c * a, d)
         g1 = poly_gcd(a, d) if d.degree > 0 else _PL_ONE
         g2 = poly_gcd(c, b) if b.degree > 0 else _PL_ONE
         return RationalFunctionLambda._reduced(
@@ -504,16 +553,34 @@ def _as_ratfun(v):
     return NotImplemented
 
 
-def _render_parenthesized(c: PolyLambda) -> str:
-    """A PolyLambda coefficient's own serialization, in parentheses."""
-    return f"({c.serialize()})"
+def _px_build(p, coeffs):
+    cs = [c if type(c) is PolyLambda else _coerce_pl(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    p._terms = tuple(cs)
 
 
-@_dense_ring(_coerce_pl, (PolyLambda, int, Fraction), "x", _render_parenthesized)
+def _px_scale(a, s):
+    s = _coerce_pl(s)  # which refuses a bool
+    return PolyXOverLambda([c * s for c in a._terms])
+
+
+def _render_parenthesized(p) -> list[str]:
+    """Each PolyLambda coefficient's own serialization, in parentheses."""
+    return [f"({c.serialize()})" for c in p._terms or (_PL_ZERO,)]
+
+
+@_dense_ring(
+    _coerce_pl, (PolyLambda, int, Fraction), "x", _render_parenthesized,
+    build=_px_build, reduce=lambda terms, den: PolyXOverLambda(terms), scale=_px_scale,
+)
 class PolyXOverLambda:
     """Dense polynomial in x whose coefficients are PolyLambda, ascending in x."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_terms",)
+    _den = 1  # the coefficients carry their own denominators
+
+    coeffs = property(attrgetter("_terms"), doc="The PolyLambda coefficients, ascending in x.")
 
     @classmethod
     def x(cls) -> "PolyXOverLambda":
@@ -561,7 +628,7 @@ class PolyXOverLambda:
             v = var if j == 1 else f"{var}^{j}"
             if c == _PL_ONE:
                 parts.append(v)
-            elif len(c.coeffs) == 1 and " " not in inner:
+            elif c.degree == 0 and " " not in inner:
                 parts.append(f"{inner}*{v}")
             else:
                 parts.append(f"({inner})*{v}")

@@ -39,6 +39,13 @@ def _ring_element(ring, v):
     raise ValueError("coefficient ring mismatch")
 
 
+def _order(order) -> None:
+    """Refuse an order that is not a nonnegative int."""
+    _index(order=order)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
 def _is_unit(ring, c):
     """A nonzero rational constant of the ring; returns its value or None."""
     if ring is PolyXOverLambda and c.degree == 0:
@@ -63,12 +70,12 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ring, order: int) -> "TruncatedSeries":
-        _index(order=order)
+        _order(order)
         return cls(ring, [0] * (order + 1))
 
     @classmethod
     def one(cls, ring, order: int) -> "TruncatedSeries":
-        _index(order=order)
+        _order(order)
         return cls(ring, [1] + [0] * order)
 
     @classmethod
@@ -99,7 +106,7 @@ class TruncatedSeries:
         return cls(ring, (_ring_element(ring, c) * factorial(n) for n, c in enumerate(coeffs)))
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        _index(order=order)
+        _order(order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.ring, self.coeffs[: order + 1])
@@ -253,7 +260,7 @@ def degenerate_exp(x, order: int) -> TruncatedSeries:
     A rational or PolyLambda x gives a PolyLambda-coefficient series, the
     symbol PolyXOverLambda.x() the symbolic-in-x series.
     """
-    _index(order=order)
+    _order(order)
     coeffs = _chain(x, order, PolyLambda.lam())
     return TruncatedSeries(type(coeffs[0]), coeffs)
 
@@ -275,6 +282,8 @@ def gauss_2f1_formal(a, b, c, u: TruncatedSeries) -> TruncatedSeries:
     truncates exactly.  The weights <a>_k <b>_k / <c>_k, rising factorials
     read as falling chains at step -1, form a series composed with u.
     """
+    if not isinstance(u, TruncatedSeries):
+        raise TypeError(f"argument u must be a TruncatedSeries, got {type(u).__name__}")
     if u.coeffs[0]:
         raise ValueError("composition requires zero constant term")
     if not isinstance(c, (int, Fraction)) or isinstance(c, bool):

@@ -14,7 +14,7 @@ from degenbern.series import (
     degenerate_log,
     gauss_2f1_formal,
 )
-from degenbern.triangles import falling_lambda, log_weight
+from degenbern.triangles import falling_lambda
 
 LAM = PolyLambda.lam()
 
@@ -228,12 +228,12 @@ class TestNamedSeries:
             assert c.evaluate(Fraction(0)) == x**n
 
     def test_degenerate_log_coefficients(self):
+        # c_n = (l-1)(l-2)...(l-n+1) expanded by hand, ascending in l
+        pinned = [(), (1,), (-1, 1), (2, -3, 1), (-6, 11, -6, 1), (24, -50, 35, -10, 1)]
         f = degenerate_log(5)
-        assert f.coefficient(0) == PolyLambda.zero()
-        assert f.coefficient(1) == PolyLambda.one()
-        assert f.coefficient(2) == LAM - 1
-        for n in range(1, 6):
-            assert f.coefficient(n) == log_weight(n - 1)
+        got = [f.coefficient(n).coeffs for n in range(6)]
+        assert got == pinned
+        assert all(type(c) is int for cs in got for c in cs)
 
     @pytest.mark.parametrize(
         "x",
@@ -272,6 +272,11 @@ class TestNamedSeries:
         with pytest.raises(ValueError, match="composition requires zero constant term"):
             gauss_2f1_formal(1, 1, 2, TruncatedSeries.one(PolyLambda, 4))
 
+    @pytest.mark.parametrize("u", [-1, 0, PolyLambda.lam(), None], ids=["int", "zero", "poly", "none"])
+    def test_2f1_refuses_a_non_series_argument(self, u):
+        with pytest.raises(TypeError, match=f"argument u must be a TruncatedSeries, got {type(u).__name__}"):
+            gauss_2f1_formal(1, 1, 2, u)
+
     def test_2f1_vanishing_lower_parameter(self):
         u = TruncatedSeries.t(PolyLambda, 6)
         with pytest.raises(ValueError, match="invalid lower parameter"):
@@ -298,6 +303,20 @@ class TestNamedSeries:
     def test_coefficient_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             series(1, 1).coefficient(2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: TruncatedSeries.one(PolyLambda, -1),
+            lambda: TruncatedSeries.zero(PolyLambda, -1),
+            lambda: series(1, 1).truncate(-1),
+            lambda: degenerate_exp(1, -1),
+        ],
+        ids=["one", "zero", "truncate", "degenerate_exp"],
+    )
+    def test_negative_order_refused(self, call):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            call()
 
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError, match="cannot extend"):

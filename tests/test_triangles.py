@@ -5,7 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -98,6 +98,10 @@ class TestFactorialProducts:
         assert log_weight(0) == PolyLambda.one()
         assert log_weight(1) == LAM - 1
         assert log_weight(2) == (LAM - 1) * (LAM - 2)
+
+    def test_log_weight_is_the_written_out_product(self):
+        for k in range(10):
+            assert log_weight(k) == prod((LAM - j for j in range(1, k + 1)), start=PolyLambda.one())
 
     def test_float_operand_rejected(self):
         with pytest.raises(TypeError, match="must be int or Fraction, got float and int"):
