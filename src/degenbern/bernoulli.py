@@ -27,13 +27,14 @@ over classical restricted Stirling numbers (gen_beta_classical_limit).
 
 The optional s2 argument on triangle-consuming routes substitutes a
 TriangleTable for the built-in degenerate second-kind triangle.  One memo
-policy covers the module: classical_bernoulli, gen_beta (and so carlitz_beta),
-gen_beta_poly, the Pochhammer ratios of the rstirling route and the
-generating series behind the three *_gf routes (keyed by parameter and
-series order) are memoized by triangles.memoized.  Results computed with a
-substitute table are memoized on that table, never in the pristine memo.
-Every index is a plain int: a bool or a float is refused with TypeError
-before any memo is read.
+policy, triangles.memoized, covers the module and the triangle entries its
+routes share (stirling2_deg_poly, eulerian_degenerate, log_weight):
+classical_bernoulli, gen_beta (and so carlitz_beta), gen_beta_poly, the
+Pochhammer ratios of the rstirling route and the generating series behind
+the three *_gf routes (keyed by parameter and series order).  Results
+computed with a substitute table are memoized on that table, never in the
+pristine memo.  Every index is a plain int: a bool or a float is refused
+with TypeError before any memo is read.
 """
 
 from __future__ import annotations

@@ -173,6 +173,11 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce, scale):
                 x, y = self._terms, other._terms
                 if not x or not y:
                     return zero_poly
+                # a product by one is the other operand, e.g. the x coefficient of x - c l
+                if y == unit and other._den == 1:
+                    return self
+                if x == unit and self._den == 1:
+                    return other
                 if len(x) < len(y):
                     x, y = y, x
                 out = [czero] * (len(x) + len(y) - 1)
@@ -223,6 +228,7 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce, scale):
             setattr(cls, fn.__name__, classmethod(fn))
         cls.degree, cls.lead = property(degree), property(lead)
         zero_poly, one_poly = cls(), cls((1,))
+        unit = one_poly._terms
         return cls
 
     return decorate
@@ -592,9 +598,23 @@ class PolyXOverLambda:
 
         A rational or PolyLambda substitution returns PolyLambda; substituting
         another PolyXOverLambda (e.g. x+1) returns PolyXOverLambda.  A rational
-        point must be an int or a Fraction.
+        point must be an int or a Fraction.  A linear at = a + b x goes by a
+        Taylor shift, p(a + b x) = q(b x) with q(u) = p(u + a), then the j-th
+        coefficient times b^j; a substitution of degree 2 or more runs Horner.
         """
         if isinstance(at, PolyXOverLambda):
+            if at.degree <= 1:
+                a, b, c = at.coefficient(0), at.coefficient(1), list(self._terms)
+                if a:
+                    for i in range(len(c) - 1):
+                        for j in range(len(c) - 2, i - 1, -1):
+                            c[j] = c[j] + a * c[j + 1]
+                if b != _PL_ONE:
+                    power = _PL_ONE
+                    for j in range(1, len(c)):
+                        power = power * b
+                        c[j] = c[j] * power
+                return PolyXOverLambda(c)
             acc = self.zero()
             for c in reversed(self.coeffs):
                 acc = acc * at + PolyXOverLambda.constant(c)

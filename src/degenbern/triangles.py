@@ -14,7 +14,8 @@ it is the classical recurrence.  That one recurrence builds all four Stirling
 triangles here.  The basis relations themselves, the generating functions and
 finite differences serve as independent routes in the test and verification
 layers.  All degenerate entries are PolyLambda with integer coefficients;
-classical entries are plain ints.
+classical entries are plain ints.  memoized keeps the rows, the factorial
+chains, log_weight, eulerian_degenerate and stirling2_deg_poly, each built once.
 """
 
 from __future__ import annotations
@@ -85,16 +86,6 @@ def falling_lambda(x, n: int):
     return falling_factorial(x, n, step=PolyLambda.lam())
 
 
-def log_weight(k: int) -> PolyLambda:
-    """(l-1)(l-2)...(l-k) as a PolyLambda; 1 when k = 0.
-
-    These weights are the higher coefficients of the degenerate logarithm:
-    log_weight(k) equals (k+1)! times its t^{k+1} coefficient.
-    """
-    _index(k=k)
-    return falling_factorial(PolyLambda.lam() - 1, k)
-
-
 def memoized(fn):
     """Memoize fn on its positional arguments, with one bypass for substitutes.
 
@@ -146,6 +137,18 @@ def _falling_chain(x_type, x, step_type, step, one, n: int) -> tuple:
     return tuple(chain)
 
 
+@memoized
+def log_weight(k: int) -> PolyLambda:
+    """(l-1)(l-2)...(l-k) as a PolyLambda; 1 when k = 0.
+
+    These weights are the higher coefficients of the degenerate logarithm:
+    log_weight(k) equals (k+1)! times its t^{k+1} coefficient.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    return falling_factorial(PolyLambda.lam() - 1, k)
+
+
 class TriangleTable:
     """Read-only view of a triangle (n, k) -> PolyLambda with local overrides.
 
@@ -165,16 +168,12 @@ class TriangleTable:
 
     def entry(self, n: int, k: int) -> PolyLambda:
         v = self._overrides.get((n, k))
-        if v is not None:
-            return v
-        return self._base(n, k)
+        return v if v is not None else self._base(n, k)
 
     def with_entry(self, n: int, k: int, value) -> "TriangleTable":
         if not isinstance(value, PolyLambda):
             value = PolyLambda.constant(value)
-        ov = dict(self._overrides)
-        ov[(n, k)] = value
-        return TriangleTable(self._base, ov)
+        return TriangleTable(self._base, {**self._overrides, (n, k): value})
 
     def __repr__(self) -> str:
         return f"TriangleTable(overrides={sorted(self._overrides)!r})"
@@ -258,8 +257,14 @@ def stirling2_deg_poly(n: int, k: int, x=None, s2=None):
     or PolyLambda x gives a PolyLambda.  At x = 0 this collapses to
     stirling2_deg(n, k).  The optional s2 table substitutes for the
     second-kind entries, which lets a caller probe a deliberately corrupted
-    triangle.
+    triangle.  The memo keys x by its type as well as its value: 2, 2.0, True
+    and a constant PolyXOverLambda hash alike and must not share an entry.
     """
+    return _poly_entry(n, k, type(x), x, s2=s2)
+
+
+@memoized
+def _poly_entry(n: int, k: int, x_type, x, s2=None):
     _check_triangle_indices(n, k)
     symbolic = x is None
     xe = PolyXOverLambda.x() if symbolic else x
@@ -311,13 +316,13 @@ def eulerian_classical(n: int, m: int) -> int:
     return total
 
 
+@memoized
 def eulerian_degenerate(n: int, m: int, s2=None) -> PolyLambda:
     """Degenerate Eulerian number as a PolyLambda.
 
     (-1)^{n-m} sum_k log_weight(k) binom(n-k,m) stirling2_deg(n,k); the l = 0
     specialization is the classical descent count.
     """
-    _index(m=m)
     _check_triangle_indices(n, m)
     acc = PolyLambda.zero()
     for k in range(n - m + 1):

@@ -462,10 +462,20 @@ def _resolve_selection(selection):
     return sorted(set(resolved), key=lambda i: i.value)
 
 
+def _check_bounds(max_n: int, max_p: int, truncation: int):
+    """Refuse bounds no run can honour: run_suite and suite_plan both ask here."""
+    _index(max_n=max_n, max_p=max_p, truncation=truncation)
+    for name, bound in (("max_n", max_n), ("max_p", max_p)):
+        if bound < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    if truncation < max_n + 1:
+        raise ValueError("insufficient series order")
+
+
 def suite_plan(selection=None, max_n: int = 12, max_p: int = 4, truncation: int = 16):
     """The cases a run_suite call with these arguments would sweep: the inner
     ranges are those of the last row, n = max_n."""
-    _index(max_n=max_n, max_p=max_p, truncation=truncation)
+    _check_bounds(max_n, max_p, truncation)
     bounds = _Bounds(max_n, max_p, truncation)
     plan = []
     for ident in _resolve_selection(selection):
@@ -498,19 +508,17 @@ def run_suite(
     One case per outer index n.  Reports are returned sorted by identity
     token and are deterministic apart from the elapsed field.  corrupt_s2 =
     (n, k, value) substitutes one second-kind triangle entry for the whole
-    run; the suite is expected to catch any such corruption.
+    run, at int indices with 0 <= k <= n <= max_n; the suite is expected to
+    catch any such corruption.
     """
-    _index(max_n=max_n, max_p=max_p, truncation=truncation)
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    if max_p < 0:
-        raise ValueError("max_p must be nonnegative")
-    if truncation < max_n + 1:
-        raise ValueError("insufficient series order")
+    _check_bounds(max_n, max_p, truncation)
     idents = _resolve_selection(selection)
     table = None
     if corrupt_s2 is not None:
         cn, ck, cv = corrupt_s2
+        _index(**{"n of corrupt_s2": cn, "k of corrupt_s2": ck})
+        if not 0 <= ck <= cn <= max_n:
+            raise ValueError(f"corrupt_s2 needs 0 <= k <= n <= max_n = {max_n}, got n={cn}, k={ck}")
         table = stirling2_deg_table().with_entry(cn, ck, cv)
     bounds = _Bounds(max_n, max_p, truncation, table)
     reports = []

@@ -25,7 +25,8 @@ from degenbern.bernoulli import (
     remark_sides,
 )
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
-from degenbern.triangles import falling_lambda, stirling2_deg_table
+from degenbern import triangles
+from degenbern.triangles import eulerian_degenerate, falling_lambda, stirling2_deg_poly, stirling2_deg_table
 
 LAM = PolyLambda.lam()
 X = PolyXOverLambda.x()
@@ -236,23 +237,26 @@ class TestMemoIsolation:
     @pytest.fixture(autouse=True)
     def cold_pristine_memo(self):
         # each order below must start from an empty pristine memo; carlitz_beta
-        # is gen_beta at p = 0 and shares its memo
-        for route in (gen_beta, gen_beta_poly):
-            route.pristine.clear()
+        # is gen_beta at p = 0 and shares its memo, and stirling2_deg_poly's
+        # memo is the one of triangles._poly_entry
+        for memo in (gen_beta, gen_beta_poly, eulerian_degenerate, triangles._poly_entry):
+            memo.pristine.clear()
 
     @pytest.mark.parametrize("pristine_first", [True, False], ids=["pristine-first", "table-first"])
     @pytest.mark.parametrize(
-        "route,args,fed",
+        "route,args,first,fed",
         [
-            (carlitz_beta, (), lambda n: n == 4),
-            (gen_beta, (2,), lambda n: n == 4),
-            (gen_beta_poly, (1,), lambda n: n >= 4),
+            (carlitz_beta, (), 0, lambda n: n == 4),
+            (gen_beta, (2,), 0, lambda n: n == 4),
+            (gen_beta_poly, (1,), 0, lambda n: n >= 4),
+            (stirling2_deg_poly, (2,), 2, lambda n: n >= 4),
+            (eulerian_degenerate, (0,), 0, lambda n: n == 4),
         ],
-        ids=["carlitz_beta", "gen_beta", "gen_beta_poly"],
+        ids=["carlitz_beta", "gen_beta", "gen_beta_poly", "stirling2_deg_poly", "eulerian_degenerate"],
     )
-    def test_interleaved_pristine_and_corrupted_calls(self, route, args, fed, pristine_first):
+    def test_interleaved_pristine_and_corrupted_calls(self, route, args, first, fed, pristine_first):
         table = stirling2_deg_table().with_entry(4, 2, 0)
-        for n in range(6):
+        for n in range(first, 6):
             if pristine_first:
                 clean = route(n, *args)
                 dirty = route(n, *args, s2=table)

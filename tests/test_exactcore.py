@@ -286,16 +286,18 @@ class TestDenseRings:
         px_fns = {id(vars(PolyXOverLambda)[name]) for name in self.TRACED}
         assert not pl_fns & px_fns
 
-    @pytest.mark.parametrize("ring", [polys, PX_POLYS], ids=["pl", "px"])
+    @pytest.mark.parametrize("ring,cls", [(polys, PolyLambda), (PX_POLYS, PolyXOverLambda)], ids=["pl", "px"])
     @given(data=st.data())
     @settings(max_examples=60)
-    def test_ring_operations_match_fraction_arithmetic(self, ring, data):
-        a, b = data.draw(ring), data.draw(ring)
+    def test_ring_operations_match_fraction_arithmetic(self, ring, cls, data):
+        # the ring's one is drawn on its own too: a product by it is short-circuited
+        a, b = (data.draw(ring | st.just(cls.one())) for _ in range(2))
         q, r, k = data.draw(rationals), data.draw(rationals), data.draw(st.integers(0, 3))
         va, vb = at(a, r, q), at(b, r, q)
         assert at(a + b, r, q) == va + vb
         assert at(a - b, r, q) == va - vb
         assert at(a * b, r, q) == va * vb
+        assert at(b * a, r, q) == va * vb
         assert at(-a, r, q) == -va
         assert at(a**k, r, q) == va**k
         assert at(a * q, r, q) == va * q
@@ -322,6 +324,21 @@ class TestPolyXOverLambda:
     def test_evaluate_at_poly_substitutes(self):
         p = X * X
         assert p.evaluate(X + 1) == X * X + X * 2 + 1
+
+    @given(
+        PX_POLYS,
+        st.one_of(st.just(PolyLambda.zero()), polys),
+        st.one_of(st.just(ONE), polys),
+        st.one_of(st.just(PolyLambda.zero()), polys),
+        rationals,
+        rationals,
+    )
+    @settings(max_examples=80)
+    def test_substitution_matches_fraction_arithmetic(self, p, a, b, c, r, q):
+        # a + b x goes by a Taylor shift, a quadratic (c != 0) by Horner
+        sub = X * X * c + X * b + a
+        point = at(a, r, q) + at(b, r, q) * q + at(c, r, q) * q * q
+        assert at(p.evaluate(sub), r, q) == at(p, r, point)
 
     def test_derivative(self):
         p = X * X * X - X * LAM

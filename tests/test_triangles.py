@@ -103,6 +103,10 @@ class TestFactorialProducts:
         for k in range(10):
             assert log_weight(k) == prod((LAM - j for j in range(1, k + 1)), start=PolyLambda.one())
 
+    def test_negative_log_weight_index_refused_by_name(self):
+        with pytest.raises(ValueError, match="k must be nonnegative, got -1"):
+            log_weight(-1)
+
     def test_float_operand_rejected(self):
         with pytest.raises(TypeError, match="must be int or Fraction, got float and int"):
             falling_factorial(0.5, 3)
@@ -370,6 +374,18 @@ class TestPolynomialAndRestricted:
             weighted = power.mul(shift)
             for n in range(k, n_max + 1):
                 assert weighted.coefficient(n) == stirling2_deg_poly(n, k, x=Fraction(r))
+
+    def test_warm_memo_never_answers_for_an_equal_point_of_another_type(self):
+        # 2, 2.0, True (against 1) and a constant PolyXOverLambda hash alike
+        warm = [stirling2_deg_poly(4, 2, x=x) for x in (1, 2, Fraction(2), LAM + 1)]
+        assert all(type(v) is PolyLambda for v in warm)
+        for bad in (2.0, True):
+            with pytest.raises(TypeError, match=f"got {type(bad).__name__}"):
+                stirling2_deg_poly(4, 2, x=bad)
+        lifted = stirling2_deg_poly(4, 2, x=PolyXOverLambda.constant(2))
+        assert type(lifted) is PolyXOverLambda
+        assert lifted == PolyXOverLambda.constant(warm[1])
+        assert stirling2_deg_poly(4, 2, x=2) is warm[1]
 
     def test_restricted_frozen_values(self):
         assert r_stirling2_deg(2, 1, 1) == 3 - LAM

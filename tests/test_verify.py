@@ -126,6 +126,45 @@ class TestValidation:
             run_suite(["Thm3-vs-GF"], max_n=2, max_p=-1, truncation=4)
 
 
+class TestBoundsAreOneCheck:
+    """suite_plan refuses exactly what run_suite refuses."""
+
+    ENTRY_POINTS = {
+        "run_suite": lambda **bounds: run_suite(["Eq11"], **bounds),
+        "suite_plan": lambda **bounds: suite_plan(["Eq11"], **bounds),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            (dict(max_n=-1, truncation=4), "max_n must be nonnegative"),
+            (dict(max_n=2, max_p=-1, truncation=4), "max_p must be nonnegative"),
+            (dict(max_n=8, truncation=3), "insufficient series order"),
+        ],
+        ids=["max_n", "max_p", "truncation"],
+    )
+    def test_unrunnable_bounds_refused(self, entry, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            self.ENTRY_POINTS[entry](**bounds)
+
+
+@pytest.mark.parametrize(
+    "position,error,message",
+    [
+        ((True, 0), TypeError, "n of corrupt_s2 must be int, got bool"),
+        ((2.0, 1), TypeError, "n of corrupt_s2 must be int, got float"),
+        ((9, 9), ValueError, "corrupt_s2 needs 0 <= k <= n <= max_n = 4, got n=9, k=9"),
+        ((2, 3), ValueError, "corrupt_s2 needs 0 <= k <= n <= max_n = 4, got n=2, k=3"),
+        ((-1, 0), ValueError, "corrupt_s2 needs 0 <= k <= n <= max_n = 4, got n=-1, k=0"),
+    ],
+    ids=["bool", "float", "past-max_n", "k-past-n", "negative"],
+)
+def test_corruption_position_it_cannot_honour_is_refused(position, error, message):
+    with pytest.raises(error, match=message):
+        run_suite(max_n=4, max_p=1, truncation=5, corrupt_s2=(*position, 1))
+
+
 class TestMutationDetection:
     def test_corrupted_table_entry_is_caught(self):
         reports = run_suite(
