@@ -42,9 +42,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index
+from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index, lincomb
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
+    _chain,
     eulerian_degenerate,
     falling_factorial,
     forward_difference,
@@ -140,12 +141,9 @@ def gen_beta_stirling_sum(n: int, p: int, s2=None) -> PolyLambda:
     as a cross-check.
     """
     _check_range(n, p)
-    acc = PolyLambda.zero()
-    for k in range(n + 1):
-        s = stirling2_deg(n, k, s2=s2)
-        if s:
-            acc = acc + log_weight(k) * s * Fraction(1, comb(p + k + 1, p + 1))
-    return acc
+    return lincomb(
+        (log_weight(k), stirling2_deg(n, k, s2=s2), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1)
+    )
 
 
 @memoized
@@ -177,16 +175,10 @@ def _gen_beta_series(p: int, order: int) -> TruncatedSeries:
 def gen_beta_eulerian(n: int, p: int, s2=None) -> PolyLambda:
     """Eulerian route: (p+1)/(n+p+1) sum_k eulerian_degenerate(n,k) (-1)^(n-k) / binom(p+n, p+k)."""
     _check_range(n, p, 0, 0)
-    acc = PolyLambda.zero()
-    for k in range(n + 1):
-        e = eulerian_degenerate(n, k, s2=s2)
-        if not e:
-            continue
-        c = Fraction(1, comb(p + n, p + k))
-        if (n - k) % 2:
-            c = -c
-        acc = acc + e * c
-    return acc * Fraction(p + 1, n + p + 1)
+    return lincomb(
+        (eulerian_degenerate(n, k, s2=s2), 1, Fraction((-1) ** (n - k) * (p + 1), (n + p + 1) * comb(p + n, p + k)))
+        for k in range(n + 1)
+    )
 
 
 def gen_beta_integral(n: int, p: int) -> PolyLambda:
@@ -204,13 +196,10 @@ def gen_beta_integral(n: int, p: int) -> PolyLambda:
     _check_range(n, p, 0, 0)
     lam = PolyLambda.lam()
     fall = [falling_factorial(j, n, step=lam) for j in range(n + 1)]
-    acc = PolyLambda.zero()
-    for k in range(n + 1):
-        alt = forward_difference(fall, k)
-        if not alt:
-            continue
-        acc = acc + log_weight(k) * alt * Fraction((p + 1) * factorial(p), factorial(p + k + 1))
-    return acc
+    return lincomb(
+        (log_weight(k), forward_difference(fall, k), Fraction((p + 1) * factorial(p), factorial(p + k + 1)))
+        for k in range(n + 1)
+    )
 
 
 @memoized
@@ -258,19 +247,14 @@ def gen_beta_rstirling_simplified(n: int, p: int, s2=None) -> PolyLambda:
     """
     _check_range(n, p, 1, 0)
     lam = PolyLambda.lam()
-    acc = PolyLambda.zero()
+    rising, terms = _chain(lam + p + 1, n, -1), []
     for m in (n - 1, n):
         w = falling_factorial(lam, n - m, step=lam)
-        b = comb(n, m)
         for k in range(m + 1):
-            table = stirling2_deg_poly(m, k, x=Fraction(p), s2=s2)
-            if not table:
-                continue
-            c = Fraction(b * (p + 1), p + k + 1)
-            if k % 2:
-                c = -c
-            acc = acc + falling_factorial(lam + p + 1, k, step=-1) * table * w * c
-    return acc
+            table = stirling2_deg_poly(m, k, x=Fraction(p), s2=s2) * w
+            c = Fraction((-1) ** k * comb(n, m) * (p + 1), p + k + 1)
+            terms.append((rising[k], table, c))
+    return lincomb(terms)
 
 
 def gen_beta_classical_limit(n: int, p: int) -> Fraction:
@@ -301,13 +285,8 @@ def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
     _check_range(n, p)
     x = PolyXOverLambda.x()
     lam = PolyLambda.lam()
-    acc = PolyXOverLambda.zero()
-    for l in range(n + 1):
-        b = gen_beta(l, p, s2=s2)
-        if not b:
-            continue
-        acc = acc + falling_factorial(x, n - l, step=lam) * (b * comb(n, l))
-    return acc
+    w = _chain(x, n, lam)
+    return lincomb((w[n - l], gen_beta(l, p, s2=s2), comb(n, l)) for l in range(n + 1))
 
 
 def gen_beta_poly_stirling(n: int, p: int, s2=None) -> PolyXOverLambda:
@@ -316,13 +295,9 @@ def gen_beta_poly_stirling(n: int, p: int, s2=None) -> PolyXOverLambda:
     sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg_poly(n,k).
     """
     _check_range(n, p)
-    acc = PolyXOverLambda.zero()
-    for k in range(n + 1):
-        table = stirling2_deg_poly(n, k, s2=s2)
-        if not table:
-            continue
-        acc = acc + table * (log_weight(k) * Fraction(1, comb(p + k + 1, p + 1)))
-    return acc
+    return lincomb(
+        (stirling2_deg_poly(n, k, s2=s2), log_weight(k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1)
+    )
 
 
 def gen_beta_poly_gf(n: int, p: int, order: int | None = None) -> PolyXOverLambda:
@@ -347,11 +322,9 @@ def gen_beta_poly_derivative(n: int, p: int, s2=None) -> PolyXOverLambda:
     """
     _check_range(n, p, 1)
     lam = PolyLambda.lam()
-    acc = PolyXOverLambda.zero()
-    for l in range(1, n + 1):
-        w = ((-lam) ** (l - 1)) * (factorial(l - 1) * comb(n, l))
-        acc = acc + gen_beta_poly(n - l, p, s2=s2) * w
-    return acc
+    return lincomb(
+        (gen_beta_poly(n - l, p, s2=s2), (-lam) ** (l - 1), factorial(l - 1) * comb(n, l)) for l in range(1, n + 1)
+    )
 
 
 _REMARK_RULES = ("addition", "difference", "ratio", "shift")
@@ -385,11 +358,9 @@ def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2, s2=None):
     else:
         y = 1 if rule == "difference" else y
         lhs, base, ratio, step = polys[n].evaluate(x + y), Fraction(y), 1, lam
-    rhs = PolyXOverLambda.zero()
-    for k in range(n if rule == "difference" else n + 1):
-        w = falling_factorial(base, n - k, step=step) * (ratio ** (n - k) * comb(n, k))
-        if w:
-            rhs = rhs + polys[k] * w
+    w = _chain(base, n, step)
+    ks = range(n if rule == "difference" else n + 1)
+    rhs = lincomb(((polys[k], w[n - k], ratio ** (n - k) * comb(n, k)) for k in ks), PolyXOverLambda)
     if rule == "difference":
         lhs = lhs - polys[n]
     return lhs, rhs

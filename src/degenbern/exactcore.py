@@ -15,18 +15,27 @@ denominator is 1; zero is ((), 1).  A PolyXOverLambda stores its PolyLambda
 coefficients over 1.  The canonical form makes structural equality exact
 mathematical equality.  The .coeffs view is built on each read: a
 PolyLambda coefficient that is an integer is a plain int, any other a
-Fraction; everything visible through `evaluate`/`specialize` comes back as
-Fraction.  A value equal to a simpler one (a constant PolyLambda and its
-rational, a constant PolyXOverLambda and its PolyLambda, a polynomial
-RationalFunctionLambda and its numerator) hashes like it.  Equality with a
-bool is plain False: a bool is never a coefficient.  The RationalFunctionLambda
-constructor normalizes fully; its arithmetic reduces by Henrici's smaller gcds.
+Fraction; `coefficient(i)` and `lead` read one of them alone.  Everything
+visible through `evaluate`/`specialize` comes back as Fraction.  A value
+equal to a simpler one (a constant PolyLambda and its rational, a constant
+PolyXOverLambda and its PolyLambda, a polynomial RationalFunctionLambda and
+its numerator) hashes like it.  Equality with a bool is plain False: a bool
+is never a coefficient.  The RationalFunctionLambda constructor normalizes
+fully; its arithmetic reduces by Henrici's smaller gcds, and a gcd with, or a
+division by, a monomial c l^k is a shift of the numerators.
+
+lincomb(terms) is the one kernel for a sum of products, sum a_i b_i w_i with
+a_i, b_i rational, PolyLambda or PolyXOverLambda and w_i an int or a
+Fraction.  It multiplies schoolbook on the int numerators, accumulates each
+x-coefficient over one common denominator and reduces it once, instead of
+reducing every product and every partial sum.  Its result lives in the
+widest ring among its operands: rationals alone give a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import attrgetter
 from typing import Union
 
@@ -34,6 +43,7 @@ __all__ = [
     "PolyLambda",
     "PolyXOverLambda",
     "RationalFunctionLambda",
+    "lincomb",
     "poly_divmod",
     "poly_gcd",
     "specialize",
@@ -113,10 +123,14 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce, scale):
         def lead(self):
             if not self._terms:
                 raise ValueError("zero polynomial has no leading coefficient")
-            return self.coeffs[-1]
+            return coefficient(self, len(self._terms) - 1)
 
         def coefficient(self, i: int):
-            return self.coeffs[i] if 0 <= i < len(self._terms) else czero
+            """The i-th element of .coeffs, built alone; zero past the degree."""
+            if not 0 <= i < len(self._terms):
+                return czero
+            t, d = self._terms[i], self._den
+            return t if d == 1 else Fraction(t, d) if t % d else t // d
 
         def __bool__(self) -> bool:
             return bool(self._terms)
@@ -347,6 +361,11 @@ def poly_divmod(a: PolyLambda, b: PolyLambda) -> tuple[PolyLambda, PolyLambda]:
     # divide the numerators A by B, keeping rem and quot over one denominator
     # d, a power of B's lead lb: each step scales both by lb
     bs, lb = b._terms, b._terms[-1]
+    if not any(bs[:-1]):
+        # a monomial b = lb l^n / b._den divides by a shift of the numerators
+        s = b._den if lb > 0 else -b._den
+        q = _pl_reduce([v * s for v in a._terms[n:]], a._den * abs(lb))
+        return q, _pl_reduce(list(a._terms[:n]), a._den)
     rem, quot, d = list(a._terms), [0] * (a.degree - n + 1), 1
     for i in range(len(rem) - 1, n - 1, -1):
         c = rem[i]
@@ -378,7 +397,14 @@ def _primitive(p: PolyLambda) -> PolyLambda:
 
 
 def poly_gcd(a: PolyLambda, b: PolyLambda) -> PolyLambda:
-    """Monic gcd in Q[l] via Euclid with content/primitive-part reduction."""
+    """Monic gcd in Q[l] via Euclid with content/primitive-part reduction; with
+    a monomial c l^k it is l^min(k, v), v the number of leading zeros of the
+    other operand (the rstirling route's denominators are powers of l)."""
+    for f, g in ((a, b), (b, a)):
+        t = g._terms
+        if t and not any(t[:-1]):
+            k = next((v for v, c in enumerate(f._terms[: len(t) - 1]) if c), len(t) - 1)
+            return _pl_reduce([0] * k + [1], 1)
     a, b = _primitive(a), _primitive(b)
     while b:
         _, r = poly_divmod(a, b)
@@ -405,9 +431,7 @@ class RationalFunctionLambda:
             self.num, self.den = _PL_ZERO, _PL_ONE
             return
         g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
+        num, den = _exact_quo(num, g), _exact_quo(den, g)
         inv = 1 / Fraction(den.lead)
         self.num = num * inv
         self.den = den * inv
@@ -599,22 +623,20 @@ class PolyXOverLambda:
         A rational or PolyLambda substitution returns PolyLambda; substituting
         another PolyXOverLambda (e.g. x+1) returns PolyXOverLambda.  A rational
         point must be an int or a Fraction.  A linear at = a + b x goes by a
-        Taylor shift, p(a + b x) = q(b x) with q(u) = p(u + a), then the j-th
-        coefficient times b^j; a substitution of degree 2 or more runs Horner.
+        Taylor shift, one lincomb per coefficient of the result:
+        c'_j = b^j sum_i binom(i, j) a^(i-j) c_i.  A substitution of degree 2
+        or more runs Horner.
         """
         if isinstance(at, PolyXOverLambda):
             if at.degree <= 1:
-                a, b, c = at.coefficient(0), at.coefficient(1), list(self._terms)
-                if a:
-                    for i in range(len(c) - 1):
-                        for j in range(len(c) - 2, i - 1, -1):
-                            c[j] = c[j] + a * c[j + 1]
-                if b != _PL_ONE:
-                    power = _PL_ONE
-                    for j in range(1, len(c)):
-                        power = power * b
-                        c[j] = c[j] * power
-                return PolyXOverLambda(c)
+                c, a, b = self._terms, [_PL_ONE], [_PL_ONE]  # a^i and b^j
+                for _ in range(1, len(c)):
+                    a.append(a[-1] * at.coefficient(0))
+                    b.append(b[-1] * at.coefficient(1))
+                return PolyXOverLambda(
+                    lincomb((c[i], a[i - j], comb(i, j)) for i in range(j, len(c))) * b[j]
+                    for j in range(len(c))
+                )
             acc = self.zero()
             for c in reversed(self.coeffs):
                 acc = acc * at + PolyXOverLambda.constant(c)
@@ -653,6 +675,63 @@ class PolyXOverLambda:
             else:
                 parts.append(f"({inner})*{v}")
         return " + ".join(parts) if parts else "0"
+
+
+def _columns(v) -> tuple:
+    """(rank, columns) of a lincomb operand: rank 0, 1, 2 for a rational, a PolyLambda,
+    a PolyXOverLambda; a column (j, numerators, denominator) per nonzero x^j coefficient."""
+    t = type(v)
+    if t is PolyLambda:
+        return 1, ((0, v._terms, v._den),) if v._terms else ()
+    if t is PolyXOverLambda:
+        return 2, [(j, c._terms, c._den) for j, c in enumerate(v._terms) if c._terms]
+    v = _norm_coeff(v)  # which refuses a float or a bool
+    return 0, ((0, (v.numerator,), v.denominator),) if v else ()
+
+
+_RANKS = {Fraction: 0, PolyLambda: 1, PolyXOverLambda: 2}
+
+
+def lincomb(terms, ring=Fraction):
+    """sum a * b * w over the triples (a, b, w) of terms (see the module docstring):
+    each x-coefficient over the lcm of its terms' denominators so far, reduced
+    once.  ring is the narrowest ring of the sum, and the ring of an empty one."""
+    rank = _RANKS[ring]
+    acc = []  # acc[j]: [numerators, denominator] of the x^j coefficient
+    for a, b, w in terms:
+        ra, xs = _columns(a)
+        rb, ys = _columns(b)
+        rank = max(rank, ra, rb)
+        if type(w) is not int:
+            w = _norm_coeff(w)
+        if not (w and xs and ys):
+            continue
+        wn, wd = w.numerator, w.denominator
+        while len(acc) <= xs[-1][0] + ys[-1][0]:
+            acc.append([[], 1])
+        for i, x, dx in xs:
+            dx *= wd
+            for j, y, dy in ys:
+                col = acc[i + j]
+                out, den = col
+                d = dx * dy
+                if den % d:
+                    m = den // gcd(den, d) * d
+                    col[0] = out = [c * (m // den) for c in out]
+                    col[1] = den = m
+                s = wn * (den // d)
+                u, v = (x, y) if len(x) >= len(y) else (y, x)
+                if len(out) < len(u) + len(v) - 1:
+                    out += [0] * (len(u) + len(v) - 1 - len(out))
+                for k, c in enumerate(v):
+                    if c:
+                        c *= s
+                        for h, e in enumerate(u, k):
+                            out[h] += c * e
+    coeffs = [_pl_reduce(out, den) for out, den in acc] or [_PL_ZERO]
+    if rank == 2:
+        return PolyXOverLambda(coeffs)
+    return coeffs[0] if rank else Fraction(coeffs[0].coefficient(0))
 
 
 def specialize(value, *, lam: Scalar | None = None, x: Scalar | None = None):

@@ -5,7 +5,8 @@ product is the binomial convolution c_n(fg) = sum_i binom(n,i) c_i(f) c_{n-i}(g)
 and the coefficients of the degenerate exponential stay polynomial.
 Coefficients live in one of the exact rings from exactcore (PolyLambda or
 PolyXOverLambda); the ring is carried explicitly and mixed-ring arithmetic is
-refused.  All operations truncate to the smaller order of their operands.  The
+refused.  All operations truncate to the smaller order of their operands, and
+mul, div and compose make one exactcore.lincomb call per coefficient.  The
 named series and the binomial_pow and gauss_2f1_formal weights are the
 memoized factorial chains of triangles.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactcore import PolyLambda, PolyXOverLambda, _index
+from .exactcore import PolyLambda, PolyXOverLambda, _index, lincomb
 from .triangles import _chain, memoized
 
 __all__ = [
@@ -155,22 +156,11 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             raise ValueError("series product needs two series; use scale for ring elements")
         self._check_ring(other)
-        n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        zero = self.ring.constant(0)
-        out = []
-        for m in range(n + 1):
-            acc = zero
-            for i in range(m + 1):
-                ca = a[i]
-                if not ca:
-                    continue
-                cb = b[m - i]
-                if not cb:
-                    continue
-                acc = acc + ca * cb * comb(m, i)
-            out.append(acc)
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(self.ring, [
+            lincomb(((a[i], b[m - i], comb(m, i)) for i in range(m + 1)), self.ring)
+            for m in range(min(self.order, other.order) + 1)
+        ])
 
     __mul__ = mul
 
@@ -181,20 +171,12 @@ class TruncatedSeries:
         if unit is None:
             raise ValueError("series not invertible")
         inv = Fraction(1) / unit
-        n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
         out: list = []
-        for m in range(n + 1):
-            acc = a[m]
-            for i in range(m):
-                ci = out[i]
-                if not ci:
-                    continue
-                cb = b[m - i]
-                if not cb:
-                    continue
-                acc = acc - ci * cb * comb(m, i)
-            out.append(acc * inv)
+        for m in range(min(self.order, other.order) + 1):
+            # out_m = (a_m - sum_{i<m} binom(m, i) out_i b_{m-i}) / b_0
+            terms = [(a[m], 1, inv)] + [(out[i], b[m - i], -comb(m, i) * inv) for i in range(m)]
+            out.append(lincomb(terms, self.ring))
         return TruncatedSeries(self.ring, out)
 
     __truediv__ = div
@@ -211,11 +193,11 @@ class TruncatedSeries:
         n = min(self.order, inner.order)
         f = self.coeffs
         powers = _scaled_powers(inner, n)
-        acc = powers[0].scale(f[0])
-        for k in range(1, n + 1):
-            if f[k]:
-                acc = acc + powers[k].scale(f[k])
-        return acc
+        # inner^k/k! starts at t^k, so coefficient m sums over k <= m only
+        return TruncatedSeries(self.ring, [
+            lincomb(((powers[k].coeffs[m], f[k], 1) for k in range(m + 1)), self.ring)
+            for m in range(n + 1)
+        ])
 
     def binomial_pow(self, alpha) -> "TruncatedSeries":
         """(1 + self)^alpha = sum_k binom(alpha, k) self^k, requiring self(0) = 0.

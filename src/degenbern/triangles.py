@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import wraps
 from math import comb
 
-from .exactcore import PolyLambda, PolyXOverLambda, _index
+from .exactcore import PolyLambda, PolyXOverLambda, _index, lincomb
 
 __all__ = [
     "falling_factorial",
@@ -44,6 +44,9 @@ __all__ = [
     "TriangleTable",
     "stirling2_deg_table",
 ]
+
+
+_OPERANDS = (int, Fraction, PolyLambda, PolyXOverLambda)
 
 
 def falling_factorial(x, n: int, step=1):
@@ -65,7 +68,7 @@ def _chain(x, n: int, step=1) -> tuple:
     if n < 0:
         raise ValueError("factorial product length must be nonnegative")
     for v in (x, step):
-        if isinstance(v, bool) or not isinstance(v, (int, Fraction, PolyLambda, PolyXOverLambda)):
+        if isinstance(v, bool) or not isinstance(v, _OPERANDS):
             raise TypeError(f"factorial operands must be int or Fraction, got {type(x).__name__} and {type(step).__name__}")
     if isinstance(x, PolyXOverLambda) or isinstance(step, PolyXOverLambda):
         one = PolyXOverLambda.one()
@@ -260,21 +263,16 @@ def stirling2_deg_poly(n: int, k: int, x=None, s2=None):
     triangle.  The memo keys x by its type as well as its value: 2, 2.0, True
     and a constant PolyXOverLambda hash alike and must not share an entry.
     """
+    if x is not None and (isinstance(x, bool) or not isinstance(x, _OPERANDS)):
+        raise TypeError(f"x must be int, Fraction, PolyLambda or PolyXOverLambda, got {type(x).__name__}")
     return _poly_entry(n, k, type(x), x, s2=s2)
 
 
 @memoized
 def _poly_entry(n: int, k: int, x_type, x, s2=None):
     _check_triangle_indices(n, k)
-    symbolic = x is None
-    xe = PolyXOverLambda.x() if symbolic else x
-    acc = PolyXOverLambda.zero() if symbolic else PolyLambda.zero()
-    for l in range(k, n + 1):
-        s = stirling2_deg(l, k, s2=s2)
-        if not s:
-            continue
-        acc = acc + falling_lambda(xe, n - l) * s * comb(n, l)
-    return acc
+    w = _chain(PolyXOverLambda.x() if x is None else x, n - k, PolyLambda.lam())
+    return lincomb((w[n - l], stirling2_deg(l, k, s2=s2), comb(n, l)) for l in range(k, n + 1))
 
 
 def r_stirling2_deg(n: int, k: int, r: int, s2=None) -> PolyLambda:
@@ -324,13 +322,8 @@ def eulerian_degenerate(n: int, m: int, s2=None) -> PolyLambda:
     specialization is the classical descent count.
     """
     _check_triangle_indices(n, m)
-    acc = PolyLambda.zero()
-    for k in range(n - m + 1):
-        s = stirling2_deg(n, k, s2=s2)
-        if not s:
-            continue
-        acc = acc + log_weight(k) * s * comb(n - k, m)
-    return acc if (n - m) % 2 == 0 else -acc
+    sign = -1 if (n - m) % 2 else 1
+    return lincomb((log_weight(k), stirling2_deg(n, k, s2=s2), sign * comb(n - k, m)) for k in range(n - m + 1))
 
 
 def forward_difference(values, k: int):
@@ -338,7 +331,8 @@ def forward_difference(values, k: int):
 
     values must supply f(x), f(x+1), ..., f(x+k) as elements of one ring
     (rationals, PolyLambda, or PolyXOverLambda for symbolic x); the result is
-    sum_j (-1)^(k-j) binom(k,j) values[j].  Extra trailing values are ignored.
+    sum_j (-1)^(k-j) binom(k,j) values[j], in their ring (a Fraction for
+    rationals).  Extra trailing values are ignored.
     """
     _index(k=k)
     if k < 0:
@@ -346,13 +340,7 @@ def forward_difference(values, k: int):
     values = list(values)
     if len(values) < k + 1:
         raise ValueError("insufficient values")
-    acc = None
-    for j in range(k + 1):
-        term = values[j] * comb(k, j)
-        if (k - j) % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return lincomb((values[j], 1, (-1) ** (k - j) * comb(k, j)) for j in range(k + 1))
 
 
 def stirling2_deg_table() -> TriangleTable:

@@ -46,10 +46,11 @@ from .bernoulli import (
     gen_beta_stirling_sum,
     remark_sides,
 )
-from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index
+from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index, lincomb
 from .series import TruncatedSeries, _scaled_powers, degenerate_exp, gauss_2f1_formal
 from .triangles import (
     TriangleTable,
+    _chain,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,
@@ -227,12 +228,8 @@ def _ck_thm1(b: _Bounds, n: int, sweep):
 
 
 def _ck_thm2(b: _Bounds, n: int, sweep):
-    acc = PolyLambda.zero()
-    for k in range(n + 1):
-        s = stirling1_deg(n, k)
-        if s:
-            acc = acc + s * carlitz_beta(k, s2=b.table)
-    yield {"n": n}, acc, log_weight(n) * Fraction(1, n + 1)
+    lhs = lincomb((stirling1_deg(n, k), carlitz_beta(k, s2=b.table), 1) for k in range(n + 1))
+    yield {"n": n}, lhs, log_weight(n) * Fraction(1, n + 1)
 
 
 def _ck_thm3(b: _Bounds, n: int, sweep):
@@ -298,20 +295,17 @@ def _ck_eq11(b: _Bounds, n: int, sweep):
 def _ck_eq12(b: _Bounds, n: int, sweep):
     zero = Fraction(0)
     for m in sweep["m"]:
-        rhs = Fraction(0)
-        for k in range(n - m + 1):
-            term = stirling2_deg(n, k, s2=b.table).evaluate(zero) * comb(n - k, m) * factorial(k)
-            rhs += -term if (n - k - m) % 2 else term
+        rhs = lincomb(
+            (stirling2_deg(n, k, s2=b.table).evaluate(zero), 1, (-1) ** (n - k - m) * comb(n - k, m) * factorial(k))
+            for k in range(n - m + 1)
+        )
         yield {"n": n, "m": m}, eulerian_classical(n, m), rhs
 
 
 def _ck_eq13(b: _Bounds, n: int, sweep):
     x = PolyXOverLambda.x()
-    rhs = PolyXOverLambda.zero()
-    for k in range(n + 1):
-        e = eulerian_classical(n, k)
-        if e:
-            rhs = rhs + falling_factorial(x + k, n) * Fraction(e, factorial(n))
+    weights = [Fraction(eulerian_classical(n, k), factorial(n)) for k in range(n + 1)]
+    rhs = lincomb((falling_factorial(x + k, n), 1, w) for k, w in enumerate(weights))
     yield {"n": n}, x**n, rhs
 
 
@@ -330,19 +324,8 @@ def _ck_eq26_27(b: _Bounds, n: int, sweep):
 
 def _ck_eq30(b: _Bounds, n: int, sweep):
     t = PolyXOverLambda.x()
-    lhs = PolyXOverLambda.zero()
-    for k in range(n + 1):
-        s = stirling2_deg(n, k, s2=b.table)
-        if s:
-            lhs = lhs + (t + 1) ** (n - k) * (log_weight(k) * s)
-    rhs = PolyXOverLambda.zero()
-    power = PolyXOverLambda.one()
-    for m in range(n + 1):
-        e = eulerian_degenerate(n, m, s2=b.table)
-        if e:
-            term = power * e
-            rhs = rhs + (-term if (n - m) % 2 else term)
-        power = power * t
+    lhs = lincomb(((t + 1) ** (n - k), log_weight(k) * stirling2_deg(n, k, s2=b.table), 1) for k in range(n + 1))
+    rhs = lincomb((t**m, eulerian_degenerate(n, m, s2=b.table), (-1) ** (n - m)) for m in range(n + 1))
     yield {"n": n}, lhs, rhs
 
 
@@ -350,10 +333,8 @@ def _ck_eq32_33(b: _Bounds, n: int, sweep):
     x = PolyXOverLambda.x()
     for r in sweep["r"]:
         entries = [r_stirling2_deg(n, k, r, s2=b.table) for k in sweep["k"]]
-        rhs = PolyXOverLambda.zero()
-        for k, entry in zip(sweep["k"], entries):
-            if entry:
-                rhs = rhs + falling_factorial(x, k) * entry
+        basis = _chain(x, n)
+        rhs = lincomb((basis[k], entry, 1) for k, entry in zip(sweep["k"], entries))
         yield {"n": n, "r": r}, falling_lambda(x + r, n), rhs
         for k, entry in zip(sweep["k"], entries):
             oracle = _restricted_column(k, r, b.truncation).coefficient(n)
@@ -377,11 +358,8 @@ def _remark_check(rule: str):
 def _ck_duality(b: _Bounds, n: int, sweep):
     for k in sweep["k"]:
         delta = PolyLambda.one() if n == k else PolyLambda.zero()
-        down = PolyLambda.zero()
-        up = PolyLambda.zero()
-        for l in range(k, n + 1):
-            down = down + stirling2_deg(n, l, s2=b.table) * stirling1_deg(l, k)
-            up = up + stirling1_deg(n, l) * stirling2_deg(l, k, s2=b.table)
+        down = lincomb((stirling2_deg(n, l, s2=b.table), stirling1_deg(l, k), 1) for l in range(k, n + 1))
+        up = lincomb((stirling1_deg(n, l), stirling2_deg(l, k, s2=b.table), 1) for l in range(k, n + 1))
         yield {"n": n, "k": k}, down, delta
         yield {"n": n, "k": k}, up, delta
 

@@ -1,9 +1,10 @@
 """Exact arithmetic foundations: Q[l], Q(l), Q[l][x]."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from degenbern import exactcore
@@ -11,6 +12,7 @@ from degenbern.exactcore import (
     PolyLambda,
     PolyXOverLambda,
     RationalFunctionLambda,
+    lincomb,
     poly_divmod,
     poly_gcd,
     specialize,
@@ -301,6 +303,108 @@ class TestDenseRings:
         assert at(-a, r, q) == -va
         assert at(a**k, r, q) == va**k
         assert at(a * q, r, q) == va * q
+
+
+# lincomb operands: rationals, PolyLambda and PolyXOverLambda, each with its
+# zero and its one drawn on their own, and wide numerators over many
+# denominators, so that the common denominator of a sum has to grow
+KERNEL_SCALARS = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1)]),
+    st.integers(-(10**9), 10**9),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=360),
+)
+KERNEL_PL = st.one_of(
+    st.sampled_from([PolyLambda.zero(), PolyLambda.one()]),
+    st.lists(KERNEL_SCALARS, max_size=5).map(PolyLambda),
+)
+KERNEL_PX = st.one_of(
+    st.sampled_from([PolyXOverLambda.zero(), PolyXOverLambda.one()]),
+    st.lists(KERNEL_PL, max_size=4).map(PolyXOverLambda),
+)
+KERNEL_TERMS = st.lists(
+    st.tuples(
+        st.one_of(KERNEL_SCALARS, KERNEL_PL, KERNEL_PX),
+        st.one_of(KERNEL_SCALARS, KERNEL_PL, KERNEL_PX),
+        st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**4)),
+    ),
+    max_size=6,
+)
+RINGS = (Fraction, PolyLambda, PolyXOverLambda)
+
+
+def naive_sum(terms, ring=Fraction):
+    """The add-multiply loop lincomb replaces, started from the zero of ring."""
+    acc = ring(0) if ring is Fraction else ring.zero()
+    for a, b, w in terms:
+        acc = acc + a * b * w
+    return acc
+
+
+def canonical_form(v):
+    """v, after checking its stored form: a positive denominator coprime to the
+    numerators and no trailing zero, in every PolyLambda it holds."""
+    if isinstance(v, PolyXOverLambda):
+        assert not v._terms or v._terms[-1]
+        for c in v._terms:
+            canonical_form(c)
+    elif isinstance(v, PolyLambda):
+        assert v._den > 0 and gcd(v._den, *v._terms) == 1
+        assert not v._terms or v._terms[-1]
+    return v
+
+
+class TestLincomb:
+    """exactcore.lincomb against the add-multiply loop it replaces."""
+
+    @given(KERNEL_TERMS, st.sampled_from(RINGS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_add_multiply_loop(self, terms, ring):
+        got, want = lincomb(terms, ring), naive_sum(terms, ring)
+        assert got == want
+        assert type(got) is type(want)
+        canonical_form(got)
+
+    @given(KERNEL_TERMS)
+    @settings(max_examples=100, deadline=None)
+    def test_accepts_a_generator_and_keeps_the_ring_of_its_operands(self, terms):
+        got = lincomb(t for t in terms)
+        assert got == naive_sum(terms)
+        ranks = [RINGS.index(type(v)) if type(v) in RINGS else 0 for a, b, _ in terms for v in (a, b)]
+        assert type(got) is RINGS[max(ranks, default=0)]
+
+    def test_rationals_give_a_fraction(self):
+        got = lincomb([(1, 2, 3), (Fraction(1, 2), 4, -1)])
+        assert type(got) is Fraction and got == 4
+        assert type(lincomb([(1, 1, 0)])) is Fraction
+        assert type(lincomb([])) is Fraction
+        assert lincomb([], PolyXOverLambda) == PolyXOverLambda.zero()
+
+    @pytest.mark.parametrize("bad", [(1.5, LAM, 1), (LAM, True, 1), (LAM, LAM, 0.5), (LAM, LAM, True), ("1", LAM, 1)])
+    def test_float_bool_and_foreign_operands_refused(self, bad):
+        with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
+            lincomb([bad])
+
+
+class TestCoefficientReads:
+    @given(coeffs=st.lists(rationals, max_size=6), i=st.integers(-2, 8))
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_reads_are_the_view_without_building_it(self, coeffs, i, monkeypatch):
+        p = PolyLambda(coeffs)
+        view = p.coeffs
+        want = view[i] if 0 <= i < len(view) else 0
+        with monkeypatch.context() as m:
+            m.setattr(PolyLambda, "coeffs", property(lambda self: pytest.fail("read the whole view")))
+            got, lead = p.coefficient(i), (p.lead if view else None)
+        assert got == want and type(got) is type(want)
+        if view:
+            assert lead == view[-1] and type(lead) is type(view[-1])
+
+    def test_x_coefficients_are_polylambda(self):
+        p = PolyXOverLambda([1, LAM])
+        assert p.coefficient(0) == PolyLambda.one() and type(p.coefficient(0)) is PolyLambda
+        assert p.lead is p.coeffs[-1]
+        with pytest.raises(ValueError, match="no leading coefficient"):
+            PolyLambda.zero().lead
 
 
 class TestPolyXOverLambda:

@@ -2,7 +2,9 @@
 
 Every PolyLambda result is compared with sympy's, and its stored form is
 checked to be canonical: a positive denominator coprime to the content of
-the integer numerators, and no trailing zero.
+the integer numerators, and no trailing zero.  The same holds for the fused
+kernel lincomb over Q[l] and Q[l][x], and for the monomial paths of poly_gcd
+and poly_divmod, which the Q(l) values of the rstirling route take.
 """
 
 from fractions import Fraction
@@ -12,11 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenbern.exactcore import PolyLambda, poly_divmod, poly_gcd
+from degenbern.exactcore import (
+    PolyLambda,
+    PolyXOverLambda,
+    RationalFunctionLambda,
+    lincomb,
+    poly_divmod,
+    poly_gcd,
+)
 
 sympy = pytest.importorskip("sympy")
 
 L = sympy.Symbol("l")
+X = sympy.Symbol("x")
 
 # wide numerators and many denominators, so sums need lcm scaling and
 # products and quotients need their gcd
@@ -97,3 +107,75 @@ def test_division_and_gcd_agree_with_sympy(a, b):
         agree(q, sq)
         agree(r, sr)
     agree(poly_gcd(a, b), sa.gcd(sb))
+
+
+# c l^k with a nonzero c: the denominators of the rstirling route
+monomials = st.tuples(coefficients.filter(bool), st.integers(0, 6)).map(lambda t: PolyLambda([0] * t[1] + [t[0]]))
+# a monomial times a general polynomial, so that a power of l divides it
+shifted = st.tuples(polys, st.integers(0, 4)).map(lambda t: PolyLambda([0] * t[1] + list(t[0].coeffs)))
+gcd_operands = st.one_of(monomials, shifted, polys)
+
+
+@given(gcd_operands, gcd_operands)
+@settings(max_examples=150, deadline=None)
+def test_monomial_gcd_division_and_cancel_agree_with_sympy(a, b):
+    sa, sb = to_sympy(a), to_sympy(b)
+    agree(poly_gcd(a, b), sa.gcd(sb))
+    agree(poly_gcd(b, a), sb.gcd(sa))
+    if not b:
+        return
+    q, r = poly_divmod(a, b)
+    sq, sr = sa.div(sb)
+    agree(q, sq)
+    agree(r, sr)
+    # the constructor's normal form: coprime, with a monic denominator
+    num, den = sympy.fraction(sympy.cancel(sa.as_expr() / sb.as_expr()))
+    num, den = sympy.Poly(num, L, domain=sympy.QQ), sympy.Poly(den, L, domain=sympy.QQ)
+    lead = den.LC()
+    got = RationalFunctionLambda(a, b)
+    agree(got.num, num * (1 / lead))
+    agree(got.den, den.monic())
+
+
+def to_sympy_xl(v):
+    """A value of Q, Q[l] or Q[l][x] as a sympy Poly in x and l."""
+    if isinstance(v, PolyXOverLambda):
+        terms = {(j, i): rational(Fraction(c)) for j, p in enumerate(v.coeffs) for i, c in enumerate(p.coeffs)}
+    elif isinstance(v, PolyLambda):
+        terms = {(0, i): rational(Fraction(c)) for i, c in enumerate(v.coeffs)}
+    else:
+        terms = {(0, 0): rational(Fraction(v))}
+    return sympy.Poly.from_dict(terms or {(0, 0): 0}, X, L, domain=sympy.QQ)
+
+
+scalars_or_zero = st.one_of(st.sampled_from([0, 1, -1]), coefficients)
+kernel_pl = st.one_of(st.sampled_from([PolyLambda.zero(), PolyLambda.one()]), polys)
+kernel_px = st.lists(kernel_pl, max_size=4).map(PolyXOverLambda)
+kernel_terms = st.lists(
+    st.tuples(
+        st.one_of(scalars_or_zero, kernel_pl, kernel_px),
+        st.one_of(scalars_or_zero, kernel_pl, kernel_px),
+        st.one_of(st.sampled_from([0, 1, -1]), scalars),
+    ),
+    max_size=5,
+)
+
+
+@given(kernel_terms)
+@settings(max_examples=150, deadline=None)
+def test_lincomb_agrees_with_sympy(terms):
+    got = lincomb(terms)
+    want = sum(
+        (to_sympy_xl(a) * to_sympy_xl(b) * rational(Fraction(w)) for a, b, w in terms),
+        sympy.Poly(0, X, L, domain=sympy.QQ),
+    )
+    assert to_sympy_xl(got) == want
+    if isinstance(got, PolyXOverLambda):
+        assert not got.coeffs or got.coeffs[-1]
+        for c in got.coeffs:
+            canonical(c)
+    elif isinstance(got, PolyLambda):
+        canonical(got)
+    else:
+        # rationals in, a Fraction out
+        assert type(got) is Fraction

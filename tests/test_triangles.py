@@ -387,6 +387,13 @@ class TestPolynomialAndRestricted:
         assert lifted == PolyXOverLambda.constant(warm[1])
         assert stirling2_deg_poly(4, 2, x=2) is warm[1]
 
+    @pytest.mark.parametrize("bad", [[1], {2: 1}, "2", 2.0, True], ids=["list", "dict", "str", "float", "bool"])
+    def test_bad_point_refused_by_name_before_the_memo(self, bad):
+        # a list or a dict is unhashable: the memo lookup must not be the one to refuse it
+        named = f"x must be int, Fraction, PolyLambda or PolyXOverLambda, got {type(bad).__name__}"
+        with pytest.raises(TypeError, match=named):
+            stirling2_deg_poly(3, 1, x=bad)
+
     def test_restricted_frozen_values(self):
         assert r_stirling2_deg(2, 1, 1) == 3 - LAM
         for n in range(7):
