@@ -358,14 +358,14 @@ def poly_divmod(a: PolyLambda, b: PolyLambda) -> tuple[PolyLambda, PolyLambda]:
     n = b.degree
     if a.degree < n:
         return _PL_ZERO, a
-    # divide the numerators A by B, keeping rem and quot over one denominator
-    # d, a power of B's lead lb: each step scales both by lb
     bs, lb = b._terms, b._terms[-1]
     if not any(bs[:-1]):
         # a monomial b = lb l^n / b._den divides by a shift of the numerators
         s = b._den if lb > 0 else -b._den
         q = _pl_reduce([v * s for v in a._terms[n:]], a._den * abs(lb))
         return q, _pl_reduce(list(a._terms[:n]), a._den)
+    # divide the numerators A by B, keeping rem and quot over one denominator
+    # d, a power of B's lead lb: each step scales both by lb
     rem, quot, d = list(a._terms), [0] * (a.degree - n + 1), 1
     for i in range(len(rem) - 1, n - 1, -1):
         c = rem[i]
@@ -693,9 +693,9 @@ _RANKS = {Fraction: 0, PolyLambda: 1, PolyXOverLambda: 2}
 
 
 def lincomb(terms, ring=Fraction):
-    """sum a * b * w over the triples (a, b, w) of terms (see the module docstring):
-    each x-coefficient over the lcm of its terms' denominators so far, reduced
-    once.  ring is the narrowest ring of the sum, and the ring of an empty one."""
+    """sum a * b * w over the triples (a, b, w) of terms, each x-coefficient
+    over the lcm of its terms' denominators and reduced once (see the module
+    docstring); the sum lives in the widest of ring and the operands' rings."""
     rank = _RANKS[ring]
     acc = []  # acc[j]: [numerators, denominator] of the x^j coefficient
     for a, b, w in terms:
@@ -728,7 +728,8 @@ def lincomb(terms, ring=Fraction):
                         c *= s
                         for h, e in enumerate(u, k):
                             out[h] += c * e
-    coeffs = [_pl_reduce(out, den) for out, den in acc] or [_PL_ZERO]
+    # a coefficient equal to one is the shared one: the memos hold many monic sums
+    coeffs = [_PL_ONE if out == [1] and den == 1 else _pl_reduce(out, den) for out, den in acc] or [_PL_ZERO]
     if rank == 2:
         return PolyXOverLambda(coeffs)
     return coeffs[0] if rank else Fraction(coeffs[0].coefficient(0))
