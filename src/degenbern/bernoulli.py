@@ -25,16 +25,15 @@ except m = n and m = n-1.  That corrected form is implemented here, it agrees
 with all other routes, and the associated l -> 0 limit becomes a single sum
 over classical restricted Stirling numbers (gen_beta_classical_limit).
 
-The optional s2 argument on triangle-consuming routes substitutes a
-TriangleTable for the built-in degenerate second-kind triangle.  One memo
-policy, triangles.memoized, covers the module and the triangle entries its
-routes share (stirling2_deg_poly, eulerian_degenerate, log_weight):
-classical_bernoulli, gen_beta (and so carlitz_beta), gen_beta_poly, the
-Pochhammer ratios of the rstirling route and the generating series behind
-the three *_gf routes (keyed by parameter and series order).  Results
-computed with a substitute table are memoized on that table, never in the
-pristine memo.  Every index is a plain int: a bool or a float is refused
-with TypeError before any memo is read.
+One memo policy, triangles.memoized, covers the module and the triangle
+entries its routes share (stirling2_deg_poly, eulerian_degenerate,
+log_weight): classical_bernoulli, gen_beta (and so carlitz_beta),
+gen_beta_poly, the Pochhammer ratios of the rstirling route and the
+generating series behind the three *_gf routes (keyed by parameter and
+series order).  Inside triangles.substituted each of these memos is the
+substitution's own, so one corrupted entry reaches every route built on it.
+Every index is a plain int: a bool or a float is refused with TypeError
+before any memo is read.
 """
 
 from __future__ import annotations
@@ -85,14 +84,14 @@ def _check_range(n: int, p: int, n_min: int = 0, p_min: int = -1):
         raise ValueError(_RANGE_ERROR)
 
 
-def carlitz_beta(n: int, s2=None) -> PolyLambda:
+def carlitz_beta(n: int) -> PolyLambda:
     """Degenerate Bernoulli number as the weighted second-kind row sum.
 
     sum_k log_weight(k)/(k+1) * stirling2_deg(n,k), which is gen_beta(n, 0)
     because binom(k+1, 1) = k+1; the constant term at l = 0 is the classical
     Bernoulli number B_n.
     """
-    return gen_beta(n, 0, s2=s2)
+    return gen_beta(n, 0)
 
 
 def carlitz_beta_gf(n: int, order: int | None = None) -> PolyLambda:
@@ -132,7 +131,7 @@ def classical_bernoulli(n: int) -> Fraction:
     return Fraction(-total, n + 1)
 
 
-def gen_beta_stirling_sum(n: int, p: int, s2=None) -> PolyLambda:
+def gen_beta_stirling_sum(n: int, p: int) -> PolyLambda:
     """The triangle-route sum, defined for every p >= -1.
 
     sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg(n,k).  At p = -1
@@ -141,13 +140,11 @@ def gen_beta_stirling_sum(n: int, p: int, s2=None) -> PolyLambda:
     as a cross-check.
     """
     _check_range(n, p)
-    return lincomb(
-        (log_weight(k), stirling2_deg(n, k, s2=s2), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1)
-    )
+    return lincomb((log_weight(k), stirling2_deg(n, k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
 
 
 @memoized
-def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
+def gen_beta(n: int, p: int) -> PolyLambda:
     """Generalized degenerate Bernoulli number.
 
     p >= 0 evaluates the stirling-sum route; p = -1 is the closed form
@@ -156,7 +153,7 @@ def gen_beta(n: int, p: int, s2=None) -> PolyLambda:
     _check_range(n, p)
     if p == -1:
         return falling_factorial(PolyLambda.lam() - 1, n, step=PolyLambda.lam())
-    return gen_beta_stirling_sum(n, p, s2=s2)
+    return gen_beta_stirling_sum(n, p)
 
 
 def gen_beta_gf(n: int, p: int, order: int | None = None) -> PolyLambda:
@@ -172,11 +169,11 @@ def _gen_beta_series(p: int, order: int) -> TruncatedSeries:
     return gauss_2f1_formal(PolyLambda.one() - PolyLambda.lam(), 1, p + 2, u)
 
 
-def gen_beta_eulerian(n: int, p: int, s2=None) -> PolyLambda:
+def gen_beta_eulerian(n: int, p: int) -> PolyLambda:
     """Eulerian route: (p+1)/(n+p+1) sum_k eulerian_degenerate(n,k) (-1)^(n-k) / binom(p+n, p+k)."""
     _check_range(n, p, 0, 0)
     return lincomb(
-        (eulerian_degenerate(n, k, s2=s2), 1, Fraction((-1) ** (n - k) * (p + 1), (n + p + 1) * comb(p + n, p + k)))
+        (eulerian_degenerate(n, k), 1, Fraction((-1) ** (n - k) * (p + 1), (n + p + 1) * comb(p + n, p + k)))
         for k in range(n + 1)
     )
 
@@ -209,7 +206,7 @@ def _shifted_rising(q: int) -> RationalFunctionLambda:
     return RationalFunctionLambda(falling_factorial(lam + 1, q - 1, step=-1), lam ** (q - 1))
 
 
-def gen_beta_rstirling(n: int, p: int, s2=None) -> RationalFunctionLambda:
+def gen_beta_rstirling(n: int, p: int) -> RationalFunctionLambda:
     """Restricted-Stirling route, evaluated in Q(l) without pre-cancellation.
 
     (p+1)/<1>_{p+1,1/l} * sum_m sum_k binom(n,m) (-l)^k/(p+k+1)
@@ -230,7 +227,7 @@ def gen_beta_rstirling(n: int, p: int, s2=None) -> RationalFunctionLambda:
             continue
         b = comb(n, m)
         for k in range(m + 1):
-            table = stirling2_deg_poly(m, k, x=Fraction(p), s2=s2)
+            table = stirling2_deg_poly(m, k, x=Fraction(p))
             if not table:
                 continue
             term = _shifted_rising(p + k + 1) * ((-lam) ** k) * Fraction(b, p + k + 1)
@@ -238,7 +235,7 @@ def gen_beta_rstirling(n: int, p: int, s2=None) -> RationalFunctionLambda:
     return pref * acc
 
 
-def gen_beta_rstirling_simplified(n: int, p: int, s2=None) -> PolyLambda:
+def gen_beta_rstirling_simplified(n: int, p: int) -> PolyLambda:
     """Same route with the l-power cancellations done by hand.
 
     The Pochhammer ratio against (-l)^k collapses to
@@ -251,7 +248,7 @@ def gen_beta_rstirling_simplified(n: int, p: int, s2=None) -> PolyLambda:
     for m in (n - 1, n):
         w = falling_factorial(lam, n - m, step=lam)
         for k in range(m + 1):
-            table = stirling2_deg_poly(m, k, x=Fraction(p), s2=s2) * w
+            table = stirling2_deg_poly(m, k, x=Fraction(p)) * w
             c = Fraction((-1) ** k * comb(n, m) * (p + 1), p + k + 1)
             terms.append((rising[k], table, c))
     return lincomb(terms)
@@ -276,7 +273,7 @@ def gen_beta_classical_limit(n: int, p: int) -> Fraction:
 
 
 @memoized
-def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
+def gen_beta_poly(n: int, p: int) -> PolyXOverLambda:
     """Generalized degenerate Bernoulli polynomial, symbolic in x.
 
     sum_l binom(n,l) gen_beta(l,p) (x)_{n-l,l}; monic of x-degree n, value
@@ -286,18 +283,16 @@ def gen_beta_poly(n: int, p: int, s2=None) -> PolyXOverLambda:
     x = PolyXOverLambda.x()
     lam = PolyLambda.lam()
     w = _chain(x, n, lam)
-    return lincomb((w[n - l], gen_beta(l, p, s2=s2), comb(n, l)) for l in range(n + 1))
+    return lincomb((w[n - l], gen_beta(l, p), comb(n, l)) for l in range(n + 1))
 
 
-def gen_beta_poly_stirling(n: int, p: int, s2=None) -> PolyXOverLambda:
+def gen_beta_poly_stirling(n: int, p: int) -> PolyXOverLambda:
     """Alternative polynomial route through the x-shifted second-kind entries.
 
     sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg_poly(n,k).
     """
     _check_range(n, p)
-    return lincomb(
-        (stirling2_deg_poly(n, k, s2=s2), log_weight(k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1)
-    )
+    return lincomb((stirling2_deg_poly(n, k), log_weight(k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
 
 
 def gen_beta_poly_gf(n: int, p: int, order: int | None = None) -> PolyXOverLambda:
@@ -313,7 +308,7 @@ def _gen_beta_poly_series(p: int, order: int) -> TruncatedSeries:
     return _gen_beta_series(p, order).lift_to_x().mul(ex)
 
 
-def gen_beta_poly_derivative(n: int, p: int, s2=None) -> PolyXOverLambda:
+def gen_beta_poly_derivative(n: int, p: int) -> PolyXOverLambda:
     """Closed-form x-derivative: sum_{l>=1} (-l)^(l-1)... in weights
     (-lambda)^(l-1) (l-1)! binom(n,l) gen_beta_poly(n-l,p).
 
@@ -322,15 +317,13 @@ def gen_beta_poly_derivative(n: int, p: int, s2=None) -> PolyXOverLambda:
     """
     _check_range(n, p, 1)
     lam = PolyLambda.lam()
-    return lincomb(
-        (gen_beta_poly(n - l, p, s2=s2), (-lam) ** (l - 1), factorial(l - 1) * comb(n, l)) for l in range(1, n + 1)
-    )
+    return lincomb((gen_beta_poly(n - l, p), (-lam) ** (l - 1), factorial(l - 1) * comb(n, l)) for l in range(1, n + 1))
 
 
 _REMARK_RULES = ("addition", "difference", "ratio", "shift")
 
 
-def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2, s2=None):
+def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2):
     """Both sides of one argument-shift rule for B_k = gen_beta_poly(k, p).
 
     Every rule reads lhs = sum_k binom(n,k) B_k(x) w_{n-k}, symbolic in x:
@@ -351,7 +344,7 @@ def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2, s2=None):
         raise ValueError(_RANGE_ERROR)
     x = PolyXOverLambda.x()
     lam = PolyLambda.lam()
-    polys = [gen_beta_poly(k, p, s2=s2) for k in range(n + 1)]
+    polys = [gen_beta_poly(k, p) for k in range(n + 1)]
     if rule in ("ratio", "shift"):
         step = lam * Fraction(1, m - 1) if rule == "ratio" else lam * Fraction(1, m) - 1
         lhs, base, ratio = polys[n].evaluate(x * m), x, m - 1

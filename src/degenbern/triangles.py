@@ -16,11 +16,16 @@ finite differences serve as independent routes in the test and verification
 layers.  All degenerate entries are PolyLambda with integer coefficients;
 classical entries are plain ints.  memoized keeps the rows, the factorial
 chains, log_weight, eulerian_degenerate and stirling2_deg_poly, each built once.
+Inside substituted(builder, args, value) one entry of any memoized builder
+answers value and every memo is the substitution's own, so a corrupted entry
+never reaches a pristine memo.
 """
 
 from __future__ import annotations
 
 import inspect
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import wraps
 from math import comb
@@ -41,8 +46,7 @@ __all__ = [
     "eulerian_classical",
     "eulerian_degenerate",
     "forward_difference",
-    "TriangleTable",
-    "stirling2_deg_table",
+    "substituted",
 ]
 
 
@@ -90,39 +94,84 @@ def falling_lambda(x, n: int):
 
 
 def memoized(fn):
-    """Memoize fn on its positional arguments, with one bypass for substitutes.
+    """Memoize fn on its positional arguments.
 
-    A call with s2=None reads and writes the pristine memo of fn.  A call with
-    s2=<TriangleTable> keeps its result on that table instead: a substituted
-    triangle never reads or writes the pristine memo, still reuses its own
-    results, and its results are freed together with the table.  Other
-    keyword arguments are bound to their positions first, so every call has
-    one key, and an argument annotated int must pass _index before any memo
-    is read.  fn must not return None.  The wrapper's pristine attribute is
-    the pristine memo, for callers that read it or need it cold.
+    A call reads and writes the pristine memo of fn, or, inside substituted,
+    the substitution's own memo only; the scope is a ContextVar, so it holds
+    in the thread that opened it and nowhere else.  Keyword arguments are
+    bound to their positions first, so every call has one key, and an
+    argument annotated int must pass _index before any memo is read.  fn
+    must not return None.  The wrapper's pristine attribute is the pristine
+    memo, for callers that read it or need it cold.
     """
     pristine: dict = {}
     signature = inspect.signature(fn)
     indices = [(i, name) for i, (name, prm) in enumerate(signature.parameters.items()) if prm.annotation in ("int", int)]
 
     @wraps(fn)
-    def call(*args, s2=None, **kwargs):
+    def call(*args, **kwargs):
         if kwargs:
             args = signature.bind(*args, **kwargs).args
         for i, name in indices:
             if i < len(args) and type(args[i]) is not int:
                 _index(**{name: args[i]})
-        if s2 is None:
-            memo, key = pristine, args
-        else:
-            memo, key = s2._memo, (fn, args)
+        scope = _substitution.get()
+        memo, key = (pristine, args) if scope is None else (scope, (call, args))
         value = memo.get(key)
         if value is None:
-            value = memo[key] = fn(*args) if s2 is None else fn(*args, s2=s2)
+            value = memo[key] = fn(*args)
         return value
 
     call.pristine = pristine
     return call
+
+
+# the active substitution's memo, keyed by (builder, args); None outside one
+_substitution: ContextVar = ContextVar("substitution", default=None)
+
+
+@contextmanager
+def substituted(builder, args: tuple, value):
+    """Run the block with the memoized builder(*args) answering value.
+
+    Inside the block every memoized call reads and writes a fresh memo that
+    starts with this one entry, so the entry feeds everything built on it
+    and no result reaches a pristine memo.  Only the named entry changes:
+    _row and _falling_chain extend pristine rows and chains only.  The block
+    receives the substitution's memo.  Refused before any kept memo is
+    touched: a builder that is not memoized, a nested substitution (its
+    fresh memo would drop the outer entry), an argument or position the
+    builder itself refuses, and a value unlike the builder's own (_alike).
+    """
+    name = getattr(builder, "__name__", type(builder).__name__)
+    if getattr(builder, "pristine", None) is None:
+        raise TypeError(f"substituted needs a memoized builder, got {name}")
+    if _substitution.get() is not None:
+        raise RuntimeError("a substitution is already active: substitutions do not nest")
+    args, memo = tuple(args), {}
+    token = _substitution.set(memo)
+    try:
+        reference = builder(*args)  # built in the new memo, through the builder's own checks
+        if not _alike(value, reference):
+            shape = f"the type and shape of {name}{args}, a {type(reference).__name__}"
+            raise TypeError(f"a substituted value must have {shape}, got {type(value).__name__}")
+        memo.clear()
+        memo[builder, args] = value
+        yield memo
+    finally:
+        _substitution.reset(token)
+
+
+def _alike(value, reference) -> bool:
+    """Same type; for a tuple also the length and alike elements, for a
+    series the ring and order."""
+    if type(value) is not type(reference):
+        return False
+    if isinstance(reference, tuple):
+        return len(value) == len(reference) and all(map(_alike, value, reference))
+    if hasattr(reference, "ring"):
+        return value.ring is reference.ring and value.order == reference.order
+    return True
 
 
 @memoized
@@ -150,36 +199,6 @@ def log_weight(k: int) -> PolyLambda:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return falling_factorial(PolyLambda.lam() - 1, k)
-
-
-class TriangleTable:
-    """Read-only view of a triangle (n, k) -> PolyLambda with local overrides.
-
-    with_entry returns a new table that reports the given value at one
-    position and delegates everywhere else.  The override mechanism exists so
-    the verification suite can prove it notices a corrupted entry.  Each
-    table also holds the memo of every memoized route called with it as s2,
-    so a table made by with_entry starts with an empty memo.
-    """
-
-    __slots__ = ("_base", "_overrides", "_memo")
-
-    def __init__(self, base, overrides=None):
-        self._base = base
-        self._overrides = dict(overrides) if overrides else {}
-        self._memo: dict = {}
-
-    def entry(self, n: int, k: int) -> PolyLambda:
-        v = self._overrides.get((n, k))
-        return v if v is not None else self._base(n, k)
-
-    def with_entry(self, n: int, k: int, value) -> "TriangleTable":
-        if not isinstance(value, PolyLambda):
-            value = PolyLambda.constant(value)
-        return TriangleTable(self._base, {**self._overrides, (n, k): value})
-
-    def __repr__(self) -> str:
-        return f"TriangleTable(overrides={sorted(self._overrides)!r})"
 
 
 def _check_triangle_indices(n: int, k: int):
@@ -210,17 +229,14 @@ def _row(n: int, r: int, first: bool, lam) -> tuple:
     return row
 
 
-def stirling2_deg(n: int, k: int, s2=None) -> PolyLambda:
+def stirling2_deg(n: int, k: int) -> PolyLambda:
     """Degenerate Stirling number of the second kind.
 
     Coefficient of (x)_k when (x)_{n,l} is written in the ordinary falling
     factorial basis.  Reduces to the classical count of set partitions at
-    l = 0.  A TriangleTable s2 substitutes for the built-in triangle; every
-    route that takes s2 reads its second-kind entries through here.
+    l = 0.  Every route reads its second-kind entries through here, from
+    the rows of _row, so a substituted row reaches all of them.
     """
-    if s2 is not None:
-        _index(n=n, k=k)
-        return s2.entry(n, k)
     _check_triangle_indices(n, k)
     return _row(n, 0, False, PolyLambda.lam())[k]
 
@@ -253,29 +269,28 @@ def stirling1_classical(n: int, k: int) -> int:
     return _classical_entry(n, k, 0, True)
 
 
-def stirling2_deg_poly(n: int, k: int, x=None, s2=None):
+def stirling2_deg_poly(n: int, k: int, x=None):
     """Polynomial extension sum_l binom(n,l) stirling2_deg(l,k) (x)_{n-l,l}.
 
     With x omitted the result is symbolic in x (PolyXOverLambda); a rational
     or PolyLambda x gives a PolyLambda.  At x = 0 this collapses to
-    stirling2_deg(n, k).  The optional s2 table substitutes for the
-    second-kind entries, which lets a caller probe a deliberately corrupted
-    triangle.  The memo keys x by its type as well as its value: 2, 2.0, True
-    and a constant PolyXOverLambda hash alike and must not share an entry.
+    stirling2_deg(n, k).  The memo keys x by its type as well as its value:
+    2, 2.0, True and a constant PolyXOverLambda hash alike and must not share
+    an entry.
     """
     if x is not None and (isinstance(x, bool) or not isinstance(x, _OPERANDS)):
         raise TypeError(f"x must be int, Fraction, PolyLambda or PolyXOverLambda, got {type(x).__name__}")
-    return _poly_entry(n, k, type(x), x, s2=s2)
+    return _poly_entry(n, k, type(x), x)
 
 
 @memoized
-def _poly_entry(n: int, k: int, x_type, x, s2=None):
+def _poly_entry(n: int, k: int, x_type, x):
     _check_triangle_indices(n, k)
     w = _chain(PolyXOverLambda.x() if x is None else x, n - k, PolyLambda.lam())
-    return lincomb((w[n - l], stirling2_deg(l, k, s2=s2), comb(n, l)) for l in range(k, n + 1))
+    return lincomb((w[n - l], stirling2_deg(l, k), comb(n, l)) for l in range(k, n + 1))
 
 
-def r_stirling2_deg(n: int, k: int, r: int, s2=None) -> PolyLambda:
+def r_stirling2_deg(n: int, k: int, r: int) -> PolyLambda:
     """Degenerate r-Stirling number of the second kind.
 
     The polynomial extension evaluated at x = r for integer r >= 1; at l = 0
@@ -285,7 +300,7 @@ def r_stirling2_deg(n: int, k: int, r: int, s2=None) -> PolyLambda:
     _index(r=r)
     if r < 1:
         raise ValueError("restriction parameter r must be a positive integer")
-    return stirling2_deg_poly(n, k, x=Fraction(r), s2=s2)
+    return stirling2_deg_poly(n, k, x=Fraction(r))
 
 
 def r_stirling2_classical(n: int, k: int, r: int) -> int:
@@ -315,7 +330,7 @@ def eulerian_classical(n: int, m: int) -> int:
 
 
 @memoized
-def eulerian_degenerate(n: int, m: int, s2=None) -> PolyLambda:
+def eulerian_degenerate(n: int, m: int) -> PolyLambda:
     """Degenerate Eulerian number as a PolyLambda.
 
     (-1)^{n-m} sum_k log_weight(k) binom(n-k,m) stirling2_deg(n,k); the l = 0
@@ -323,7 +338,7 @@ def eulerian_degenerate(n: int, m: int, s2=None) -> PolyLambda:
     """
     _check_triangle_indices(n, m)
     sign = -1 if (n - m) % 2 else 1
-    return lincomb((log_weight(k), stirling2_deg(n, k, s2=s2), sign * comb(n - k, m)) for k in range(n - m + 1))
+    return lincomb((log_weight(k), stirling2_deg(n, k), sign * comb(n - k, m)) for k in range(n - m + 1))
 
 
 def forward_difference(values, k: int):
@@ -342,7 +357,3 @@ def forward_difference(values, k: int):
         raise ValueError("insufficient values")
     return lincomb((values[j], 1, (-1) ** (k - j) * comb(k, j)) for j in range(k + 1))
 
-
-def stirling2_deg_table() -> TriangleTable:
-    """The uncorrupted degenerate second-kind triangle as a TriangleTable."""
-    return TriangleTable(stirling2_deg)

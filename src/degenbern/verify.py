@@ -16,14 +16,17 @@ failing inner assignment fails the whole case and is pinpointed in
 first_failure.
 
 Reports are deterministic for identical inputs, except the elapsed timing
-field.  The corrupt_s2 hook substitutes one entry of the second-kind triangle
-before the run, for mutation testing: a corrupted table must make at least
-one identity fail.
+field.  The corrupt_s2 hook runs the suite inside triangles.substituted with
+one entry of the degenerate second-kind triangle replaced, for mutation
+testing: a corrupted entry must make at least one identity fail.  Every
+memoized builder the checks reach, the suite's own series included, can be
+substituted the same way.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -49,8 +52,8 @@ from .bernoulli import (
 from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index, lincomb
 from .series import TruncatedSeries, _scaled_powers, degenerate_exp, gauss_2f1_formal
 from .triangles import (
-    TriangleTable,
     _chain,
+    _row,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,
@@ -64,7 +67,7 @@ from .triangles import (
     stirling2_classical,
     stirling2_deg,
     stirling2_deg_poly,
-    stirling2_deg_table,
+    substituted,
 )
 
 __all__ = [
@@ -182,17 +185,11 @@ def _canon(v) -> str:
 
 @dataclass(frozen=True)
 class _Bounds:
-    """One run's bounds and its second-kind triangle.
-
-    table is None for the pristine triangle or a TriangleTable with
-    substituted entries; every triangle access inside the suite passes it as
-    s2, so a mutation is visible everywhere at once.
-    """
+    """One run's bounds."""
 
     max_n: int
     max_p: int
     truncation: int
-    table: TriangleTable | None = None
 
 
 @memoized
@@ -224,31 +221,29 @@ def _restricted_column(k: int, r: int, order: int) -> TruncatedSeries:
 
 
 def _ck_thm1(b: _Bounds, n: int, sweep):
-    yield {"n": n}, carlitz_beta(n, s2=b.table), carlitz_beta_gf(n, order=b.truncation)
+    yield {"n": n}, carlitz_beta(n), carlitz_beta_gf(n, order=b.truncation)
 
 
 def _ck_thm2(b: _Bounds, n: int, sweep):
-    lhs = lincomb((stirling1_deg(n, k), carlitz_beta(k, s2=b.table), 1) for k in range(n + 1))
+    lhs = lincomb((stirling1_deg(n, k), carlitz_beta(k), 1) for k in range(n + 1))
     yield {"n": n}, lhs, log_weight(n) * Fraction(1, n + 1)
 
 
 def _ck_thm3(b: _Bounds, n: int, sweep):
     for p in sweep["p"]:
-        lhs = gen_beta_stirling_sum(n, p, s2=b.table)
-        yield {"n": n, "p": p}, lhs, gen_beta_gf(n, p, order=b.truncation)
+        yield {"n": n, "p": p}, gen_beta_stirling_sum(n, p), gen_beta_gf(n, p, order=b.truncation)
 
 
 def _ck_thm4(b: _Bounds, n: int, sweep):
     for p in sweep["p"]:
-        lhs = gen_beta_eulerian(n, p, s2=b.table)
-        yield {"n": n, "p": p}, lhs, gen_beta_gf(n, p, order=b.truncation)
+        yield {"n": n, "p": p}, gen_beta_eulerian(n, p), gen_beta_gf(n, p, order=b.truncation)
 
 
 def _ck_thm5(b: _Bounds, n: int, sweep):
     for p in sweep["p"]:
         target = RationalFunctionLambda(gen_beta_gf(n, p, order=b.truncation))
-        yield {"n": n, "p": p}, gen_beta_rstirling(n, p, s2=b.table), target
-        yield {"n": n, "p": p}, gen_beta_rstirling_simplified(n, p, s2=b.table), target
+        yield {"n": n, "p": p}, gen_beta_rstirling(n, p), target
+        yield {"n": n, "p": p}, gen_beta_rstirling_simplified(n, p), target
 
 
 def _ck_thm6(b: _Bounds, n: int, sweep):
@@ -259,14 +254,13 @@ def _ck_thm6(b: _Bounds, n: int, sweep):
 def _ck_thm7_vs_thm9(b: _Bounds, n: int, sweep):
     for p in sweep["p"]:
         oracle = gen_beta_poly_gf(n, p, order=b.truncation)
-        yield {"n": n, "p": p}, gen_beta_poly(n, p, s2=b.table), oracle
-        yield {"n": n, "p": p}, gen_beta_poly_stirling(n, p, s2=b.table), oracle
+        yield {"n": n, "p": p}, gen_beta_poly(n, p), oracle
+        yield {"n": n, "p": p}, gen_beta_poly_stirling(n, p), oracle
 
 
 def _ck_prop8(b: _Bounds, n: int, sweep):
     for p in sweep["p"]:
-        lhs = gen_beta_poly_derivative(n, p, s2=b.table)
-        yield {"n": n, "p": p}, lhs, gen_beta_poly(n, p, s2=b.table).derivative()
+        yield {"n": n, "p": p}, gen_beta_poly_derivative(n, p), gen_beta_poly(n, p).derivative()
 
 
 def _ck_lemma38(b: _Bounds, n: int, sweep):
@@ -274,7 +268,7 @@ def _ck_lemma38(b: _Bounds, n: int, sweep):
     shifted = [falling_lambda(x + j, n) for j in sweep["k"]]
     for k in sweep["k"]:
         rhs = forward_difference(shifted, k) * Fraction(1, factorial(k))
-        yield {"n": n, "k": k}, stirling2_deg_poly(n, k, s2=b.table), rhs
+        yield {"n": n, "k": k}, stirling2_deg_poly(n, k), rhs
 
 
 def _transform_check(which: str):
@@ -296,7 +290,7 @@ def _ck_eq12(b: _Bounds, n: int, sweep):
     zero = Fraction(0)
     for m in sweep["m"]:
         rhs = lincomb(
-            (stirling2_deg(n, k, s2=b.table).evaluate(zero), 1, (-1) ** (n - k - m) * comb(n - k, m) * factorial(k))
+            (stirling2_deg(n, k).evaluate(zero), 1, (-1) ** (n - k - m) * comb(n - k, m) * factorial(k))
             for k in range(n - m + 1)
         )
         yield {"n": n, "m": m}, eulerian_classical(n, m), rhs
@@ -311,28 +305,28 @@ def _ck_eq13(b: _Bounds, n: int, sweep):
 
 def _ck_eq23(b: _Bounds, n: int, sweep):
     lhs = falling_lambda(PolyLambda.lam() - 1, n)
-    yield {"n": n}, lhs, gen_beta_stirling_sum(n, -1, s2=b.table)
+    yield {"n": n}, lhs, gen_beta_stirling_sum(n, -1)
 
 
 def _ck_eq26_27(b: _Bounds, n: int, sweep):
     # k runs two past the row, where the differences must vanish
     values = [falling_lambda(Fraction(j), n) for j in sweep["k"]]
     for k in sweep["k"]:
-        lhs = stirling2_deg(n, k, s2=b.table) * factorial(k) if k <= n else PolyLambda.zero()
+        lhs = stirling2_deg(n, k) * factorial(k) if k <= n else PolyLambda.zero()
         yield {"n": n, "k": k}, lhs, forward_difference(values, k)
 
 
 def _ck_eq30(b: _Bounds, n: int, sweep):
     t = PolyXOverLambda.x()
-    lhs = lincomb(((t + 1) ** (n - k), log_weight(k) * stirling2_deg(n, k, s2=b.table), 1) for k in range(n + 1))
-    rhs = lincomb((t**m, eulerian_degenerate(n, m, s2=b.table), (-1) ** (n - m)) for m in range(n + 1))
+    lhs = lincomb(((t + 1) ** (n - k), log_weight(k) * stirling2_deg(n, k), 1) for k in range(n + 1))
+    rhs = lincomb((t**m, eulerian_degenerate(n, m), (-1) ** (n - m)) for m in range(n + 1))
     yield {"n": n}, lhs, rhs
 
 
 def _ck_eq32_33(b: _Bounds, n: int, sweep):
     x = PolyXOverLambda.x()
     for r in sweep["r"]:
-        entries = [r_stirling2_deg(n, k, r, s2=b.table) for k in sweep["k"]]
+        entries = [r_stirling2_deg(n, k, r) for k in sweep["k"]]
         basis = _chain(x, n)
         rhs = lincomb((basis[k], entry, 1) for k, entry in zip(sweep["k"], entries))
         yield {"n": n, "r": r}, falling_lambda(x + r, n), rhs
@@ -349,7 +343,7 @@ def _remark_check(rule: str):
         for p in sweep["p"]:
             for values in product(*(sweep[name] for name in names)):
                 extra = dict(zip(names, values))
-                lhs, rhs = remark_sides(rule, n, p, s2=b.table, **extra)
+                lhs, rhs = remark_sides(rule, n, p, **extra)
                 yield {"n": n, "p": p, **extra}, lhs, rhs
 
     return check
@@ -358,8 +352,8 @@ def _remark_check(rule: str):
 def _ck_duality(b: _Bounds, n: int, sweep):
     for k in sweep["k"]:
         delta = PolyLambda.one() if n == k else PolyLambda.zero()
-        down = lincomb((stirling2_deg(n, l, s2=b.table), stirling1_deg(l, k), 1) for l in range(k, n + 1))
-        up = lincomb((stirling1_deg(n, l), stirling2_deg(l, k, s2=b.table), 1) for l in range(k, n + 1))
+        down = lincomb((stirling2_deg(n, l), stirling1_deg(l, k), 1) for l in range(k, n + 1))
+        up = lincomb((stirling1_deg(n, l), stirling2_deg(l, k), 1) for l in range(k, n + 1))
         yield {"n": n, "k": k}, down, delta
         yield {"n": n, "k": k}, up, delta
 
@@ -368,10 +362,10 @@ def _ck_classical_limits(b: _Bounds, n: int, sweep):
     zero = Fraction(0)
     for k in sweep["k"]:
         at = {"n": n, "k": k}
-        yield at, stirling2_deg(n, k, s2=b.table).evaluate(zero), stirling2_classical(n, k)
+        yield at, stirling2_deg(n, k).evaluate(zero), stirling2_classical(n, k)
         yield at, stirling1_deg(n, k).evaluate(zero), stirling1_classical(n, k)
-        yield at, eulerian_degenerate(n, k, s2=b.table).evaluate(zero), eulerian_classical(n, k)
-    yield {"n": n}, carlitz_beta(n, s2=b.table).evaluate(zero), classical_bernoulli(n)
+        yield at, eulerian_degenerate(n, k).evaluate(zero), eulerian_classical(n, k)
+    yield {"n": n}, carlitz_beta(n).evaluate(zero), classical_bernoulli(n)
 
 
 def _remark_p(b: _Bounds) -> range:
@@ -485,32 +479,32 @@ def run_suite(
 
     One case per outer index n.  Reports are returned sorted by identity
     token and are deterministic apart from the elapsed field.  corrupt_s2 =
-    (n, k, value) substitutes one second-kind triangle entry for the whole
-    run, at int indices with 0 <= k <= n <= max_n; the suite is expected to
-    catch any such corruption.
+    (n, k, value) substitutes one degenerate second-kind triangle entry for
+    the whole run, at int indices with 0 <= k <= n <= max_n; the suite is
+    expected to catch any such corruption.
     """
     _check_bounds(max_n, max_p, truncation)
     idents = _resolve_selection(selection)
-    table = None
+    bounds = _Bounds(max_n, max_p, truncation)
+    reports, scope = [], nullcontext()
     if corrupt_s2 is not None:
         cn, ck, cv = corrupt_s2
         _index(**{"n of corrupt_s2": cn, "k of corrupt_s2": ck})
         if not 0 <= ck <= cn <= max_n:
             raise ValueError(f"corrupt_s2 needs 0 <= k <= n <= max_n = {max_n}, got n={cn}, k={ck}")
-        table = stirling2_deg_table().with_entry(cn, ck, cv)
-    bounds = _Bounds(max_n, max_p, truncation, table)
-    reports = []
-    for ident in idents:
-        check, first_n, sweep = _CHECKS[ident]
-        start = time.perf_counter()
-        cases = range(first_n, bounds.max_n + 1)
-        failures = [_first_unequal(check(bounds, n, sweep(bounds, n))) for n in cases]
-        failed = [f for f in failures if f is not None]
-        elapsed = time.perf_counter() - start
-        first_failure = failed[0] if failed else None
-        reports.append(
-            IdentityReport(ident, len(cases), len(cases) - len(failed), first_failure, elapsed)
-        )
+        key = (cn, 0, False, PolyLambda.lam())  # the row of stirling2_deg(cn, ck)
+        entry = cv if isinstance(cv, PolyLambda) else PolyLambda.constant(cv)
+        scope = substituted(_row, key, _row(*key)[:ck] + (entry,) + _row(*key)[ck + 1 :])
+    with scope:
+        for ident in idents:
+            check, first_n, sweep = _CHECKS[ident]
+            start = time.perf_counter()
+            cases = range(first_n, bounds.max_n + 1)
+            failures = [_first_unequal(check(bounds, n, sweep(bounds, n))) for n in cases]
+            failed = [f for f in failures if f is not None]
+            elapsed = time.perf_counter() - start
+            first_failure = failed[0] if failed else None
+            reports.append(IdentityReport(ident, len(cases), len(cases) - len(failed), first_failure, elapsed))
     return reports
 
 

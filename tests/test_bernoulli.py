@@ -1,6 +1,7 @@
 """Degenerate Bernoulli numbers and polynomials: all routes against each other
 and against frozen exact values."""
 
+import contextvars
 from fractions import Fraction
 from math import comb
 
@@ -26,7 +27,7 @@ from degenbern.bernoulli import (
 )
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern import triangles
-from degenbern.triangles import eulerian_degenerate, falling_lambda, stirling2_deg_poly, stirling2_deg_table
+from degenbern.triangles import eulerian_degenerate, falling_lambda, stirling2_deg_poly, substituted
 
 LAM = PolyLambda.lam()
 X = PolyXOverLambda.x()
@@ -232,8 +233,9 @@ class TestRemarkIdentities:
 
 
 class TestMemoIsolation:
-    """Results on a substituted triangle live on that table, never in the
-    pristine memo, and the pristine memo never answers for a table."""
+    """Results under a substituted triangle entry live on the substitution's
+    memo, never in the pristine memo, and the pristine memo never answers
+    inside a substitution."""
 
     @pytest.fixture(autouse=True)
     def cold_pristine_memo(self):
@@ -256,18 +258,36 @@ class TestMemoIsolation:
         ids=["carlitz_beta", "gen_beta", "gen_beta_poly", "stirling2_deg_poly", "eulerian_degenerate"],
     )
     def test_interleaved_pristine_and_corrupted_calls(self, route, args, first, fed, pristine_first):
-        table = stirling2_deg_table().with_entry(4, 2, 0)
-        for n in range(first, 6):
-            if pristine_first:
-                clean = route(n, *args)
-                dirty = route(n, *args, s2=table)
-            else:
-                dirty = route(n, *args, s2=table)
-                clean = route(n, *args)
-            assert clean == route(n, *args, s2=stirling2_deg_table())
-            assert (dirty != clean) == fed(n)
-            assert route(n, *args, s2=table) is dirty
-        rebuilt = table.with_entry(4, 2, 0)
-        again = route(4, *args, s2=rebuilt)
-        assert again == route(4, *args, s2=table)
-        assert again is not route(4, *args, s2=table)
+        # a call run in an empty context sees no substitution
+        pristine = contextvars.Context().run
+        with _corrupted_s2():
+            for n in range(first, 6):
+                if pristine_first:
+                    clean = pristine(route, n, *args)
+                    dirty = route(n, *args)
+                else:
+                    dirty = route(n, *args)
+                    clean = pristine(route, n, *args)
+                assert clean == pristine(_rebuilt, route, n, *args)
+                assert (dirty != clean) == fed(n)
+                assert route(n, *args) is dirty
+            dirty = route(4, *args)
+        with _corrupted_s2():
+            again = route(4, *args)
+        assert again == dirty
+        assert again is not dirty
+
+
+_ROW4 = (4, 0, False, LAM)
+
+
+def _corrupted_s2():
+    """The mutation check's substitution: stirling2_deg(4, 2) reads 0."""
+    row = triangles._row(*_ROW4)
+    return substituted(triangles._row, _ROW4, row[:2] + (PolyLambda.zero(),) + row[3:])
+
+
+def _rebuilt(route, *args):
+    """route(*args) computed afresh, away from every pristine memo."""
+    with substituted(triangles._row, _ROW4, triangles._row(*_ROW4)):
+        return route(*args)

@@ -30,6 +30,7 @@ from degenbern.bernoulli import (
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
 from degenbern.triangles import (
+    _row,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,
@@ -43,12 +44,20 @@ from degenbern.triangles import (
     stirling2_classical,
     stirling2_deg,
     stirling2_deg_poly,
-    stirling2_deg_table,
+    substituted,
 )
 from degenbern.verify import run_suite, suite_plan
 
 LAM = PolyLambda.lam()
 SERIES = degenerate_exp(1, 3)
+
+
+def _in_corrupted_run(n, k):
+    """stirling2_deg(n, k) under the mutation check's substitution of row 4."""
+    row = _row(4, 0, False, LAM)
+    with substituted(_row, (4, 0, False, LAM), row[:2] + (PolyLambda.zero(),) + row[3:]):
+        return stirling2_deg(n, k)
+
 
 # (id, call, valid keyword arguments, the index arguments among them); the
 # valid values are all 1 or 2, so True would land inside every range
@@ -58,12 +67,7 @@ ROUTES = [
     ("log_weight", log_weight, {"k": 2}, ("k",)),
     ("stirling1_deg", stirling1_deg, {"n": 2, "k": 1}, ("n", "k")),
     ("stirling2_deg", stirling2_deg, {"n": 2, "k": 1}, ("n", "k")),
-    (
-        "stirling2_deg-table",
-        lambda n, k: stirling2_deg(n, k, s2=stirling2_deg_table()),
-        {"n": 2, "k": 1},
-        ("n", "k"),
-    ),
+    ("stirling2_deg-table", _in_corrupted_run, {"n": 2, "k": 1}, ("n", "k")),
     ("stirling1_classical", stirling1_classical, {"n": 2, "k": 1}, ("n", "k")),
     ("stirling2_classical", stirling2_classical, {"n": 2, "k": 1}, ("n", "k")),
     ("stirling2_deg_poly", stirling2_deg_poly, {"n": 2, "k": 1}, ("n", "k")),

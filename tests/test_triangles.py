@@ -11,8 +11,9 @@ import pytest
 
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
+from degenbern import triangles
 from degenbern.triangles import (
-    TriangleTable,
+    _row,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,
@@ -26,7 +27,7 @@ from degenbern.triangles import (
     stirling2_classical,
     stirling2_deg,
     stirling2_deg_poly,
-    stirling2_deg_table,
+    substituted,
 )
 
 LAM = PolyLambda.lam()
@@ -469,19 +470,73 @@ class TestForwardDifference:
             forward_difference([Fraction(1)], -1)
 
 
-class TestTriangleTable:
-    def test_passthrough_and_override(self):
-        table = stirling2_deg_table()
-        assert table.entry(2, 1) == stirling2_deg(2, 1)
-        poked = table.with_entry(2, 1, PolyLambda.constant(7))
-        assert poked.entry(2, 1) == PolyLambda.constant(7)
-        assert poked.entry(3, 2) == stirling2_deg(3, 2)
-        assert table.entry(2, 1) == stirling2_deg(2, 1)
+ROW4 = (4, 0, False, LAM)
 
+
+def _row_with(key, k, value):
+    row = _row(*key)
+    return row[:k] + (value,) + row[k + 1 :]
+
+
+class TestSubstitution:
     def test_override_feeds_dependent_functions(self):
-        poked = stirling2_deg_table().with_entry(2, 1, PolyLambda.zero())
-        assert eulerian_degenerate(2, 1, s2=poked) != eulerian_degenerate(2, 1)
+        with substituted(_row, (2, 0, False, LAM), _row_with((2, 0, False, LAM), 1, PolyLambda.zero())):
+            dirty = eulerian_degenerate(2, 1)
+            assert stirling2_deg(2, 1) == 0
+        assert dirty != eulerian_degenerate(2, 1)
+        assert stirling2_deg(2, 1) == 1 - LAM
 
-    def test_generic_base(self):
-        table = TriangleTable(lambda n, k: PolyLambda.constant(n * 10 + k))
-        assert table.entry(4, 2) == PolyLambda.constant(42)
+    def test_pristine_call_in_another_thread_sees_no_substitution(self):
+        clean_entry, clean = stirling2_deg(4, 2), eulerian_degenerate(4, 1)
+        del eulerian_degenerate.pristine[(4, 1)]  # the thread builds it again
+        seen = {}
+
+        def work():
+            seen["entry"], seen["eulerian"] = stirling2_deg(4, 2), eulerian_degenerate(4, 1)
+
+        with substituted(_row, ROW4, _row_with(ROW4, 2, PolyLambda.zero())) as memo:
+            dirty = eulerian_degenerate(4, 1)
+            before = dict(memo)
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert stirling2_deg(4, 2) == 0
+            assert memo == before and all(memo[key] is value for key, value in before.items())
+        assert seen == {"entry": clean_entry, "eulerian": clean} and dirty != clean
+        assert eulerian_degenerate.pristine[(4, 1)] is seen["eulerian"]
+
+    def test_nested_substitution_refused_and_scope_closed_on_error(self):
+        with pytest.raises(ZeroDivisionError):
+            with substituted(log_weight, (3,), LAM) as memo:
+                assert list(memo) == [(log_weight, (3,))]  # the one entry, none of what built it
+                with pytest.raises(RuntimeError, match="substitutions do not nest"):
+                    with substituted(log_weight, (2,), LAM):
+                        pass
+                assert log_weight(3) == LAM and triangles._substitution.get() is memo
+                1 / 0
+        assert triangles._substitution.get() is None
+        assert log_weight(3) != LAM
+
+    @pytest.mark.parametrize(
+        "builder,args,value,error,message",
+        [
+            (stirling2_deg, (4, 2), LAM, TypeError, "substituted needs a memoized builder, got stirling2_deg"),
+            (log_weight, (True,), LAM, TypeError, "k must be int, got bool"),
+            (eulerian_degenerate, (4.0, 1), LAM, TypeError, "n must be int, got float"),
+            (eulerian_degenerate, (2, 3), LAM, ValueError, "triangle indices out of range"),
+            (log_weight, (-1,), LAM, ValueError, "k must be nonnegative"),
+            (log_weight, (3,), 0.5, TypeError, r"type and shape of log_weight\(3,\), a PolyLambda, got float"),
+            (_row, ROW4, _row(*ROW4)[:4], TypeError, "type and shape of _row"),
+            (_row, ROW4, _row_with(ROW4, 2, 2.0), TypeError, "type and shape of _row"),
+        ],
+        ids=["not-memoized", "bool-index", "float-index", "k-past-n", "negative", "float-value", "short-row", "float-entry"],
+    )
+    def test_refused_by_name_before_any_memo_is_touched(self, builder, args, value, error, message):
+        memo = getattr(builder, "pristine", {})
+        memo.pop(args, None)
+        before = dict(memo)
+        with pytest.raises(error, match=message):
+            with substituted(builder, args, value):
+                pytest.fail("a refused substitution ran its block")
+        assert memo == before and triangles._substitution.get() is None

@@ -3,9 +3,14 @@
 import hashlib
 import json
 
+from fractions import Fraction
+
 import pytest
 
+from degenbern import bernoulli, series, triangles, verify
 from degenbern.exactcore import PolyLambda
+from degenbern.series import TruncatedSeries, degenerate_exp
+from degenbern.triangles import substituted
 from degenbern.verify import (
     DESCRIPTIONS,
     IdentityId,
@@ -288,3 +293,110 @@ class TestPinnedReports:
     def test_plan_ranges_match_pinned(self):
         six, zero = _plan_ranges(6), _plan_ranges(0)
         assert {k: (six[k], zero[k]) for k in six} == PINNED_PLAN
+
+
+def _bumped(value, path):
+    """value plus one at path: element indices into tuples and series
+    coefficients, down to one ring element."""
+    if not path:
+        return value + 1
+    i, rest = path[0], path[1:]
+    if isinstance(value, tuple):
+        return value[:i] + (_bumped(value[i], rest),) + value[i + 1 :]
+    c = value.coeffs
+    return TruncatedSeries(value.ring, c[:i] + (_bumped(c[i], rest),) + c[i + 1 :])
+
+
+_ORDER = SMALL["truncation"]
+_ONE = PolyLambda.one()
+_E_MINUS_ONE = degenerate_exp(1, _ORDER) - TruncatedSeries.one(PolyLambda, _ORDER)
+
+# One substituted entry per memoized builder (for a tuple or a series one
+# element, at the path given) and the identities whose verdict on
+# run_suite(**SMALL) it flips.  Each set is what the identities must keep
+# catching: an empty one would mean no identity reads that builder's entry.
+CATCH_MATRIX = {
+    "_falling_chain-e_l": (
+        triangles._falling_chain,
+        (int, 1, PolyLambda, _LAM, _ONE, _ORDER),
+        (3,),
+        {"Eq32-33", "Thm3-vs-GF", "Thm4", "Thm5", "Thm6", "Thm7-vs-Thm9"},
+    ),
+    "log_weight": (
+        triangles.log_weight,
+        (3,),
+        (),
+        {"ClassicalLimits", "Eq23", "Thm1", "Thm3-vs-GF", "Thm4", "Thm6", "Thm7-vs-Thm9"},
+    ),
+    "_row-first-kind": (
+        triangles._row,
+        (4, 0, True, _LAM),
+        (2,),
+        {"ClassicalLimits", "StirlingDuality", "Thm2"},
+    ),
+    "_row-second-kind": (
+        triangles._row,
+        (4, 0, False, _LAM),
+        (2,),
+        {
+            "ClassicalLimits", "Eq12", "Eq23", "Eq26-27", "Eq32-33", "Lemma38", "StirlingDuality",
+            "Thm1", "Thm2", "Thm3-vs-GF", "Thm4", "Thm5", "Thm7-vs-Thm9",
+        },
+    ),
+    "_poly_entry-symbolic": (triangles._poly_entry, (4, 2, type(None), None), (), {"Lemma38", "Thm7-vs-Thm9"}),
+    "_poly_entry-r": (triangles._poly_entry, (4, 2, Fraction, Fraction(1)), (), {"Eq32-33", "Thm5"}),
+    "eulerian_degenerate": (triangles.eulerian_degenerate, (4, 1), (), {"ClassicalLimits", "Eq30", "Thm4"}),
+    "_carlitz_series": (bernoulli._carlitz_series, (_ORDER,), (4,), {"Thm1"}),
+    "classical_bernoulli": (bernoulli.classical_bernoulli, (4,), (), {"ClassicalLimits"}),
+    # gen_beta_poly, its derivative and the remark rules all read the same
+    # corrupted number, so only the independent polynomial routes notice
+    "gen_beta": (bernoulli.gen_beta, (4, 1), (), {"Thm7-vs-Thm9"}),
+    "_gen_beta_series": (
+        bernoulli._gen_beta_series,
+        (1, _ORDER),
+        (4,),
+        {"Eq8-Pfaff", "Eq9-Euler", "Thm3-vs-GF", "Thm4", "Thm5", "Thm6", "Thm7-vs-Thm9"},
+    ),
+    "_shifted_rising": (bernoulli._shifted_rising, (3,), (), {"Thm5"}),
+    "gen_beta_poly": (
+        bernoulli.gen_beta_poly,
+        (4, 1),
+        (),
+        {"Prop8", "Remark-add", "Remark-diff", "Remark-mult-A", "Thm7-vs-Thm9"},
+    ),
+    "_gen_beta_poly_series": (bernoulli._gen_beta_poly_series, (1, _ORDER), (4,), {"Thm7-vs-Thm9"}),
+    # the powers of e_l(t) - 1 that compose shares with the restricted columns
+    "_scaled_powers": (
+        series._scaled_powers,
+        (_E_MINUS_ONE, _ORDER),
+        (2, 4),
+        {"Eq32-33", "Eq8-Pfaff", "Eq9-Euler"},
+    ),
+    "_transform_side": (verify._transform_side, ("pfaff", 1, _ORDER), (4,), {"Eq8-Pfaff"}),
+    "_restricted_column": (verify._restricted_column, (2, 1, _ORDER), (4,), {"Eq32-33"}),
+}
+
+
+def _verdicts(reports) -> dict:
+    return {str(r.identity_id): r.passed for r in reports}
+
+
+class TestCatchMatrix:
+    def test_every_memoized_builder_is_covered(self):
+        builders = {
+            value
+            for module in (triangles, bernoulli, series, verify)
+            for value in vars(module).values()
+            if getattr(value, "pristine", None) is not None and value.__module__ == module.__name__
+        }
+        assert builders == {builder for builder, *_ in CATCH_MATRIX.values()}
+        assert len(builders) == 15
+
+    @pytest.mark.parametrize("name", list(CATCH_MATRIX))
+    def test_substituted_entry_flips_exactly_the_pinned_identities(self, name, small_suite):
+        builder, args, path, caught = CATCH_MATRIX[name]
+        value = _bumped(builder(*args), path)
+        with substituted(builder, args, value):
+            reports = run_suite(**SMALL)
+        clean = _verdicts(small_suite)
+        assert {token for token, passed in _verdicts(reports).items() if passed != clean[token]} == caught
