@@ -9,9 +9,9 @@ from math import comb, factorial, prod
 
 import pytest
 
+from degenbern import triangles
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
-from degenbern import triangles
 from degenbern.triangles import (
     _row,
     eulerian_classical,
