@@ -3,7 +3,8 @@ parameter p >= -1 through a formal Gauss hypergeometric generating function.
 
 Every quantity here is reachable by several genuinely independent routes:
 
-  gen_beta                triangle-weighted sum (normative; closed form at p = -1)
+  gen_beta                triangle-weighted sum, by Horner in the factors
+                          l - k (normative; closed form at p = -1)
   gen_beta_gf             coefficient of the 2F1 generating series
   gen_beta_eulerian       signed sum over the degenerate Eulerian row
   gen_beta_integral       termwise Beta-function integration of the integral
@@ -12,7 +13,12 @@ Every quantity here is reachable by several genuinely independent routes:
   gen_beta_rstirling      double sum over restricted second-kind entries,
                           carried out in Q(l) and normalized afterwards
 
-and likewise for the polynomials in x.  Route agreement is exercised by the
+and likewise for the polynomials in x.  The weights (l-1)(l-2)...(l-k) of
+the triangle sums are read two ways: gen_beta and eulerian_degenerate (so
+gen_beta_eulerian) nest them as Horner in the linear factors
+(exactcore.falling_sum), while gen_beta_integral, gen_beta_poly_stirling
+and the suite's Thm2 and Eq30 multiply by the expanded log_weight(k), so a
+corrupted weight is caught between them.  Route agreement is exercised by the
 verification suite; the functions themselves do not cross-check.  Likewise
 remark_sides only builds both sides of the argument-shift rules; the suite's
 Remark-* identities compare them.
@@ -41,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index, lincomb
+from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index, falling_sum, lincomb
 from .series import TruncatedSeries, degenerate_exp, gauss_2f1_formal
 from .triangles import (
     _chain,
@@ -134,13 +140,14 @@ def classical_bernoulli(n: int) -> Fraction:
 def gen_beta_stirling_sum(n: int, p: int) -> PolyLambda:
     """The triangle-route sum, defined for every p >= -1.
 
-    sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg(n,k).  At p = -1
-    the binomial is 1 and the sum collapses to the closed falling-factorial
+    sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg(n,k), summed by
+    Horner in the factors l - k (exactcore.falling_sum).  At p = -1 the
+    binomial is 1 and the sum collapses to the closed falling-factorial
     form; gen_beta uses that closed form directly and keeps this evaluation
     as a cross-check.
     """
     _check_range(n, p)
-    return lincomb((log_weight(k), stirling2_deg(n, k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
+    return falling_sum((stirling2_deg(n, k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
 
 
 @memoized
@@ -187,8 +194,10 @@ def gen_beta_integral(n: int, p: int) -> PolyLambda:
         (p+1) sum_k log_weight(k) p!/(p+k+1)! sum_j binom(k,j)(-1)^(k-j) (j)_{n,l}.
 
     The inner alternating sum is the k-th forward difference of (j)_{n,l} at
-    j = 0; it replaces the Stirling triangle, so this route shares no code
-    path with gen_beta beyond the factorial and difference primitives.
+    j = 0; it replaces the Stirling triangle, and the weights are the
+    expanded log_weight(k) where gen_beta nests them by Horner, so this
+    route shares no code with gen_beta beyond the exactcore arithmetic and
+    the factorial chains.
     """
     _check_range(n, p, 0, 0)
     lam = PolyLambda.lam()
@@ -309,15 +318,15 @@ def _gen_beta_poly_series(p: int, order: int) -> TruncatedSeries:
 
 
 def gen_beta_poly_derivative(n: int, p: int) -> PolyXOverLambda:
-    """Closed-form x-derivative: sum_{l>=1} (-l)^(l-1)... in weights
-    (-lambda)^(l-1) (l-1)! binom(n,l) gen_beta_poly(n-l,p).
+    """Closed-form x-derivative:
+    sum_{j=1..n} binom(n,j) (j-1)! (-l)^(j-1) gen_beta_poly(n-j,p).
 
     Must coincide with the coefficientwise derivative of gen_beta_poly(n,p);
-    at l(ambda) = 0 only the first term survives, the classical rule.
+    at l = 0 only the j = 1 term survives, the classical rule.
     """
     _check_range(n, p, 1)
     lam = PolyLambda.lam()
-    return lincomb((gen_beta_poly(n - l, p), (-lam) ** (l - 1), factorial(l - 1) * comb(n, l)) for l in range(1, n + 1))
+    return lincomb((gen_beta_poly(n - j, p), (-lam) ** (j - 1), factorial(j - 1) * comb(n, j)) for j in range(1, n + 1))
 
 
 _REMARK_RULES = ("addition", "difference", "ratio", "shift")

@@ -30,6 +30,13 @@ Fraction.  It multiplies schoolbook on the int numerators, accumulates each
 x-coefficient over one common denominator and reduces it once, instead of
 reducing every product and every partial sum.  Its result lives in the
 widest ring among its operands: rationals alone give a Fraction.
+
+falling_sum(pairs) is the kernel for sum_k w_k b_k (l-1)(l-2)...(l-k), the
+shape of the triangle-route numbers and the degenerate Eulerian numbers: it
+runs Horner in the linear factors l - k over one common denominator,
+O(n^2) coefficient products instead of O(n^3) against the expanded
+weights.  Its step, a (c0 + c1 l) + s b on int numerator lists (_step), also
+builds every triangle row in the triangles module.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "PolyLambda",
     "PolyXOverLambda",
     "RationalFunctionLambda",
+    "falling_sum",
     "lincomb",
     "poly_divmod",
     "poly_gcd",
@@ -286,6 +294,8 @@ def _pl_scale(a, s):
 def _render_rational(p) -> list[str]:
     """'num/den' for each coefficient of p, from its numerators and denominator."""
     d = p._den
+    if d == 1:
+        return [f"{c}/1" for c in p._terms or (0,)]
     return [f"{c // g}/{d // g}" for c in p._terms or (0,) for g in (gcd(c, d),)]
 
 
@@ -733,6 +743,47 @@ def lincomb(terms, ring=Fraction):
     if rank == 2:
         return PolyXOverLambda(coeffs)
     return coeffs[0] if rank else Fraction(coeffs[0].coefficient(0))
+
+
+def _step(a, c0: int, c1: int, s: int, b) -> list:
+    """Numerators of a (c0 + c1 l) + s b, for int numerator sequences a and b,
+    without trailing zeros: one step of a Horner sum and of a triangle row."""
+    if c1 and a:
+        out = [c0 * u + c1 * v for u, v in zip([*a, 0], [0, *a])]
+    else:
+        out = [c0 * u for u in a]
+    if s and b:
+        if len(out) < len(b):
+            out += [0] * (len(b) - len(out))
+        out[: len(b)] = [u + s * v for u, v in zip(out, b)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def falling_sum(terms) -> PolyLambda:
+    """sum_k w_k b_k (l-1)(l-2)...(l-k) over the pairs (b_k, w_k) of terms,
+    k = 0, 1, ...; b_k a rational or a PolyLambda, w_k an int or a Fraction.
+
+    Horner in the factors l - k, acc <- acc (l - (k+1)) + w_k b_k from the
+    top k down, on int numerators over the lcm of the terms' denominators,
+    reduced once: O(n^2) coefficient products where a sum against the
+    expanded weights takes O(n^3).
+    """
+    cs = []
+    for b, w in terms:
+        rank, cols = _columns(b)
+        if rank == 2:
+            raise TypeError("falling_sum operands must be rational or PolyLambda, got PolyXOverLambda")
+        if type(w) is not int:
+            w = _norm_coeff(w)
+        cs.append((cols[0][1], w.numerator, cols[0][2] * w.denominator) if cols and w else ((), 0, 1))
+    den = lcm(*[d for _, _, d in cs])
+    acc = []
+    for k in range(len(cs) - 1, -1, -1):
+        bt, wn, d = cs[k]
+        acc = _step(acc, -(k + 1), 1, wn * (den // d), bt)
+    return _PL_ONE if acc == [1] and den == 1 else _pl_reduce(acc, den)  # as in lincomb
 
 
 def specialize(value, *, lam: Scalar | None = None, x: Scalar | None = None):

@@ -11,11 +11,14 @@ Multiplying (x)_{m-1,l} by x - (m-1)l, and (x)_{m-1} by x - (m-1), turns these
 relations into the row recurrence T(m,k) = w T(m-1,k) + T(m-1,k-1), with
 w = k - (m-1)l for the second kind and w = kl - (m-1) for the first; at l = 0
 it is the classical recurrence.  That one recurrence builds all four Stirling
-triangles here.  The basis relations themselves, the generating functions and
-finite differences serve as independent routes in the test and verification
-layers.  All degenerate entries are PolyLambda with integer coefficients;
-classical entries are plain ints.  memoized keeps the rows, the factorial
-chains, log_weight, eulerian_degenerate and stirling2_deg_poly, each built once.
+triangles here, one exactcore._step per entry on int numerators.  The basis
+relations themselves, the generating functions and finite differences serve
+as independent routes in the test and verification layers.  All degenerate
+entries are PolyLambda with integer coefficients; classical entries are plain
+ints.  eulerian_degenerate sums its row against the weights (l-1)...(l-k) by
+Horner (exactcore.falling_sum); log_weight keeps the expanded weights for the
+routes that multiply by them.  memoized keeps the rows, the factorial chains,
+log_weight, eulerian_degenerate and stirling2_deg_poly, each built once.
 Inside substituted(builder, args, value) one entry of any memoized builder
 answers value and every memo is the substitution's own, so a corrupted entry
 never reaches a pristine memo.
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import wraps
 from math import comb
 
-from .exactcore import PolyLambda, PolyXOverLambda, _index, lincomb
+from .exactcore import PolyLambda, PolyXOverLambda, _index, _step, falling_sum, lincomb
 
 __all__ = [
     "falling_factorial",
@@ -211,22 +214,27 @@ def _check_triangle_indices(n: int, k: int):
 def _row(n: int, r: int, first: bool, lam) -> tuple:
     """Row n of T(m,k) = w T(m-1,k) + T(m-1,k-1), T(0,0) = 1.
 
-    w = kl - (m-1) gives the first kind, w = k + r - (m-1)l the second (the
-    r-Stirling one for r > 0).  lam = 0 gives the classical rows as ints,
-    lam = l the degenerate rows as PolyLambda.  The row is built upward without
-    recursion from the nearest lower row already in the memo (row 0 at worst),
-    and only row n is kept.
+    w = k lam - (m-1) gives the first kind, w = k + r - (m-1) lam the second
+    (the r-Stirling one for r > 0).  lam = 0 gives the classical rows as ints,
+    lam = l the degenerate rows as PolyLambda over 1.  The row is built upward
+    without recursion from the nearest lower row already in the memo (row 0
+    at worst), each entry one exactcore._step on int numerators with
+    w = c0 + c1 l, and only row n is wrapped and kept.
     """
-    m, row = 0, (lam**0,)  # T(0,0) = 1 in the ring of lam
+    slope = 1 if lam else 0  # the l-coefficient of lam
+    m, row = 0, [(1,)]
     for j in range(n - 1, 0, -1):
         known = _row.pristine.get((j, r, first, lam))
         if known is not None:
-            m, row = j, known
+            m, row = j, [v.coeffs if slope else (v,) if v else () for v in known]
             break
     for m in range(m + 1, n + 1):
-        pairs = enumerate(zip(row + (0,), (0,) + row))
-        row = tuple((k * lam - (m - 1) if first else k + r - (m - 1) * lam) * a + b for k, (a, b) in pairs)
-    return row
+        pairs = enumerate(zip([*row, ()], [(), *row]))
+        if first:
+            row = [_step(a, 1 - m, k * slope, 1, b) for k, (a, b) in pairs]
+        else:
+            row = [_step(a, k + r, (1 - m) * slope, 1, b) for k, (a, b) in pairs]
+    return tuple([PolyLambda(t) for t in row] if slope else [t[0] if t else 0 for t in row])
 
 
 def stirling2_deg(n: int, k: int) -> PolyLambda:
@@ -333,12 +341,13 @@ def eulerian_classical(n: int, m: int) -> int:
 def eulerian_degenerate(n: int, m: int) -> PolyLambda:
     """Degenerate Eulerian number as a PolyLambda.
 
-    (-1)^{n-m} sum_k log_weight(k) binom(n-k,m) stirling2_deg(n,k); the l = 0
+    (-1)^{n-m} sum_k log_weight(k) binom(n-k,m) stirling2_deg(n,k), summed by
+    Horner in the factors l - k (exactcore.falling_sum); the l = 0
     specialization is the classical descent count.
     """
     _check_triangle_indices(n, m)
     sign = -1 if (n - m) % 2 else 1
-    return lincomb((log_weight(k), stirling2_deg(n, k), sign * comb(n - k, m)) for k in range(n - m + 1))
+    return falling_sum((stirling2_deg(n, k), sign * comb(n - k, m)) for k in range(n - m + 1))
 
 
 def forward_difference(values, k: int):

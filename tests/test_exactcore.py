@@ -12,11 +12,13 @@ from degenbern.exactcore import (
     PolyLambda,
     PolyXOverLambda,
     RationalFunctionLambda,
+    falling_sum,
     lincomb,
     poly_divmod,
     poly_gcd,
     specialize,
 )
+from degenbern.triangles import log_weight
 
 LAM = PolyLambda.lam()
 ONE = PolyLambda.one()
@@ -383,6 +385,46 @@ class TestLincomb:
     def test_float_bool_and_foreign_operands_refused(self, bad):
         with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
             lincomb([bad])
+
+
+# falling_sum pairs: a rational or PolyLambda operand, zeros and denominators
+# other than 1 included, and an int or Fraction weight, zero included
+FALLING_TERMS = st.lists(
+    st.tuples(
+        st.one_of(KERNEL_SCALARS, KERNEL_PL),
+        st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**4)),
+    ),
+    max_size=9,
+)
+
+
+class TestFallingSum:
+    """exactcore.falling_sum against lincomb over the expanded log_weight(k)."""
+
+    @given(FALLING_TERMS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lincomb_against_the_expanded_weights(self, terms):
+        got = falling_sum(terms)
+        assert got == lincomb(((log_weight(k), b, w) for k, (b, w) in enumerate(terms)), PolyLambda)
+        assert type(got) is PolyLambda
+        canonical_form(got)
+
+    def test_empty_sum_and_shared_one(self):
+        assert falling_sum([]) == PolyLambda.zero() and type(falling_sum([])) is PolyLambda
+        assert falling_sum([(LAM, 0), (0, 5)]) == PolyLambda.zero()
+        assert falling_sum([(1, 1)]) is ONE and falling_sum([(ONE, 1), (0, 3)]) is ONE
+        assert falling_sum([(Fraction(1, 2), 2)]) == ONE
+        # 1 - 1 (l - 1) + 1/2 (l - 1)(l - 2) = (l^2 - 5 l + 6) / 2
+        assert falling_sum([(1, 1), (-1, 1), (ONE, Fraction(1, 2))]) == pl(3, Fraction(-5, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("bad", [(1.5, 1), (True, 1), (LAM, 0.5), (LAM, True)])
+    def test_float_and_bool_operands_refused(self, bad):
+        with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
+            falling_sum([bad])
+
+    def test_x_operand_refused(self):
+        with pytest.raises(TypeError, match="falling_sum operands must be rational or PolyLambda"):
+            falling_sum([(ONE, 1), (X, 1)])
 
 
 class TestCoefficientReads:

@@ -3,8 +3,9 @@
 Every PolyLambda result is compared with sympy's, and its stored form is
 checked to be canonical: a positive denominator coprime to the content of
 the integer numerators, and no trailing zero.  The same holds for the fused
-kernel lincomb over Q[l] and Q[l][x], and for the monomial paths of poly_gcd
-and poly_divmod, which the Q(l) values of the rstirling route take.
+kernel lincomb over Q[l] and Q[l][x], for the Horner sum falling_sum, and for
+the monomial paths of poly_gcd and poly_divmod, which the Q(l) values of the
+rstirling route take.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from degenbern.exactcore import (
     PolyLambda,
     PolyXOverLambda,
     RationalFunctionLambda,
+    falling_sum,
     lincomb,
     poly_divmod,
     poly_gcd,
@@ -179,3 +181,21 @@ def test_lincomb_agrees_with_sympy(terms):
     else:
         # rationals in, a Fraction out
         assert type(got) is Fraction
+
+
+falling_terms = st.lists(
+    st.tuples(st.one_of(scalars_or_zero, kernel_pl), st.one_of(st.sampled_from([0, 1, -1]), scalars)),
+    max_size=8,
+)
+
+
+@given(falling_terms)
+@settings(max_examples=150, deadline=None)
+def test_falling_sum_agrees_with_sympy(terms):
+    got = falling_sum(terms)
+    want = sympy.Poly(0, L, domain=sympy.QQ)
+    for k, (b, w) in enumerate(terms):
+        # the weight (l-1)(l-2)...(l-k), built by sympy
+        weight = sympy.Poly(sympy.prod([L - i for i in range(1, k + 1)]), L, domain=sympy.QQ)
+        want += to_sympy(PolyLambda.one() * b) * weight * rational(Fraction(w))
+    agree(got, want)

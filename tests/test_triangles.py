@@ -338,6 +338,37 @@ class TestDegenerateStirling:
                     rhs = rhs + (LAM * k - n) * stirling1_deg(n, k)
                 assert lhs == rhs
 
+    @pytest.mark.parametrize("lam", [0, LAM], ids=["classical", "degenerate"])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    @pytest.mark.parametrize("first", [True, False], ids=["first-kind", "second-kind"])
+    def test_row_kernel_matches_the_ring_operation_recurrence(self, first, r, lam):
+        """_row's int-numerator kernel against T(m,k) = w T(m-1,k) + T(m-1,k-1)
+        written out in ring operations, for rows built upward from a cold
+        memo and for rows extended from a kept one."""
+        want, row = [], (lam**0,)
+        for m in range(31):
+            if m:
+                pairs = enumerate(zip(row + (0,), (0,) + row))
+                row = tuple((k * lam - (m - 1) if first else k + r - (m - 1) * lam) * a + b for k, (a, b) in pairs)
+            want.append(row)
+        kept = dict(_row.pristine)
+        try:
+            _row.pristine.clear()
+            cold = _row(30, r, first, lam)
+            _row.pristine.clear()
+            warm = [_row(n, r, first, lam) for n in range(31)]
+        finally:
+            _row.pristine.clear()
+            _row.pristine.update(kept)
+        for got, expected in zip([*warm, cold], [*want, want[30]]):
+            assert got == expected
+            for entry in got:
+                if lam:
+                    assert type(entry) is PolyLambda and entry._den == 1
+                    assert not entry._terms or entry._terms[-1]
+                else:
+                    assert type(entry) is int
+
     def test_classical_limits(self):
         for n in range(15):
             for k in range(n + 1):

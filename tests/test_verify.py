@@ -322,12 +322,9 @@ CATCH_MATRIX = {
         (3,),
         {"Eq32-33", "Thm3-vs-GF", "Thm4", "Thm5", "Thm6", "Thm7-vs-Thm9"},
     ),
-    "log_weight": (
-        triangles.log_weight,
-        (3,),
-        (),
-        {"ClassicalLimits", "Eq23", "Thm1", "Thm3-vs-GF", "Thm4", "Thm6", "Thm7-vs-Thm9"},
-    ),
+    # gen_beta and eulerian_degenerate sum by Horner in the factors l - k, so
+    # only the routes that still multiply by log_weight read this entry
+    "log_weight": (triangles.log_weight, (3,), (), {"Eq30", "Thm2", "Thm6", "Thm7-vs-Thm9"}),
     "_row-first-kind": (
         triangles._row,
         (4, 0, True, _LAM),
