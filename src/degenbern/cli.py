@@ -190,27 +190,31 @@ def _at_lambda(value, lam: Fraction):
     return out if isinstance(out, PolyXOverLambda) else PolyLambda.constant(out)
 
 
-def _entry_payload(value) -> tuple[str, object]:
-    """JSON field name and payload for one table value."""
-    if isinstance(value, PolyXOverLambda):
-        return "x_coeffs", [_render_rational(c) for c in value.coeffs]
-    return "lambda_coeffs", _render_rational(value)
-
-
 def _render_json(cfg: CliConfig, params: dict, rows) -> str:
-    entries = []
+    """The bytes of json.dumps(doc, indent=2) + "\\n", written from the rows.
+
+    doc is {"family", "max_n", "parameters", "entries"}, an entry its index
+    fields and "lambda_coeffs" (Q[l]) or "x_coeffs" (Q[l][x], a list per
+    power of x).  The header goes through json.dumps, which escapes it.  The
+    strings of _render_rational are always "num/den" in ASCII digits, which
+    JSON never escapes, so they are joined as they are, and all parts once.
+    """
+    head = json.dumps({"family": cfg.family, "max_n": cfg.max_n, "parameters": params}, indent=2)
+    parts = [head[:-2], ',\n  "entries": [\n']  # head without its closing "\n}"
+    l_sep, x_sep = '",\n        "', '",\n          "'  # between two coefficient strings
     for index, value in rows:
-        entry_obj = dict(index)
-        field, payload = _entry_payload(value)
-        entry_obj[field] = payload
-        entries.append(entry_obj)
-    doc = {
-        "family": cfg.family,
-        "max_n": cfg.max_n,
-        "parameters": params,
-        "entries": entries,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        keys = "".join([f'"{key}": {v},\n      ' for key, v in index.items()])
+        if isinstance(value, PolyXOverLambda):
+            lists = ",\n".join(
+                [f'        [\n          "{x_sep.join(_render_rational(c))}"\n        ]'
+                 for c in value.coeffs]
+            )
+            field = f'"x_coeffs": [\n{lists}\n      ]' if lists else '"x_coeffs": []'
+        else:
+            field = f'"lambda_coeffs": [\n        "{l_sep.join(_render_rational(value))}"\n      ]'
+        parts += f"    {{\n      {keys}{field}\n    }}", ",\n"
+    parts[-1] = "\n  ]\n}\n"  # rows is never empty: max_n >= 0
+    return "".join(parts)
 
 
 def _render_csv(cfg: CliConfig, params: dict, rows) -> str:
@@ -243,6 +247,15 @@ def _write_atomic(path: str, text: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode a plain open(path, "w")
+        # would leave: the target's own, else 0666 less the umask
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)  # the only way to read it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except OSError as exc:
         try:

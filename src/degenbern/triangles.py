@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import wraps
 from math import comb
 
-from .exactcore import PolyLambda, PolyXOverLambda, _index, _step, falling_sum, lincomb
+from .exactcore import PolyLambda, PolyXOverLambda, _index, _pl_reduce, _step, falling_sum, lincomb
 
 __all__ = [
     "falling_factorial",
@@ -219,7 +219,8 @@ def _row(n: int, r: int, first: bool, lam) -> tuple:
     lam = l the degenerate rows as PolyLambda over 1.  The row is built upward
     without recursion from the nearest lower row already in the memo (row 0
     at worst), each entry one exactcore._step on int numerators with
-    w = c0 + c1 l, and only row n is wrapped and kept.
+    w = c0 + c1 l, and only row n is wrapped and kept.  _step returns int
+    lists without trailing zeros, so the wrap is the trusted _pl_reduce.
     """
     slope = 1 if lam else 0  # the l-coefficient of lam
     m, row = 0, [(1,)]
@@ -234,7 +235,7 @@ def _row(n: int, r: int, first: bool, lam) -> tuple:
             row = [_step(a, 1 - m, k * slope, 1, b) for k, (a, b) in pairs]
         else:
             row = [_step(a, k + r, (1 - m) * slope, 1, b) for k, (a, b) in pairs]
-    return tuple([PolyLambda(t) for t in row] if slope else [t[0] if t else 0 for t in row])
+    return tuple([_pl_reduce(list(t), 1) for t in row] if slope else [t[0] if t else 0 for t in row])
 
 
 def stirling2_deg(n: int, k: int) -> PolyLambda:

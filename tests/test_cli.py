@@ -3,6 +3,7 @@ golden outputs, config merging, exit codes and atomic export."""
 
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,17 @@ import pytest
 import degenbern
 from degenbern import bernoulli, exactcore, series, triangles, verify
 from degenbern.bernoulli import carlitz_beta
-from degenbern.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from degenbern.exactcore import specialize
+from degenbern.cli import (
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAILED,
+    FAMILIES,
+    CliConfig,
+    _build_rows,
+    _render_json,
+    main,
+)
+from degenbern.exactcore import PolyLambda, PolyXOverLambda, _render_rational, specialize
 
 
 def run(capsys, *argv):
@@ -96,6 +106,77 @@ class TestCompute:
         assert doc["entries"][1]["lambda_coeffs"] == ["-1/4"]
 
 
+def reference_json(cfg, params, rows):
+    """The JSON text as the document layout defines it: json.dumps(doc, indent=2)
+    over the nested document, built here independently of the writer."""
+    entries = []
+    for index, value in rows:
+        if isinstance(value, PolyXOverLambda):
+            payload = {"x_coeffs": [_render_rational(c) for c in value.coeffs]}
+        else:
+            payload = {"lambda_coeffs": _render_rational(value)}
+        entries.append({**index, **payload})
+    doc = {"family": cfg.family, "max_n": cfg.max_n, "parameters": params, "entries": entries}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    """compute --format json prints exactly what json.dumps(doc, indent=2)
+    prints for the document, on every family, symbolic and evaluated."""
+
+    @pytest.mark.parametrize("lam", [None, "1/3", "0"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_matches_json_dumps(self, capsys, family, lam):
+        argv = ["compute", family, "--max-n", "5", "--format", "json"]
+        argv += [f"--lambda={lam}"] if lam is not None else []
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        cfg = CliConfig(
+            command="compute", family=family, max_n=5, lam=None if lam is None else Fraction(lam)
+        )
+        assert out == reference_json(cfg, *_build_rows(cfg, set()))
+
+    @pytest.mark.parametrize("family", ["gen-beta", "gen-beta-poly", "r-stirling2"])
+    def test_family_parameters_match_json_dumps(self, capsys, family):
+        flag = "--r" if family == "r-stirling2" else "--p"
+        code, out, _ = run(capsys, "compute", family, "--max-n", "3", flag, "2", "--format", "json")
+        assert code == EXIT_OK
+        cfg = CliConfig(command="compute", family=family, max_n=3, p=2, r=2)
+        assert out == reference_json(cfg, *_build_rows(cfg, {flag[2:]}))
+
+    def test_zero_and_mixed_rows_match_json_dumps(self):
+        cfg = CliConfig(command="compute", family="gen-beta-poly", max_n=2)
+        half = PolyLambda((Fraction(-1, 2), 3))
+        rows = [
+            ({"n": 0}, PolyXOverLambda(())),
+            ({"n": 1}, PolyXOverLambda((half, 0, PolyLambda.one()))),
+            ({"n": 2}, PolyXOverLambda(())),
+            ({"n": 2, "k": 1}, PolyLambda(())),
+            ({"n": 2, "k": 2}, half),
+        ]
+        text = _render_json(cfg, {"p": 1, "lambda": "1/3"}, rows)
+        assert '"x_coeffs": []' in text
+        assert text == reference_json(cfg, {"p": 1, "lambda": "1/3"}, rows)
+
+    def test_large_triangle_matches_json_dumps(self):
+        cfg = CliConfig(command="compute", family="stirling2", max_n=44, fmt="json")
+        params, rows = _build_rows(cfg, set())
+        assert _render_json(cfg, params, rows) == reference_json(cfg, params, rows)
+
+    def test_peak_memory_stays_within_three_times_the_output(self):
+        # the nested document and the stdlib encoder's chunk list took about
+        # six times the output; the writer holds one part per entry and the text
+        cfg = CliConfig(command="compute", family="stirling2", max_n=44, fmt="json")
+        params, rows = _build_rows(cfg, set())
+        tracemalloc.start()
+        try:
+            text = _render_json(cfg, params, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
+
+
 class TestExport:
     def test_json_round_trip_is_byte_identical(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -120,6 +201,22 @@ class TestExport:
         capsys.readouterr()
         assert code == EXIT_OK
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    def test_file_mode_is_that_of_a_plain_write(self, capsys, tmp_path):
+        # a new file gets 0666 less the umask, an existing one keeps its mode
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("")
+        kept.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            for target in (fresh, kept):
+                assert main(["export", "beta", "--max-n", "2", "--output", str(target)]) == EXIT_OK
+        finally:
+            os.umask(umask)
+        capsys.readouterr()
+        assert fresh.stat().st_mode & 0o777 == 0o644
+        assert kept.stat().st_mode & 0o777 == 0o640
 
     def test_output_required(self, capsys):
         code, _, err = run(capsys, "export", "beta", "--max-n", "2")
