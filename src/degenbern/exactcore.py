@@ -631,26 +631,22 @@ class PolyXOverLambda:
         """Substitute for x.
 
         A rational or PolyLambda substitution returns PolyLambda; substituting
-        another PolyXOverLambda (e.g. x+1) returns PolyXOverLambda.  A rational
-        point must be an int or a Fraction.  A linear at = a + b x goes by a
-        Taylor shift, one lincomb per coefficient of the result:
-        c'_j = b^j sum_i binom(i, j) a^(i-j) c_i.  A substitution of degree 2
-        or more runs Horner.
+        a linear PolyXOverLambda at = a + b x (e.g. x+1) returns PolyXOverLambda,
+        by a Taylor shift, one lincomb per coefficient of the result:
+        c'_j = b^j sum_i binom(i, j) a^(i-j) c_i.  A substitution of x-degree 2
+        or more is refused.  A rational point must be an int or a Fraction.
         """
         if isinstance(at, PolyXOverLambda):
-            if at.degree <= 1:
-                c, a, b = self._terms, [_PL_ONE], [_PL_ONE]  # a^i and b^j
-                for _ in range(1, len(c)):
-                    a.append(a[-1] * at.coefficient(0))
-                    b.append(b[-1] * at.coefficient(1))
-                return PolyXOverLambda(
-                    lincomb((c[i], a[i - j], comb(i, j)) for i in range(j, len(c))) * b[j]
-                    for j in range(len(c))
-                )
-            acc = self.zero()
-            for c in reversed(self.coeffs):
-                acc = acc * at + PolyXOverLambda.constant(c)
-            return acc
+            if at.degree > 1:
+                raise ValueError(f"cannot substitute a polynomial of x-degree {at.degree}; only a + b x")
+            c, a, b = self._terms, [_PL_ONE], [_PL_ONE]  # a^i and b^j
+            for _ in range(1, len(c)):
+                a.append(a[-1] * at.coefficient(0))
+                b.append(b[-1] * at.coefficient(1))
+            return PolyXOverLambda(
+                lincomb((c[i], a[i - j], comb(i, j)) for i in range(j, len(c))) * b[j]
+                for j in range(len(c))
+            )
         if not isinstance(at, PolyLambda):
             at = PolyLambda.constant(_check_rational(at))
         acc = _PL_ZERO

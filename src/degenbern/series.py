@@ -14,7 +14,7 @@ memoized factorial chains of triangles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .exactcore import PolyLambda, PolyXOverLambda, _index, lincomb
 from .triangles import _chain, memoized
@@ -97,14 +97,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient index {n} out of range 0..{self.order}")
         return self.coeffs[n]
-
-    def ordinary(self) -> tuple:
-        """Ordinary coefficients [t^n] = c_n / n!."""
-        return tuple(c * Fraction(1, factorial(n)) for n, c in enumerate(self.coeffs))
-
-    @classmethod
-    def from_ordinary(cls, ring, coeffs) -> "TruncatedSeries":
-        return cls(ring, (_ring_element(ring, c) * factorial(n) for n, c in enumerate(coeffs)))
 
     def truncate(self, order: int) -> "TruncatedSeries":
         _order(order)

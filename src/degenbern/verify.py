@@ -6,14 +6,14 @@ index ranges, evaluates both sides exactly (in Q[l], Q(l), or Q[l][x], fixed
 per identity), and reports pass counts plus the first counterexample found.
 
 Identities carry short stable string tokens (IdentityId values) that are part
-of the command-line interface; DESCRIPTIONS maps each token to a one-line
-statement of what is compared.  A "case" is one value of the outer index n;
-inner indices (p, k, m, r, y) are swept inside the case, over ranges declared
-once per identity in _CHECKS and reported by suite_plan.  Each identity's
-check is a generator that yields its comparisons (parameters, lhs, rhs) in
-order; run_suite stops the case at the first unequal pair, so a single
-failing inner assignment fails the whole case and is pinpointed in
-first_failure.
+of the command-line interface.  Each IdentityId member is the one declaration
+of its identity: token, one-line description of what is compared (also in
+DESCRIPTIONS), check, first n and inner ranges.  A "case" is one value of the
+outer index n; inner indices (p, k, m, r, y) are swept inside the case, over
+the member's ranges, which suite_plan reports.  Each identity's check is a
+generator that yields its comparisons (parameters, lhs, rhs) in order;
+run_suite stops the case at the first unequal pair, so a single failing inner
+assignment fails the whole case and is pinpointed in first_failure.
 
 Reports are deterministic for identical inputs, except the elapsed timing
 field.  The corrupt_s2 hook runs the suite inside triangles.substituted with
@@ -80,66 +80,6 @@ __all__ = [
     "suite_plan",
     "explain_failure",
 ]
-
-
-class IdentityId(str, Enum):
-    """Stable tokens naming the verifiable identities."""
-
-    THM1 = "Thm1"
-    THM2 = "Thm2"
-    THM3_VS_GF = "Thm3-vs-GF"
-    THM4 = "Thm4"
-    THM5 = "Thm5"
-    THM6 = "Thm6"
-    THM7_VS_THM9 = "Thm7-vs-Thm9"
-    PROP8 = "Prop8"
-    LEMMA38 = "Lemma38"
-    EQ8_PFAFF = "Eq8-Pfaff"
-    EQ9_EULER = "Eq9-Euler"
-    EQ11 = "Eq11"
-    EQ12 = "Eq12"
-    EQ13 = "Eq13"
-    EQ23 = "Eq23"
-    EQ26_27 = "Eq26-27"
-    EQ30 = "Eq30"
-    EQ32_33 = "Eq32-33"
-    REMARK_ADD = "Remark-add"
-    REMARK_DIFF = "Remark-diff"
-    REMARK_MULT_A = "Remark-mult-A"
-    REMARK_MULT_B = "Remark-mult-B"
-    STIRLING_DUALITY = "StirlingDuality"
-    CLASSICAL_LIMITS = "ClassicalLimits"
-
-    def __str__(self) -> str:  # so f-strings show the token, not the member name
-        return self.value
-
-
-DESCRIPTIONS: dict[IdentityId, str] = {
-    IdentityId.THM1: "weighted second-kind row sum vs reciprocal-series coefficient",
-    IdentityId.THM2: "first-kind inversion of the degenerate Bernoulli sequence",
-    IdentityId.THM3_VS_GF: "generalized-number triangle sum vs hypergeometric coefficient",
-    IdentityId.THM4: "Eulerian route vs hypergeometric coefficient",
-    IdentityId.THM5: "restricted-triangle field route (raw and simplified) vs hypergeometric coefficient",
-    IdentityId.THM6: "termwise-integrated route vs hypergeometric coefficient",
-    IdentityId.THM7_VS_THM9: "both polynomial routes vs polynomial series coefficient",
-    IdentityId.PROP8: "closed-form x-derivative vs coefficientwise derivative",
-    IdentityId.LEMMA38: "x-shifted second-kind entries vs symbolic forward differences",
-    IdentityId.EQ8_PFAFF: "hypergeometric series vs its argument-flip (b) transform",
-    IdentityId.EQ9_EULER: "hypergeometric series vs its argument-flip (a and b) transform",
-    IdentityId.EQ11: "classical Eulerian row sums vs factorial",
-    IdentityId.EQ12: "classical Eulerian numbers vs signed second-kind sums",
-    IdentityId.EQ13: "power basis expanded in Eulerian-weighted binomials",
-    IdentityId.EQ23: "closed falling-factorial form of the p = -1 numbers vs triangle sum",
-    IdentityId.EQ26_27: "second-kind entries vs forward differences at zero, with vanishing tail",
-    IdentityId.EQ30: "binomial-shift identity tying second-kind and degenerate Eulerian rows",
-    IdentityId.EQ32_33: "restricted second-kind entries vs basis expansion and series oracle",
-    IdentityId.REMARK_ADD: "argument-addition rule for the polynomials",
-    IdentityId.REMARK_DIFF: "unit-shift difference rule for the polynomials",
-    IdentityId.REMARK_MULT_A: "argument-scaling rule, step read as l/(m-1)",
-    IdentityId.REMARK_MULT_B: "argument-scaling rule, step read as l/m - 1",
-    IdentityId.STIRLING_DUALITY: "the two degenerate triangles invert each other",
-    IdentityId.CLASSICAL_LIMITS: "l = 0 specializations match classical recurrences",
-}
 
 
 @dataclass(frozen=True)
@@ -217,7 +157,7 @@ def _restricted_column(k: int, r: int, order: int) -> TruncatedSeries:
 
 # One generator per identity.  check(bounds, n, sweep) yields (parameters,
 # lhs, rhs) for each comparison of case n, in order; sweep maps each inner
-# index to the range _CHECKS declares for it at row n.
+# index to the range the identity's IdentityId member declares for it at row n.
 
 
 def _ck_thm1(b: _Bounds, n: int, sweep):
@@ -287,10 +227,10 @@ def _ck_eq11(b: _Bounds, n: int, sweep):
 
 
 def _ck_eq12(b: _Bounds, n: int, sweep):
-    zero = Fraction(0)
+    at_zero = [stirling2_deg(n, k).evaluate(0) for k in range(n + 1)]
     for m in sweep["m"]:
         rhs = lincomb(
-            (stirling2_deg(n, k).evaluate(zero), 1, (-1) ** (n - k - m) * comb(n - k, m) * factorial(k))
+            (at_zero[k], 1, (-1) ** (n - k - m) * comb(n - k, m) * factorial(k))
             for k in range(n - m + 1)
         )
         yield {"n": n, "m": m}, eulerian_classical(n, m), rhs
@@ -359,79 +299,115 @@ def _ck_duality(b: _Bounds, n: int, sweep):
 
 
 def _ck_classical_limits(b: _Bounds, n: int, sweep):
-    zero = Fraction(0)
     for k in sweep["k"]:
         at = {"n": n, "k": k}
-        yield at, stirling2_deg(n, k).evaluate(zero), stirling2_classical(n, k)
-        yield at, stirling1_deg(n, k).evaluate(zero), stirling1_classical(n, k)
-        yield at, eulerian_degenerate(n, k).evaluate(zero), eulerian_classical(n, k)
-    yield {"n": n}, carlitz_beta(n).evaluate(zero), classical_bernoulli(n)
+        yield at, stirling2_deg(n, k).evaluate(0), stirling2_classical(n, k)
+        yield at, stirling1_deg(n, k).evaluate(0), stirling1_classical(n, k)
+        yield at, eulerian_degenerate(n, k).evaluate(0), eulerian_classical(n, k)
+    yield {"n": n}, carlitz_beta(n).evaluate(0), classical_bernoulli(n)
+
+
+def _no_inner(b: _Bounds, n: int) -> dict:
+    return {}
+
+
+def _every_p(b: _Bounds, n: int) -> dict:
+    return {"p": range(b.max_p + 1)}
+
+
+def _every_k(b: _Bounds, n: int) -> dict:
+    return {"k": range(n + 1)}
 
 
 def _remark_p(b: _Bounds) -> range:
     return range(min(b.max_p, 2) + 1)
 
 
-# token -> (case check, first n, inner ranges at row n): the one declaration
-# of what a run sweeps, read by run_suite and suite_plan alike
-_CHECKS = {
-    IdentityId.THM1: (_ck_thm1, 0, lambda b, n: {}),
-    IdentityId.THM2: (_ck_thm2, 1, lambda b, n: {}),
-    IdentityId.THM3_VS_GF: (_ck_thm3, 0, lambda b, n: {"p": range(-1, b.max_p + 1)}),
-    IdentityId.THM4: (_ck_thm4, 0, lambda b, n: {"p": range(b.max_p + 1)}),
-    IdentityId.THM5: (_ck_thm5, 1, lambda b, n: {"p": range(1, b.max_p + 1)}),
-    IdentityId.THM6: (_ck_thm6, 0, lambda b, n: {"p": range(b.max_p + 1)}),
-    IdentityId.THM7_VS_THM9: (_ck_thm7_vs_thm9, 0, lambda b, n: {"p": range(b.max_p + 1)}),
-    IdentityId.PROP8: (_ck_prop8, 1, lambda b, n: {"p": range(b.max_p + 1)}),
-    IdentityId.LEMMA38: (_ck_lemma38, 0, lambda b, n: {"k": range(n + 1)}),
-    IdentityId.EQ8_PFAFF: (_transform_check("pfaff"), 0, lambda b, n: {"p": range(b.max_p + 1)}),
-    IdentityId.EQ9_EULER: (_transform_check("euler"), 0, lambda b, n: {"p": range(b.max_p + 1)}),
-    IdentityId.EQ11: (_ck_eq11, 1, lambda b, n: {}),
-    IdentityId.EQ12: (_ck_eq12, 0, lambda b, n: {"m": range(n + 1)}),
-    IdentityId.EQ13: (_ck_eq13, 0, lambda b, n: {}),
-    IdentityId.EQ23: (_ck_eq23, 0, lambda b, n: {}),
-    IdentityId.EQ26_27: (_ck_eq26_27, 0, lambda b, n: {"k": range(n + 3)}),
-    IdentityId.EQ30: (_ck_eq30, 0, lambda b, n: {}),
-    IdentityId.EQ32_33: (
-        _ck_eq32_33,
-        0,
-        lambda b, n: {"k": range(n + 1), "r": range(1, max(1, b.max_p) + 1)},
-    ),
+def _remark_m(b: _Bounds, n: int) -> dict:
+    return {"p": _remark_p(b), "m": range(2, 4)}
+
+
+class IdentityId(str, Enum):
+    """Stable tokens naming the verifiable identities.
+
+    Each member is the one declaration of its identity: the token (its
+    value), a one-line description, and the run fields that run_suite and
+    suite_plan read: the case check, the first n, and the inner ranges swept
+    at row n.
+    """
+
+    def __new__(cls, token: str, description: str, check, first_n: int, sweep):
+        member = str.__new__(cls, token)
+        member._value_ = token
+        member.description = description
+        member._check, member._first_n, member._sweep = check, first_n, sweep
+        return member
+
+    def __str__(self) -> str:  # so f-strings show the token, not the member name
+        return self.value
+
+    THM1 = ("Thm1", "weighted second-kind row sum vs reciprocal-series coefficient",
+            _ck_thm1, 0, _no_inner)
+    THM2 = ("Thm2", "first-kind inversion of the degenerate Bernoulli sequence",
+            _ck_thm2, 1, _no_inner)
+    THM3_VS_GF = ("Thm3-vs-GF", "generalized-number triangle sum vs hypergeometric coefficient",
+                  _ck_thm3, 0, lambda b, n: {"p": range(-1, b.max_p + 1)})
+    THM4 = ("Thm4", "Eulerian route vs hypergeometric coefficient",
+            _ck_thm4, 0, _every_p)
+    THM5 = ("Thm5", "restricted-triangle field route (raw and simplified) vs hypergeometric coefficient",
+            _ck_thm5, 1, lambda b, n: {"p": range(1, b.max_p + 1)})
+    THM6 = ("Thm6", "termwise-integrated route vs hypergeometric coefficient",
+            _ck_thm6, 0, _every_p)
+    THM7_VS_THM9 = ("Thm7-vs-Thm9", "both polynomial routes vs polynomial series coefficient",
+                    _ck_thm7_vs_thm9, 0, _every_p)
+    PROP8 = ("Prop8", "closed-form x-derivative vs coefficientwise derivative",
+             _ck_prop8, 1, _every_p)
+    LEMMA38 = ("Lemma38", "x-shifted second-kind entries vs symbolic forward differences",
+               _ck_lemma38, 0, _every_k)
+    EQ8_PFAFF = ("Eq8-Pfaff", "hypergeometric series vs its argument-flip (b) transform",
+                 _transform_check("pfaff"), 0, _every_p)
+    EQ9_EULER = ("Eq9-Euler", "hypergeometric series vs its argument-flip (a and b) transform",
+                 _transform_check("euler"), 0, _every_p)
+    EQ11 = ("Eq11", "classical Eulerian row sums vs factorial",
+            _ck_eq11, 1, _no_inner)
+    EQ12 = ("Eq12", "classical Eulerian numbers vs signed second-kind sums",
+            _ck_eq12, 0, lambda b, n: {"m": range(n + 1)})
+    EQ13 = ("Eq13", "power basis expanded in Eulerian-weighted binomials",
+            _ck_eq13, 0, _no_inner)
+    EQ23 = ("Eq23", "closed falling-factorial form of the p = -1 numbers vs triangle sum",
+            _ck_eq23, 0, _no_inner)
+    EQ26_27 = ("Eq26-27", "second-kind entries vs forward differences at zero, with vanishing tail",
+               _ck_eq26_27, 0, lambda b, n: {"k": range(n + 3)})
+    EQ30 = ("Eq30", "binomial-shift identity tying second-kind and degenerate Eulerian rows",
+            _ck_eq30, 0, _no_inner)
+    EQ32_33 = ("Eq32-33", "restricted second-kind entries vs basis expansion and series oracle",
+               _ck_eq32_33, 0, lambda b, n: {"k": range(n + 1), "r": range(1, max(1, b.max_p) + 1)})
     # both sides have y-degree at most n, so y = 0..n proves the rule for every y
-    IdentityId.REMARK_ADD: (
-        _remark_check("addition"),
-        0,
-        lambda b, n: {"p": _remark_p(b), "y": range(n + 1)},
-    ),
-    IdentityId.REMARK_DIFF: (_remark_check("difference"), 0, lambda b, n: {"p": _remark_p(b)}),
-    IdentityId.REMARK_MULT_A: (
-        _remark_check("ratio"),
-        0,
-        lambda b, n: {"p": _remark_p(b), "m": range(2, 4)},
-    ),
-    IdentityId.REMARK_MULT_B: (
-        _remark_check("shift"),
-        0,
-        lambda b, n: {"p": _remark_p(b), "m": range(2, 4)},
-    ),
-    IdentityId.STIRLING_DUALITY: (_ck_duality, 0, lambda b, n: {"k": range(n + 1)}),
-    IdentityId.CLASSICAL_LIMITS: (_ck_classical_limits, 0, lambda b, n: {"k": range(n + 1)}),
-}
+    REMARK_ADD = ("Remark-add", "argument-addition rule for the polynomials",
+                  _remark_check("addition"), 0, lambda b, n: {"p": _remark_p(b), "y": range(n + 1)})
+    REMARK_DIFF = ("Remark-diff", "unit-shift difference rule for the polynomials",
+                   _remark_check("difference"), 0, lambda b, n: {"p": _remark_p(b)})
+    REMARK_MULT_A = ("Remark-mult-A", "argument-scaling rule, step read as l/(m-1)",
+                     _remark_check("ratio"), 0, _remark_m)
+    REMARK_MULT_B = ("Remark-mult-B", "argument-scaling rule, step read as l/m - 1",
+                     _remark_check("shift"), 0, _remark_m)
+    STIRLING_DUALITY = ("StirlingDuality", "the two degenerate triangles invert each other",
+                        _ck_duality, 0, _every_k)
+    CLASSICAL_LIMITS = ("ClassicalLimits", "l = 0 specializations match classical recurrences",
+                        _ck_classical_limits, 0, _every_k)
+
+
+DESCRIPTIONS: dict[IdentityId, str] = {i: i.description for i in IdentityId}
 
 
 def _resolve_selection(selection):
-    if selection is None:
-        return sorted(IdentityId, key=lambda i: i.value)
-    resolved = []
-    for item in selection:
-        if isinstance(item, IdentityId):
-            resolved.append(item)
-            continue
+    resolved = set()
+    for item in IdentityId if selection is None else selection:
         try:
-            resolved.append(IdentityId(item))
+            resolved.add(IdentityId(item))  # a member looks itself up
         except ValueError:
             raise ValueError(f"unknown identity: {item}") from None
-    return sorted(set(resolved), key=lambda i: i.value)
+    return sorted(resolved, key=lambda i: i.value)
 
 
 def _check_bounds(max_n: int, max_p: int, truncation: int):
@@ -451,8 +427,7 @@ def suite_plan(selection=None, max_n: int = 12, max_p: int = 4, truncation: int 
     bounds = _Bounds(max_n, max_p, truncation)
     plan = []
     for ident in _resolve_selection(selection):
-        _, first_n, sweep = _CHECKS[ident]
-        params = {"n": range(first_n, bounds.max_n + 1), **sweep(bounds, bounds.max_n)}
+        params = {"n": range(ident._first_n, bounds.max_n + 1), **ident._sweep(bounds, bounds.max_n)}
         plan.append(IdentityCase(ident, params))
     return plan
 
@@ -497,10 +472,9 @@ def run_suite(
         scope = substituted(_row, key, _row(*key)[:ck] + (entry,) + _row(*key)[ck + 1 :])
     with scope:
         for ident in idents:
-            check, first_n, sweep = _CHECKS[ident]
             start = time.perf_counter()
-            cases = range(first_n, bounds.max_n + 1)
-            failures = [_first_unequal(check(bounds, n, sweep(bounds, n))) for n in cases]
+            cases = range(ident._first_n, bounds.max_n + 1)
+            failures = [_first_unequal(ident._check(bounds, n, ident._sweep(bounds, n))) for n in cases]
             failed = [f for f in failures if f is not None]
             elapsed = time.perf_counter() - start
             first_failure = failed[0] if failed else None

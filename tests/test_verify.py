@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 
 from fractions import Fraction
 
@@ -30,12 +31,44 @@ def small_suite():
 class TestRegistry:
     def test_every_identity_documented(self):
         assert set(DESCRIPTIONS) == set(IdentityId)
-        assert all(isinstance(text, str) and text for text in DESCRIPTIONS.values())
+        for ident in IdentityId:
+            assert isinstance(ident.description, str) and ident.description
+            assert DESCRIPTIONS[ident] == ident.description
 
     def test_tokens_are_stable_strings(self):
-        assert str(IdentityId.THM2) == "Thm2"
+        assert {i.name: i.value for i in IdentityId} == {
+            "THM1": "Thm1",
+            "THM2": "Thm2",
+            "THM3_VS_GF": "Thm3-vs-GF",
+            "THM4": "Thm4",
+            "THM5": "Thm5",
+            "THM6": "Thm6",
+            "THM7_VS_THM9": "Thm7-vs-Thm9",
+            "PROP8": "Prop8",
+            "LEMMA38": "Lemma38",
+            "EQ8_PFAFF": "Eq8-Pfaff",
+            "EQ9_EULER": "Eq9-Euler",
+            "EQ11": "Eq11",
+            "EQ12": "Eq12",
+            "EQ13": "Eq13",
+            "EQ23": "Eq23",
+            "EQ26_27": "Eq26-27",
+            "EQ30": "Eq30",
+            "EQ32_33": "Eq32-33",
+            "REMARK_ADD": "Remark-add",
+            "REMARK_DIFF": "Remark-diff",
+            "REMARK_MULT_A": "Remark-mult-A",
+            "REMARK_MULT_B": "Remark-mult-B",
+            "STIRLING_DUALITY": "StirlingDuality",
+            "CLASSICAL_LIMITS": "ClassicalLimits",
+        }
+        assert str(IdentityId.THM2) == "Thm2" and f"{IdentityId.EQ26_27}" == "Eq26-27"
         assert IdentityId("Eq11") is IdentityId.EQ11
         assert len(IdentityId) == 24
+
+    def test_members_survive_pickle(self):
+        for ident in IdentityId:
+            assert pickle.loads(pickle.dumps(ident)) is ident
 
     def test_unknown_identity_rejected(self):
         with pytest.raises(ValueError, match="unknown identity: Thm99"):
