@@ -84,19 +84,20 @@ def _index(**named):
             raise TypeError(f"index {name} must be int, got {type(v).__name__}")
 
 
-def _dense_ring(coerce, scalars, var, render, *, build, reduce, scale):
+def _dense_ring(coerce, scalars, var, render, *, build, reduce):
     """Class decorator: the dense-polynomial methods of one coefficient ring.
 
     An instance stores _terms over _den, each term falsy exactly where its
     coefficient is zero.  coerce turns one coefficient into canonical form or
-    raises TypeError, scalars are the types that scale a polynomial as a
-    constant, var names the variable and render(p) lists the rendered
-    coefficients of p (one, for zero).  The ring's core: build(p, coeffs) sets
-    p from public coefficients, reduce(terms, den) is the canonical element of
-    a computed term list and scale(p, s) the product with a scalar.  As
-    with functools.total_ordering, the methods are built anew for each
-    decorated class, so each class holds its own function objects in its own
-    namespace: rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
+    raises TypeError, scalars are the types that lift into the ring as
+    constants (an operand of +, -, * or == among them is lifted, then takes
+    the ring's own operation), var names the variable and render(p) lists the
+    rendered coefficients of p (one, for zero).  The ring's core:
+    build(p, coeffs) sets p from public coefficients and reduce(terms, den)
+    is the canonical element of a computed term list.  As with
+    functools.total_ordering, the methods are built anew for each decorated
+    class, so each class holds its own function objects in its own namespace:
+    rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
     PolyXOverLambda.__mul__ alone.
     """
 
@@ -191,27 +192,26 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce, scale):
             return other + (-self)
 
         def __mul__(self, other):
-            if isinstance(other, cls):
-                x, y = self._terms, other._terms
-                if not x or not y:
-                    return zero_poly
-                # a product by one is the other operand, e.g. the x coefficient of x - c l
-                if y == unit and other._den == 1:
-                    return self
-                if x == unit and self._den == 1:
-                    return other
-                if len(x) < len(y):
-                    x, y = y, x
-                out = [czero] * (len(x) + len(y) - 1)
-                for i, c in enumerate(y):
-                    if c:
-                        for j, d in enumerate(x, i):
-                            if d:
-                                out[j] += c * d
-                return reduce(out, self._den * other._den)
-            if isinstance(other, scalars):
-                return scale(self, other)
-            return NotImplemented
+            other = lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+            x, y = self._terms, other._terms
+            if not x or not y:
+                return zero_poly
+            # a product by one is the other operand, e.g. the x coefficient of x - c l
+            if y == unit and other._den == 1:
+                return self
+            if x == unit and self._den == 1:
+                return other
+            if len(x) < len(y):
+                x, y = y, x
+            out = [czero] * (len(x) + len(y) - 1)
+            for i, c in enumerate(y):
+                if c:
+                    for j, d in enumerate(x, i):
+                        if d:
+                            out[j] += c * d
+            return reduce(out, self._den * other._den)
 
         def __pow__(self, k):
             """self ** k by square-and-multiply."""
@@ -285,12 +285,6 @@ def _pl_build(p, coeffs):
     p._terms, p._den = tuple(cs), den
 
 
-def _pl_scale(a, s):
-    if type(s) is not int:
-        s = _norm_coeff(s)
-    return _pl_reduce([c * s.numerator for c in a._terms], a._den * s.denominator)
-
-
 def _render_rational(p) -> list[str]:
     """'num/den' for each coefficient of p, from its numerators and denominator."""
     d = p._den
@@ -301,7 +295,7 @@ def _render_rational(p) -> list[str]:
 
 @_dense_ring(
     _norm_coeff, (int, Fraction), "l", _render_rational,
-    build=_pl_build, reduce=_pl_reduce, scale=_pl_scale,
+    build=_pl_build, reduce=_pl_reduce,
 )
 class PolyLambda:
     """Dense polynomial in l with exact rational coefficients, ascending order."""
@@ -600,11 +594,6 @@ def _px_build(p, coeffs):
     p._terms = tuple(cs)
 
 
-def _px_scale(a, s):
-    s = _coerce_pl(s)  # which refuses a bool
-    return PolyXOverLambda([c * s for c in a._terms])
-
-
 def _render_parenthesized(p) -> list[str]:
     """Each PolyLambda coefficient's own serialization, in parentheses."""
     return [f"({c.serialize()})" for c in p._terms or (_PL_ZERO,)]
@@ -612,7 +601,7 @@ def _render_parenthesized(p) -> list[str]:
 
 @_dense_ring(
     _coerce_pl, (PolyLambda, int, Fraction), "x", _render_parenthesized,
-    build=_px_build, reduce=lambda terms, den: PolyXOverLambda(terms), scale=_px_scale,
+    build=_px_build, reduce=lambda terms, den: PolyXOverLambda(terms),
 )
 class PolyXOverLambda:
     """Dense polynomial in x whose coefficients are PolyLambda, ascending in x."""

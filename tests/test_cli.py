@@ -3,8 +3,12 @@ golden outputs, config merging, exit codes and atomic export."""
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -154,27 +158,28 @@ class TestJsonWriter:
             ({"n": 2, "k": 1}, PolyLambda(())),
             ({"n": 2, "k": 2}, half),
         ]
-        text = _render_json(cfg, {"p": 1, "lambda": "1/3"}, rows)
+        text = "".join(_render_json(cfg, {"p": 1, "lambda": "1/3"}, rows))
         assert '"x_coeffs": []' in text
         assert text == reference_json(cfg, {"p": 1, "lambda": "1/3"}, rows)
 
     def test_large_triangle_matches_json_dumps(self):
         cfg = CliConfig(command="compute", family="stirling2", max_n=44, fmt="json")
         params, rows = _build_rows(cfg, set())
-        assert _render_json(cfg, params, rows) == reference_json(cfg, params, rows)
+        assert "".join(_render_json(cfg, params, rows)) == reference_json(cfg, params, rows)
 
-    def test_peak_memory_stays_within_three_times_the_output(self):
-        # the nested document and the stdlib encoder's chunk list took about
-        # six times the output; the writer holds one part per entry and the text
+    def test_streamed_parts_peak_under_a_tenth_of_the_output(self):
+        # one part per entry is alive at a time, never the whole text
         cfg = CliConfig(command="compute", family="stirling2", max_n=44, fmt="json")
         params, rows = _build_rows(cfg, set())
+        size = 0
         tracemalloc.start()
         try:
-            text = _render_json(cfg, params, rows)
+            for part in _render_json(cfg, params, rows):
+                size += len(part)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * len(text)
+        assert peak <= size / 10
 
 
 class TestExport:
@@ -202,6 +207,20 @@ class TestExport:
         assert code == EXIT_OK
         assert os.listdir(tmp_path) == ["out.csv"]
 
+    def test_interrupted_rename_leaves_only_the_old_target(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "table.json"
+        target.write_text("old\n")
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["export", "beta", "--max-n", "2", "--output", str(target)])
+        capsys.readouterr()
+        assert os.listdir(tmp_path) == ["table.json"]
+        assert target.read_text() == "old\n"
+
     @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
     def test_file_mode_is_that_of_a_plain_write(self, capsys, tmp_path):
         # a new file gets 0666 less the umask, an existing one keeps its mode
@@ -222,6 +241,30 @@ class TestExport:
         code, _, err = run(capsys, "export", "beta", "--max-n", "2")
         assert code == EXIT_USAGE
         assert err.startswith("error:")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signals")
+class TestConsoleScript:
+    """The console script, in its own process: what main() alone cannot show."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--max-n", "3", "--truncation", "4"], ["compute", "beta", "--max-n", "3"]],
+    )
+    def test_closed_stdout_ends_the_command_silently(self, argv):
+        # stdout is a pipe whose read end is closed before the command starts
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(Path(degenbern.__file__).parent.parent)}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", "from degenbern.cli import entry; entry()", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == -signal.SIGPIPE
 
 
 class TestVerifyCommand:
