@@ -16,13 +16,19 @@ coefficients over 1.  The canonical form makes structural equality exact
 mathematical equality.  The .coeffs view is built on each read: a
 PolyLambda coefficient that is an integer is a plain int, any other a
 Fraction; `coefficient(i)` and `lead` read one of them alone.  Everything
-visible through `evaluate`/`specialize` comes back as Fraction.  A value
-equal to a simpler one (a constant PolyLambda and its rational, a constant
-PolyXOverLambda and its PolyLambda, a polynomial RationalFunctionLambda and
-its numerator) hashes like it.  Equality with a bool is plain False: a bool
-is never a coefficient.  The RationalFunctionLambda constructor normalizes
-fully; its arithmetic reduces by Henrici's smaller gcds, and a gcd with, or a
-division by, a monomial c l^k is a shift of the numerators.
+visible through `evaluate`/`specialize` comes back as Fraction.  The
+RationalFunctionLambda constructor normalizes fully; its arithmetic reduces
+by Henrici's smaller gcds, and a gcd with, or a division by, a monomial
+c l^k is a shift of the numerators.
+
+Each ring has one lift, _lift (_lifter): an element of the ring is itself;
+an int or a Fraction, and into Q[l][x] and Q(l) a PolyLambda, becomes the
+ring's trusted constant; a bool, never a coefficient, raises TypeError; any
+other value lifts to NotImplemented.  Every binary operator lifts its other
+operand so (_guarded), constant(c) is the lift or TypeError, and equality
+with a bool is plain False.  A value equal to a simpler one (a constant
+PolyLambda and its rational, a constant PolyXOverLambda and its PolyLambda,
+a polynomial RationalFunctionLambda and its numerator) hashes like it.
 
 lincomb(terms) is the one kernel for a sum of products, sum a_i b_i w_i with
 a_i, b_i rational, PolyLambda or PolyXOverLambda and w_i an int or a
@@ -42,6 +48,7 @@ builds every triangle row in the triangles module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from math import comb, gcd, lcm
 from operator import attrgetter
 from typing import Union
@@ -84,37 +91,64 @@ def _index(**named):
             raise TypeError(f"index {name} must be int, got {type(v).__name__}")
 
 
-def _dense_ring(coerce, scalars, var, render, *, build, reduce):
+def _lifter(own, inner, embed):
+    """The lift into ring own: v itself, else the constant embed(inner(v)), else NotImplemented."""
+
+    def lift(v):
+        if isinstance(v, own):
+            return v
+        c = inner(v)
+        return c if c is NotImplemented else embed(c)
+
+    return lift
+
+
+def _guarded(op):
+    """The method op(self, other) on other lifted by self's _lift; NotImplemented where it does not lift."""
+
+    @wraps(op)
+    def method(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+
+    return method
+
+
+def _equality(same):
+    """__eq__ from same, guarded: a bool, which every lift refuses, is unequal instead of an error."""
+    same = _guarded(same)
+
+    def __eq__(self, other) -> bool:
+        try:
+            return same(self, other)
+        except TypeError:
+            return NotImplemented
+
+    return __eq__
+
+
+def _dense_ring(inner, embed, var, render, *, build, reduce):
     """Class decorator: the dense-polynomial methods of one coefficient ring.
 
     An instance stores _terms over _den, each term falsy exactly where its
-    coefficient is zero.  coerce turns one coefficient into canonical form or
-    raises TypeError, scalars are the types that lift into the ring as
-    constants (an operand of +, -, * or == among them is lifted, then takes
-    the ring's own operation), var names the variable and render(p) lists the
-    rendered coefficients of p (one, for zero).  The ring's core:
-    build(p, coeffs) sets p from public coefficients and reduce(terms, den)
-    is the canonical element of a computed term list.  As with
-    functools.total_ordering, the methods are built anew for each decorated
-    class, so each class holds its own function objects in its own namespace:
-    rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
+    coefficient is zero.  The ring's lift is _lifter(cls, inner, embed):
+    inner lifts into the coefficient ring, embed(c) is the constant c.  var
+    names the variable and render(p) lists the rendered coefficients of p
+    (one, for zero).  build(p, coeffs) sets p from public coefficients and
+    reduce(terms, den) is the canonical element of a computed term list.  As
+    with functools.total_ordering, the methods are built anew for each
+    decorated class, so each class holds its own function objects in its own
+    namespace: rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
     PolyXOverLambda.__mul__ alone.
     """
 
     def decorate(cls):
         name = cls.__name__
-        czero = coerce(0)
+        czero = inner(0)
+        lift = _lifter(cls, inner, embed)
 
         def __init__(self, coeffs=()):
             build(self, coeffs)
-
-        def lift(v):
-            """v as an element of the ring, or NotImplemented."""
-            if isinstance(v, cls):
-                return v
-            if isinstance(v, scalars):
-                return cls((v,))  # the coercer refuses a bool
-            return NotImplemented
 
         def zero(cls):
             return zero_poly
@@ -123,7 +157,10 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce):
             return one_poly
 
         def constant(cls, c):
-            return cls((c,))
+            p = lift(c)
+            if p is NotImplemented:
+                raise TypeError(f"cannot lift {type(c).__name__} into {name}")
+            return p
 
         def degree(self) -> int:
             """Degree in the variable; -1 for the zero polynomial."""
@@ -144,11 +181,8 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce):
         def __bool__(self) -> bool:
             return bool(self._terms)
 
+        @_equality
         def __eq__(self, other) -> bool:
-            if not isinstance(other, cls):
-                if not isinstance(other, scalars) or isinstance(other, bool):
-                    return NotImplemented
-                other = cls((other,))
             return self._terms == other._terms and self._den == other._den
 
         def __hash__(self):
@@ -160,10 +194,8 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce):
         def __neg__(self):
             return reduce([-c for c in self._terms], self._den)
 
+        @_guarded
         def __add__(self, other):
-            other = lift(other)
-            if other is NotImplemented:
-                return NotImplemented
             x, dx, y, dy = self._terms, self._den, other._terms, other._den
             if not y:
                 return self
@@ -179,22 +211,16 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce):
                 out[i] += c
             return reduce(out, dx)
 
+        @_guarded
         def __sub__(self, other):
-            other = lift(other)
-            if other is NotImplemented:
-                return NotImplemented
             return self + (-other)
 
+        @_guarded
         def __rsub__(self, other):
-            other = lift(other)
-            if other is NotImplemented:
-                return NotImplemented
             return other + (-self)
 
+        @_guarded
         def __mul__(self, other):
-            other = lift(other)
-            if other is NotImplemented:
-                return NotImplemented
             x, y = self._terms, other._terms
             if not x or not y:
                 return zero_poly
@@ -246,6 +272,7 @@ def _dense_ring(coerce, scalars, var, render, *, build, reduce):
             fn.__qualname__ = f"{name}.{fn.__name__}"
             setattr(cls, fn.__name__, fn)
         cls.__radd__, cls.__rmul__ = __add__, __mul__
+        cls._lift = staticmethod(lift)
         for fn in (zero, one, constant):
             setattr(cls, fn.__name__, classmethod(fn))
         cls.degree, cls.lead = property(degree), property(lead)
@@ -294,7 +321,8 @@ def _render_rational(p) -> list[str]:
 
 
 @_dense_ring(
-    _norm_coeff, (int, Fraction), "l", _render_rational,
+    lambda v: _norm_coeff(v) if isinstance(v, (int, Fraction)) else NotImplemented,
+    lambda c: _pl_reduce([c.numerator], c.denominator), "l", _render_rational,
     build=_pl_build, reduce=_pl_reduce,
 )
 class PolyLambda:
@@ -427,8 +455,7 @@ class RationalFunctionLambda:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=_PL_ONE):
-        num = _coerce_pl(num)
-        den = _coerce_pl(den)
+        num, den = PolyLambda.constant(num), PolyLambda.constant(den)
         if not den:
             raise ZeroDivisionError("division by zero polynomial")
         if not num:
@@ -466,10 +493,8 @@ class RationalFunctionLambda:
     def __bool__(self) -> bool:
         return bool(self.num)
 
+    @_equality
     def __eq__(self, other) -> bool:
-        other = _as_ratfun(other) if not isinstance(other, bool) else NotImplemented
-        if other is NotImplemented:
-            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -481,10 +506,8 @@ class RationalFunctionLambda:
     def __neg__(self):
         return RationalFunctionLambda._reduced(-self.num, self.den)
 
+    @_guarded
     def __add__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
         # a/b + c/d: g = gcd(b, d), then only gcd(t, g) for t = a d/g + c b/g
         (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
         if b == d:
@@ -502,22 +525,16 @@ class RationalFunctionLambda:
 
     __radd__ = __add__
 
+    @_guarded
     def __sub__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @_guarded
     def __rsub__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other + (-self)
 
+    @_guarded
     def __mul__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
         # (a/b)(c/d): gcd(a, d) and gcd(c, b)
         (a, b), (c, d) = (self.num, self.den), (other.num, other.den)
         if not a or not c:
@@ -534,19 +551,15 @@ class RationalFunctionLambda:
 
     __rmul__ = __mul__
 
+    @_guarded
     def __truediv__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero polynomial")
         inv = 1 / Fraction(other.num.lead)
         return self * RationalFunctionLambda._reduced(other.den * inv, other.num * inv)
 
+    @_guarded
     def __rtruediv__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def serialize(self) -> str:
@@ -568,27 +581,14 @@ def _exact_quo(a: PolyLambda, g: PolyLambda) -> PolyLambda:
 
 _RF_ZERO = RationalFunctionLambda._reduced(_PL_ZERO)
 _RF_ONE = RationalFunctionLambda._reduced(_PL_ONE)
-
-
-def _coerce_pl(v) -> PolyLambda:
-    if isinstance(v, PolyLambda):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return PolyLambda((v,))  # which refuses a bool
-    raise TypeError(f"expected PolyLambda or rational, got {type(v).__name__}")
-
-
-def _as_ratfun(v):
-    if isinstance(v, RationalFunctionLambda):
-        return v
-    if isinstance(v, (PolyLambda, int, Fraction)):
-        # a polynomial over 1 is already reduced
-        return RationalFunctionLambda._reduced(_coerce_pl(v))
-    return NotImplemented
+# a polynomial over 1 is already reduced
+RationalFunctionLambda._lift = staticmethod(
+    _lifter(RationalFunctionLambda, PolyLambda._lift, RationalFunctionLambda._reduced)
+)
 
 
 def _px_build(p, coeffs):
-    cs = [c if type(c) is PolyLambda else _coerce_pl(c) for c in coeffs]
+    cs = [c if type(c) is PolyLambda else PolyLambda.constant(c) for c in coeffs]
     while cs and not cs[-1]:
         cs.pop()
     p._terms = tuple(cs)
@@ -600,7 +600,7 @@ def _render_parenthesized(p) -> list[str]:
 
 
 @_dense_ring(
-    _coerce_pl, (PolyLambda, int, Fraction), "x", _render_parenthesized,
+    PolyLambda._lift, lambda c: PolyXOverLambda((c,)), "x", _render_parenthesized,
     build=_px_build, reduce=lambda terms, den: PolyXOverLambda(terms),
 )
 class PolyXOverLambda:
@@ -645,7 +645,8 @@ class PolyXOverLambda:
 
     def subs_lambda(self, q: Scalar) -> "PolyXOverLambda":
         """Specialize l = q, leaving a polynomial in x with constant coefficients."""
-        return PolyXOverLambda(PolyLambda((c.evaluate(q),)) for c in self.coeffs)
+        _check_rational(q)  # the zero polynomial evaluates no coefficient
+        return PolyXOverLambda([PolyLambda.constant(c.evaluate(q)) for c in self._terms])
 
     def derivative(self) -> "PolyXOverLambda":
         """Formal d/dx."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exactcore import PolyLambda, PolyXOverLambda, _index, lincomb
+from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index, lincomb
 from .triangles import _chain, memoized
 
 __all__ = [
@@ -30,14 +30,12 @@ _RINGS = (PolyLambda, PolyXOverLambda)
 
 
 def _ring_element(ring, v):
-    """Coerce v into ring; rationals embed as constants, PolyLambda lifts into x-polys."""
-    if isinstance(v, ring):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ring.constant(v)
-    if ring is PolyXOverLambda and isinstance(v, PolyLambda):
-        return PolyXOverLambda.constant(v)
-    raise ValueError("coefficient ring mismatch")
+    """v lifted into ring by its one lift: a value of another ring that does not lift is a
+    mismatch, and for any other the ring's constant raises TypeError."""
+    c = ring._lift(v)
+    if c is NotImplemented and isinstance(v, (*_RINGS, RationalFunctionLambda)):
+        raise ValueError("coefficient ring mismatch")
+    return ring.constant(v) if c is NotImplemented else c
 
 
 def _order(order) -> None:
@@ -108,7 +106,7 @@ class TruncatedSeries:
         """Embed a PolyLambda-coefficient series into the PolyXOverLambda ring."""
         if self.ring is PolyXOverLambda:
             return self
-        return TruncatedSeries(PolyXOverLambda, (PolyXOverLambda.constant(c) for c in self.coeffs))
+        return TruncatedSeries(PolyXOverLambda, self.coeffs)
 
     def _check_ring(self, other: "TruncatedSeries"):
         if self.ring is not other.ring:
@@ -139,8 +137,7 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by a ring element or rational."""
-        if not isinstance(c, (int, Fraction)):
-            c = _ring_element(self.ring, c)
+        c = _ring_element(self.ring, c)
         return TruncatedSeries(self.ring, (ci * c for ci in self.coeffs))
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":

@@ -1,5 +1,6 @@
 """Exact arithmetic foundations: Q[l], Q(l), Q[l][x]."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -274,6 +275,45 @@ def at(p, r, q):
     return sum((Fraction(c) * r**i for i, c in enumerate(p.coeffs)), Fraction(0))
 
 
+RFL = RationalFunctionLambda(LAM, LAM + 1)
+
+
+class TestForeignOperands:
+    """An operand that lifts into neither ring meets Python's own TypeError
+    (a str times a value is Python's refused sequence repetition); a
+    rational on the left takes the reflected operator."""
+
+    @pytest.mark.parametrize("value", [LAM, X, RFL], ids=["pl", "px", "ratfun"])
+    @pytest.mark.parametrize("other", [1.5, "a"], ids=["float", "str"])
+    def test_float_and_str_operands_refused(self, value, other):
+        ops = [operator.add, operator.sub, operator.mul]
+        if isinstance(value, RationalFunctionLambda):
+            ops.append(operator.truediv)
+        for op in ops:
+            repeat = other == "a" and op is operator.mul
+            message = "can't multiply sequence" if repeat else "unsupported operand type"
+            with pytest.raises(TypeError, match=message):
+                op(value, other)
+            if other == 1.5:
+                with pytest.raises(TypeError, match="unsupported operand type"):
+                    op(other, value)
+        assert (value == other) is False
+        assert value != other
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_x_polynomials_and_rational_functions_do_not_mix(self, op):
+        for a, b in ((X, RFL), (RFL, X)):
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                op(a, b)
+
+    def test_reflected_rationals_give_the_ring_result(self):
+        assert type(1 - LAM) is PolyLambda
+        assert 1 - LAM == PolyLambda((1, -1))
+        assert 2 / RFL == RationalFunctionLambda(2 * LAM + 2, LAM)
+        assert type(Fraction(1, 2) + X) is PolyXOverLambda
+        assert Fraction(1, 2) + X == PolyXOverLambda((Fraction(1, 2), 1))
+
+
 class TestDenseRings:
     """PolyLambda and PolyXOverLambda share one dense-polynomial definition."""
 
@@ -289,6 +329,22 @@ class TestDenseRings:
         pl_fns = {id(vars(PolyLambda)[name]) for name in self.TRACED}
         px_fns = {id(vars(PolyXOverLambda)[name]) for name in self.TRACED}
         assert not pl_fns & px_fns
+
+    @pytest.mark.parametrize(
+        "v",
+        [0, -7, 10**40 + 3, Fraction(-3, 6), Fraction(7, 1)],
+        ids=["zero", "negative", "large", "half", "seven"],
+    )
+    @pytest.mark.parametrize("cls", [PolyLambda, PolyXOverLambda], ids=["pl", "px"])
+    def test_constant_is_the_canonical_element(self, cls, v):
+        def stored(p):
+            terms = [stored(t) for t in p._terms] if isinstance(p, PolyXOverLambda) else list(p._terms)
+            return terms, p._den
+
+        c = canonical_form(cls.constant(v))
+        assert type(c) is cls
+        assert stored(c) == stored(cls((v,)))
+        assert hash(c) == hash(v)
 
     @pytest.mark.parametrize("ring,cls", [(polys, PolyLambda), (PX_POLYS, PolyXOverLambda)], ids=["pl", "px"])
     @given(data=st.data())
@@ -560,6 +616,8 @@ class TestSpecialize:
             lambda: LAM.evaluate(True),
             lambda: specialize(LAM, lam=False),
             lambda: specialize(X * LAM, x=True),
+            lambda: specialize(PolyXOverLambda.zero(), lam=True),
+            lambda: PolyXOverLambda.zero().subs_lambda(False),
         ):
             with pytest.raises(TypeError, match="evaluation point must be int or Fraction, got bool"):
                 route()
@@ -571,6 +629,8 @@ class TestSpecialize:
             lambda: (X * LAM).subs_lambda(0.1),
             lambda: specialize(X * LAM, lam=0.1),
             lambda: specialize(X * LAM, x=0.5),
+            lambda: specialize(PolyXOverLambda.zero(), lam=1.5),
+            lambda: PolyXOverLambda.zero().subs_lambda(0.1),
         ):
             with pytest.raises(TypeError, match="evaluation point must be int or Fraction, got float"):
                 route()

@@ -64,6 +64,19 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="coefficient ring mismatch"):
             f.mul(g)
 
+    def test_foreign_coefficient_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot lift float into PolyLambda"):
+            TruncatedSeries(PolyLambda, [1.5])
+        with pytest.raises(TypeError, match="cannot lift float into PolyXOverLambda"):
+            TruncatedSeries(PolyXOverLambda, [1, 0.5])
+        with pytest.raises(TypeError, match="cannot lift float into PolyLambda"):
+            series(1, 1).scale(1.5)
+        # a value of the other ring stays a ring mismatch
+        with pytest.raises(ValueError, match="coefficient ring mismatch"):
+            TruncatedSeries(PolyLambda, [PolyXOverLambda.x()])
+        with pytest.raises(ValueError, match="coefficient ring mismatch"):
+            series(1, 1).scale(PolyXOverLambda.x())
+
     def test_geometric_series_by_division(self):
         n = 6
         one = TruncatedSeries.one(PolyLambda, n)
