@@ -329,20 +329,23 @@ def gen_beta_poly_derivative(n: int, p: int) -> PolyXOverLambda:
     return lincomb((gen_beta_poly(n - j, p), (-lam) ** (j - 1), factorial(j - 1) * comb(n, j)) for j in range(1, n + 1))
 
 
-_REMARK_RULES = ("addition", "difference", "ratio", "shift")
+_REMARK_RULES = ("addition", "difference", "ratio", "shift", "step")
 
 
 def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2):
     """Both sides of one argument-shift rule for B_k = gen_beta_poly(k, p).
 
-    Every rule reads lhs = sum_k binom(n,k) B_k(x) w_{n-k}, symbolic in x:
+    Each rule reads lhs = rhs, symbolic in x, with rhs = sum_k binom(n,k)
+    B_k(x) w_{n-k} for all but step:
 
         addition     B_n(x + y)            w_j = (y)_{j,l}
         difference   B_n(x + 1) - B_n(x)   w_j = (1)_{j,l} for j >= 1, w_0 = 0
         ratio        B_n(m x)              w_j = (m-1)^j (x)_{j,l/(m-1)}
         shift        B_n(m x)              w_j = (m-1)^j (x)_{j,l/m-1}
+        step         B_n(x + l) - B_n(x)   rhs = n l B_{n-1}(x), and 0 at n = 0
 
-    ratio and shift are the two readings of the scaling rule's step.
+    ratio and shift are the two readings of the scaling rule's step; step is
+    addition's l-step form, the one the Remark-add identity compares.
     Returns (lhs, rhs) as PolyXOverLambda.
     """
     if rule not in _REMARK_RULES:
@@ -353,6 +356,10 @@ def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2):
         raise ValueError(_RANGE_ERROR)
     x = PolyXOverLambda.x()
     lam = PolyLambda.lam()
+    if rule == "step":
+        poly = gen_beta_poly(n, p)
+        rhs = gen_beta_poly(n - 1, p) * (lam * n) if n else PolyXOverLambda.zero()
+        return poly.evaluate(x + lam) - poly, rhs
     polys = [gen_beta_poly(k, p) for k in range(n + 1)]
     if rule in ("ratio", "shift"):
         step = lam * Fraction(1, m - 1) if rule == "ratio" else lam * Fraction(1, m) - 1

@@ -382,9 +382,11 @@ class IdentityId(str, Enum):
             _ck_eq30, 0, _no_inner)
     EQ32_33 = ("Eq32-33", "restricted second-kind entries vs basis expansion and series oracle",
                _ck_eq32_33, 0, lambda b, n: {"k": range(n + 1), "r": range(1, max(1, b.max_p) + 1)})
-    # both sides have y-degree at most n, so y = 0..n proves the rule for every y
+    # Newton: f(x+y) = sum_j D^j f(x) (y)_{j,l} / (j! l^j) with D f = f(x+l) - f(x). The step rule
+    # iterated gives D^j B_n = j! C(n,j) l^j B_{n-j}, addition's (y)_{j,l} coefficient, and addition's
+    # j = 1 coefficient is the step rule, so rows 1..n hold exactly when addition holds at n for all y
     REMARK_ADD = ("Remark-add", "argument-addition rule for the polynomials",
-                  _remark_check("addition"), 0, lambda b, n: {"p": _remark_p(b), "y": range(n + 1)})
+                  _remark_check("step"), 0, lambda b, n: {"p": _remark_p(b)})
     REMARK_DIFF = ("Remark-diff", "unit-shift difference rule for the polynomials",
                    _remark_check("difference"), 0, lambda b, n: {"p": _remark_p(b)})
     REMARK_MULT_A = ("Remark-mult-A", "argument-scaling rule, step read as l/(m-1)",

@@ -149,6 +149,10 @@ def test_criterion_09_polynomial_routes_and_remark_identities():
                 assert lhs == rhs
             lhs, rhs = remark_sides("difference", n, p)
             assert lhs == rhs
+    for n in range(13):
+        for p in range(5):
+            lhs, rhs = remark_sides("step", n, p)
+            assert lhs == rhs
     for n in range(5):
         for p in range(3):
             for m in (2, 3):

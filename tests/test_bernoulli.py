@@ -210,7 +210,7 @@ def remark_holds(rule, n, p, m=2):
 
 class TestRemarkIdentities:
     def test_all_hold_for_first_order(self):
-        for rule in ("addition", "difference", "ratio", "shift"):
+        for rule in ("addition", "difference", "ratio", "shift", "step"):
             assert remark_holds(rule, 1, 0)
 
     def test_shift_reading_fails_from_second_order(self):
@@ -227,7 +227,7 @@ class TestRemarkIdentities:
                 assert not remark_holds("shift", 3, p, m)
 
     def test_multiplier_must_be_at_least_two(self):
-        for rule in ("addition", "difference", "ratio", "shift"):
+        for rule in ("addition", "difference", "ratio", "shift", "step"):
             with pytest.raises(ValueError, match="parameter out of range"):
                 remark_sides(rule, 2, 0, m=1)
 

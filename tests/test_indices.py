@@ -107,6 +107,12 @@ ROUTES = [
         ("n", "p", "y", "m"),
     ),
     (
+        "remark_sides-step",
+        lambda n, p, y, m: remark_sides("step", n, p, y=y, m=m),
+        {"n": 2, "p": 1, "y": 1, "m": 2},
+        ("n", "p", "y", "m"),
+    ),
+    (
         "run_suite",
         lambda max_n, max_p, truncation: run_suite(["Eq11"], max_n, max_p, truncation),
         {"max_n": 1, "max_p": 1, "truncation": 2},

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from degenbern import bernoulli, series, triangles, verify
-from degenbern.exactcore import PolyLambda
+from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp
 from degenbern.triangles import substituted
 from degenbern.verify import (
@@ -267,10 +267,7 @@ PINNED_PLAN = {
     "Eq9-Euler": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
     "Lemma38": ({"n": (0, 7), "k": (0, 7)}, {"n": (0, 1), "k": (0, 1)}),
     "Prop8": ({"n": (1, 7), "p": (0, 3)}, {"n": (1, 1), "p": (0, 3)}),
-    "Remark-add": (
-        {"n": (0, 7), "p": (0, 3), "y": (0, 7)},
-        {"n": (0, 1), "p": (0, 3), "y": (0, 1)},
-    ),
+    "Remark-add": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
     "Remark-diff": ({"n": (0, 7), "p": (0, 3)}, {"n": (0, 1), "p": (0, 3)}),
     "Remark-mult-A": (
         {"n": (0, 7), "p": (0, 3), "m": (2, 4)},
@@ -430,3 +427,35 @@ class TestCatchMatrix:
             reports = run_suite(**SMALL)
         clean = _verdicts(small_suite)
         assert {token for token, passed in _verdicts(reports).items() if passed != clean[token]} == caught
+
+
+class TestRemarkAddEquivalence:
+    """Remark-add compares the l-step rule B_m(x + l) - B_m(x) = m l B_{m-1}(x)
+    at row m.  By Newton's expansion with step l, the literal addition rule
+    holds at row n for every y exactly when the step rule holds at rows 1..n,
+    so the literal y = 0..n sweep fails at row n exactly when Remark-add fails
+    at some row m <= n.  A corrupted B_4 is caught by the step rule where B_4
+    appears: at m = 5, and at m = 4 unless the bump is a constant, which
+    cancels in B_4(x + l) - B_4(x)."""
+
+    @pytest.mark.parametrize(
+        "bump,step_rows", [(PolyXOverLambda.x(), {4, 5}), (1, {5})], ids=["plus-x", "plus-one"]
+    )
+    def test_suite_rows_match_the_literal_sweep(self, bump, step_rows):
+        rows = range(SMALL["max_n"] + 1)
+        with substituted(bernoulli.gen_beta_poly, (4, 1), bernoulli.gen_beta_poly(4, 1) + bump):
+            failed = [
+                report.cases_run - report.cases_passed
+                for top in rows
+                for report in run_suite(["Remark-add"], max_n=top, max_p=1, truncation=top + 1)
+            ]
+            literal_rows = {
+                n
+                for n in rows
+                for y in range(n + 1)
+                for lhs, rhs in [bernoulli.remark_sides("addition", n, 1, y=y)]
+                if lhs != rhs
+            }
+        suite_rows = {n for n in rows if failed[n] > (failed[n - 1] if n else 0)}
+        assert suite_rows == step_rows
+        assert literal_rows == {n for n in rows if n >= min(step_rows)}
