@@ -4,7 +4,7 @@ parameter p >= -1 through a formal Gauss hypergeometric generating function.
 Every quantity here is reachable by several genuinely independent routes:
 
   gen_beta                triangle-weighted sum, by Horner in the factors
-                          l - k (normative; closed form at p = -1)
+                          l - k (normative, for every p >= -1)
   gen_beta_gf             coefficient of the 2F1 generating series
   gen_beta_eulerian       signed sum over the degenerate Eulerian row
   gen_beta_integral       termwise Beta-function integration of the integral
@@ -143,8 +143,7 @@ def gen_beta_stirling_sum(n: int, p: int) -> PolyLambda:
     sum_k log_weight(k)/binom(p+k+1, p+1) * stirling2_deg(n,k), summed by
     Horner in the factors l - k (exactcore.falling_sum).  At p = -1 the
     binomial is 1 and the sum collapses to the closed falling-factorial
-    form; gen_beta uses that closed form directly and keeps this evaluation
-    as a cross-check.
+    form (l-1)_{n,l}, which the suite's Eq23 compares with this sum.
     """
     _check_range(n, p)
     return falling_sum((stirling2_deg(n, k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
@@ -152,14 +151,9 @@ def gen_beta_stirling_sum(n: int, p: int) -> PolyLambda:
 
 @memoized
 def gen_beta(n: int, p: int) -> PolyLambda:
-    """Generalized degenerate Bernoulli number.
-
-    p >= 0 evaluates the stirling-sum route; p = -1 is the closed form
-    (l-1)_{n,l}.  p = 0 is carlitz_beta.
+    """Generalized degenerate Bernoulli number: the memoized stirling-sum
+    route, for every p >= -1.  p = 0 is carlitz_beta.
     """
-    _check_range(n, p)
-    if p == -1:
-        return falling_factorial(PolyLambda.lam() - 1, n, step=PolyLambda.lam())
     return gen_beta_stirling_sum(n, p)
 
 

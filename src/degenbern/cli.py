@@ -50,18 +50,24 @@ EXIT_USAGE = 2
 
 _INFORMATIONAL = {IdentityId.REMARK_MULT_A, IdentityId.REMARK_MULT_B}
 
-# family -> (entry function, indexed by (n, k) rather than n, CliConfig fields
-# it takes after the index)
+
+def _eulerian_entry(n: int, k: int) -> PolyLambda:
+    return PolyLambda.constant(eulerian_classical(n, k))
+
+
+# family -> (name of its entry function in this module, indexed by (n, k)
+# rather than n, CliConfig fields it takes after the index).  The name is
+# looked up at each call, so a rebound module name (a tracer's wrapper) is seen.
 _FAMILY_TABLE = {
-    "beta": (carlitz_beta, False, ()),
-    "gen-beta": (gen_beta, False, ("p",)),
-    "gen-beta-poly": (gen_beta_poly, False, ("p",)),
-    "stirling1": (stirling1_deg, True, ()),
-    "stirling2": (stirling2_deg, True, ()),
-    "stirling2-poly": (stirling2_deg_poly, True, ()),
-    "r-stirling2": (r_stirling2_deg, True, ("r",)),
-    "eulerian": (lambda n, k: PolyLambda.constant(eulerian_classical(n, k)), True, ()),
-    "eulerian-deg": (eulerian_degenerate, True, ()),
+    "beta": ("carlitz_beta", False, ()),
+    "gen-beta": ("gen_beta", False, ("p",)),
+    "gen-beta-poly": ("gen_beta_poly", False, ("p",)),
+    "stirling1": ("stirling1_deg", True, ()),
+    "stirling2": ("stirling2_deg", True, ()),
+    "stirling2-poly": ("stirling2_deg_poly", True, ()),
+    "r-stirling2": ("r_stirling2_deg", True, ("r",)),
+    "eulerian": ("_eulerian_entry", True, ()),
+    "eulerian-deg": ("eulerian_degenerate", True, ()),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
 _FAMILY_PARAMS = {name for _, _, takes in _FAMILY_TABLE.values() for name in takes}
@@ -167,7 +173,8 @@ def _build_rows(cfg: CliConfig, given):
         raise UsageError("--max-n is required")
     if cfg.max_n < 0:
         raise UsageError("--max-n must be nonnegative")
-    entry, triangle, takes = _FAMILY_TABLE[cfg.family]
+    route, triangle, takes = _FAMILY_TABLE[cfg.family]
+    entry = globals()[route]
     refused = sorted(given & _FAMILY_PARAMS - set(takes))
     if refused:
         flags = ", ".join(f"--{name}" for name in refused)

@@ -7,8 +7,8 @@ per identity), and reports pass counts plus the first counterexample found.
 
 Identities carry short stable string tokens (IdentityId values) that are part
 of the command-line interface.  Each IdentityId member is the one declaration
-of its identity: token, one-line description of what is compared (also in
-DESCRIPTIONS), check, first n and inner ranges.  A "case" is one value of the
+of its identity: token, one-line description of what is compared, check,
+first n and inner ranges.  A "case" is one value of the
 outer index n; inner indices (p, k, m, r, y) are swept inside the case, over
 the member's ranges, which suite_plan reports.  Each identity's check is a
 generator that yields its comparisons (parameters, lhs, rhs) in order;
@@ -16,17 +16,15 @@ run_suite stops the case at the first unequal pair, so a single failing inner
 assignment fails the whole case and is pinpointed in first_failure.
 
 Reports are deterministic for identical inputs, except the elapsed timing
-field.  The corrupt_s2 hook runs the suite inside triangles.substituted with
-one entry of the degenerate second-kind triangle replaced, for mutation
-testing: a corrupted entry must make at least one identity fail.  Every
-memoized builder the checks reach, the suite's own series included, can be
-substituted the same way.
+field.  For mutation testing, run the suite inside triangles.substituted with
+one entry of any memoized builder the checks reach replaced (a triangle row,
+a number, the suite's own series): a corrupted entry must make at least one
+identity fail.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,7 +51,6 @@ from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _ind
 from .series import TruncatedSeries, _scaled_powers, degenerate_exp, gauss_2f1_formal
 from .triangles import (
     _chain,
-    _row,
     eulerian_classical,
     eulerian_degenerate,
     falling_factorial,
@@ -67,7 +64,6 @@ from .triangles import (
     stirling2_classical,
     stirling2_deg,
     stirling2_deg_poly,
-    substituted,
 )
 
 __all__ = [
@@ -75,7 +71,6 @@ __all__ = [
     "IdentityCase",
     "IdentityReport",
     "FirstFailure",
-    "DESCRIPTIONS",
     "run_suite",
     "suite_plan",
     "explain_failure",
@@ -399,9 +394,6 @@ class IdentityId(str, Enum):
                         _ck_classical_limits, 0, _every_k)
 
 
-DESCRIPTIONS: dict[IdentityId, str] = {i: i.description for i in IdentityId}
-
-
 def _resolve_selection(selection):
     resolved = set()
     for item in IdentityId if selection is None else selection:
@@ -450,37 +442,24 @@ def run_suite(
     max_n: int = 12,
     max_p: int = 4,
     truncation: int = 16,
-    corrupt_s2: tuple[int, int, object] | None = None,
 ) -> list[IdentityReport]:
     """Run the selected identities (all 24 when selection is None).
 
     One case per outer index n.  Reports are returned sorted by identity
-    token and are deterministic apart from the elapsed field.  corrupt_s2 =
-    (n, k, value) substitutes one degenerate second-kind triangle entry for
-    the whole run, at int indices with 0 <= k <= n <= max_n; the suite is
-    expected to catch any such corruption.
+    token and are deterministic apart from the elapsed field.
     """
     _check_bounds(max_n, max_p, truncation)
     idents = _resolve_selection(selection)
     bounds = _Bounds(max_n, max_p, truncation)
-    reports, scope = [], nullcontext()
-    if corrupt_s2 is not None:
-        cn, ck, cv = corrupt_s2
-        _index(**{"n of corrupt_s2": cn, "k of corrupt_s2": ck})
-        if not 0 <= ck <= cn <= max_n:
-            raise ValueError(f"corrupt_s2 needs 0 <= k <= n <= max_n = {max_n}, got n={cn}, k={ck}")
-        key = (cn, 0, False, PolyLambda.lam())  # the row of stirling2_deg(cn, ck)
-        entry = cv if isinstance(cv, PolyLambda) else PolyLambda.constant(cv)
-        scope = substituted(_row, key, _row(*key)[:ck] + (entry,) + _row(*key)[ck + 1 :])
-    with scope:
-        for ident in idents:
-            start = time.perf_counter()
-            cases = range(ident._first_n, bounds.max_n + 1)
-            failures = [_first_unequal(ident._check(bounds, n, ident._sweep(bounds, n))) for n in cases]
-            failed = [f for f in failures if f is not None]
-            elapsed = time.perf_counter() - start
-            first_failure = failed[0] if failed else None
-            reports.append(IdentityReport(ident, len(cases), len(cases) - len(failed), first_failure, elapsed))
+    reports = []
+    for ident in idents:
+        start = time.perf_counter()
+        cases = range(ident._first_n, bounds.max_n + 1)
+        failures = [_first_unequal(ident._check(bounds, n, ident._sweep(bounds, n))) for n in cases]
+        failed = [f for f in failures if f is not None]
+        elapsed = time.perf_counter() - start
+        first_failure = failed[0] if failed else None
+        reports.append(IdentityReport(ident, len(cases), len(cases) - len(failed), first_failure, elapsed))
     return reports
 
 

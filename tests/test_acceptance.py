@@ -26,6 +26,7 @@ from degenbern.bernoulli import (
 from degenbern.exactcore import PolyLambda, PolyXOverLambda, specialize
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
 from degenbern.triangles import (
+    _row,
     eulerian_classical,
     eulerian_degenerate,
     falling_lambda,
@@ -34,6 +35,7 @@ from degenbern.triangles import (
     stirling1_deg,
     stirling2_deg,
     stirling2_deg_poly,
+    substituted,
 )
 from degenbern.verify import IdentityId, run_suite
 
@@ -178,7 +180,10 @@ def test_criterion_11_mutation_detection_and_suite_runtime():
     not_passing = [report.identity_id for report in clean if not report.passed]
     # the one recorded counterexample is informational by design
     assert not_passing == [IdentityId.REMARK_MULT_B]
-    corrupted = run_suite(corrupt_s2=(4, 2, PolyLambda.zero()))
+    # stirling2_deg(4, 2), entry 2 of row 4 of the degenerate second-kind triangle, reads 0
+    row = _row(4, 0, False, LAM)
+    with substituted(_row, (4, 0, False, LAM), row[:2] + (PolyLambda.zero(),) + row[3:]):
+        corrupted = run_suite()
     hard_failures = {
         report.identity_id
         for report in corrupted

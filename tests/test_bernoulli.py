@@ -251,11 +251,19 @@ class TestMemoIsolation:
         [
             (carlitz_beta, (), 0, lambda n: n == 4),
             (gen_beta, (2,), 0, lambda n: n == 4),
+            (gen_beta, (-1,), 0, lambda n: n == 4),
             (gen_beta_poly, (1,), 0, lambda n: n >= 4),
             (stirling2_deg_poly, (2,), 2, lambda n: n >= 4),
             (eulerian_degenerate, (0,), 0, lambda n: n == 4),
         ],
-        ids=["carlitz_beta", "gen_beta", "gen_beta_poly", "stirling2_deg_poly", "eulerian_degenerate"],
+        ids=[
+            "carlitz_beta",
+            "gen_beta",
+            "gen_beta-p-minus-one",
+            "gen_beta_poly",
+            "stirling2_deg_poly",
+            "eulerian_degenerate",
+        ],
     )
     def test_interleaved_pristine_and_corrupted_calls(self, route, args, first, fed, pristine_first):
         # a call run in an empty context sees no substitution

@@ -51,6 +51,20 @@ class TestCompute:
         assert err == ""
         assert out == "0: 1\n1: -1/2 + 1/2*l\n2: 1/6 - 1/6*l^2\n"
 
+    def test_route_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        # a tracer rebinds the module's name; a route bound at import would not see it
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return carlitz_beta(*args)
+
+        monkeypatch.setattr("degenbern.cli.carlitz_beta", counting)
+        code, out, _ = run(capsys, "compute", "beta", "--max-n", "3")
+        assert code == EXIT_OK
+        assert out.startswith("0: 1\n1: -1/2 + 1/2*l\n")
+        assert calls == [(0,), (1,), (2,), (3,)]
+
     def test_evaluated_pretty(self, capsys):
         code, out, _ = run(capsys, "compute", "beta", "--max-n", "1", "--lambda", "1/2")
         assert code == EXIT_OK
