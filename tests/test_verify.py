@@ -192,6 +192,29 @@ def _s2_substituted(n, k, value):
     return substituted(triangles._row, key, row[:k] + (PolyLambda.constant(value),) + row[k + 1 :])
 
 
+@pytest.mark.parametrize(
+    "position,message",
+    [
+        ((True, 0), "n must be int, got bool"),
+        ((2.0, 1), "n must be int, got float"),
+        ((2, 3), r"type and shape of _row\(2, 0, False"),
+    ],
+    ids=["bool", "float", "k-past-n"],
+)
+def test_corruption_position_it_cannot_honour_is_refused(position, message):
+    # the row's own index check, or substituted's shape check on a row one entry too long
+    with pytest.raises(TypeError, match=message):
+        with _s2_substituted(*position, 1):
+            pytest.fail("a refused corruption ran its block")
+    assert triangles._substitution.get() is None
+
+
+def test_corruption_past_max_n_is_not_read(small_suite):
+    with _s2_substituted(9, 9, 0):
+        reports = run_suite(**SMALL)
+    assert _report_digest(reports) == _report_digest(small_suite)
+
+
 class TestMutationDetection:
     def test_corrupted_table_entry_is_caught(self):
         with _s2_substituted(4, 2, 0):
