@@ -15,9 +15,9 @@ held whole; file writes go through a temp file and rename so an interrupted
 run never leaves a partial file.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.  Failing Remark-mult readings are informational (the two readings are
-mutually exclusive by construction) and only affect the exit code with
---strict.
+error.  A failing identity declared informational (IdentityId.informational:
+the two Remark-mult readings, mutually exclusive by construction) affects the
+exit code only with --strict.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
-from .exactcore import PolyLambda, PolyXOverLambda, _render_rational, specialize
+from .exactcore import PolyLambda, PolyXOverLambda, _render_rational
 from .triangles import (
     eulerian_classical,
     eulerian_degenerate,
@@ -40,15 +40,13 @@ from .triangles import (
     stirling2_deg,
     stirling2_deg_poly,
 )
-from .verify import IdentityId, explain_failure, run_suite
+from .verify import explain_failure, run_suite
 
 __all__ = ["CliConfig", "main", "entry"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-_INFORMATIONAL = {IdentityId.REMARK_MULT_A, IdentityId.REMARK_MULT_B}
 
 
 def _eulerian_entry(n: int, k: int) -> PolyLambda:
@@ -194,8 +192,9 @@ def _build_rows(cfg: CliConfig, given):
 
 def _at_lambda(value, lam: Fraction):
     """value at l = lam, kept in its ring so that every renderer treats it alike."""
-    out = specialize(value, lam=lam)
-    return out if isinstance(out, PolyXOverLambda) else PolyLambda.constant(out)
+    if isinstance(value, PolyXOverLambda):
+        return value.subs_lambda(lam)
+    return PolyLambda.constant(value.evaluate(lam))
 
 
 def _render_json(cfg: CliConfig, params: dict, rows):
@@ -303,7 +302,7 @@ def _cmd_verify(cfg: CliConfig) -> int:
     reports = run_suite(selection, max_n=max_n, max_p=cfg.max_p, truncation=cfg.truncation)
     hard_failure = False
     for report in reports:
-        informational = report.identity_id in _INFORMATIONAL and not cfg.strict
+        informational = report.identity_id.informational and not cfg.strict
         status = "ok" if report.passed else ("recorded" if informational else "FAILED")
         print(
             f"{report.identity_id.value}: {report.cases_passed}/{report.cases_run} "

@@ -15,11 +15,11 @@ denominator is 1; zero is ((), 1).  A PolyXOverLambda stores its PolyLambda
 coefficients over 1.  The canonical form makes structural equality exact
 mathematical equality.  The .coeffs view is built on each read: a
 PolyLambda coefficient that is an integer is a plain int, any other a
-Fraction; `coefficient(i)` and `lead` read one of them alone.  Everything
-visible through `evaluate`/`specialize` comes back as Fraction.  The
-RationalFunctionLambda constructor normalizes fully; its arithmetic reduces
-by Henrici's smaller gcds, and a gcd with, or a division by, a monomial
-c l^k is a shift of the numerators.
+Fraction; `coefficient(i)` and `lead` read one of them alone.  The value
+at a rational l, `PolyLambda.evaluate`, is a Fraction even at an int point.
+The RationalFunctionLambda constructor normalizes fully; its arithmetic
+reduces by Henrici's smaller gcds, and a gcd with, or a division by, a
+monomial c l^k is a shift of the numerators.
 
 Each ring has one lift, _lift (_lifter): an element of the ring is itself;
 an int or a Fraction, and into Q[l][x] and Q(l) a PolyLambda, becomes the
@@ -61,7 +61,6 @@ __all__ = [
     "lincomb",
     "poly_divmod",
     "poly_gcd",
-    "specialize",
 ]
 
 Scalar = Union[int, Fraction]
@@ -482,14 +481,6 @@ class RationalFunctionLambda:
     def one(cls) -> "RationalFunctionLambda":
         return _RF_ONE
 
-    def is_polynomial(self) -> bool:
-        return self.den == _PL_ONE
-
-    def to_poly(self) -> PolyLambda:
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self.serialize()}")
-        return self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -564,11 +555,6 @@ class RationalFunctionLambda:
 
     def serialize(self) -> str:
         return f"({self.num.serialize()}) / ({self.den.serialize()})"
-
-    def pretty(self) -> str:
-        if self.is_polynomial():
-            return self.num.pretty()
-        return f"({self.num.pretty()}) / ({self.den.pretty()})"
 
     def __repr__(self) -> str:
         return f"RationalFunctionLambda({self.serialize()!r})"
@@ -670,7 +656,7 @@ class PolyXOverLambda:
                 parts.append(f"{inner}*{v}")
             else:
                 parts.append(f"({inner})*{v}")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(parts)
 
 
 def _columns(v) -> tuple:
@@ -770,23 +756,3 @@ def falling_sum(terms) -> PolyLambda:
         bt, wn, d = cs[k]
         acc = _step(acc, -(k + 1), 1, wn * (den // d), bt)
     return _PL_ONE if acc == [1] and den == 1 else _pl_reduce(acc, den)  # as in lincomb
-
-
-def specialize(value, *, lam: Scalar | None = None, x: Scalar | None = None):
-    """Exact substitution.
-
-    specialize(PolyLambda, lam=q)      -> Fraction
-    specialize(PolyXOverLambda, x=q)   -> PolyLambda
-    specialize(PolyXOverLambda, lam=q) -> PolyXOverLambda with constant coefficients
-    """
-    if (lam is None) == (x is None):
-        raise ValueError("specialize needs exactly one of lam= or x=")
-    if isinstance(value, PolyLambda):
-        if lam is None:
-            raise ValueError("a PolyLambda can only be specialized at lam")
-        return value.evaluate(lam)
-    if isinstance(value, PolyXOverLambda):
-        if x is not None:
-            return value.evaluate(x)
-        return value.subs_lambda(lam)
-    raise TypeError(f"cannot specialize {type(value).__name__}")

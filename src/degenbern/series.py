@@ -68,22 +68,9 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the order-0 coefficient")
 
     @classmethod
-    def zero(cls, ring, order: int) -> "TruncatedSeries":
-        _order(order)
-        return cls(ring, [0] * (order + 1))
-
-    @classmethod
     def one(cls, ring, order: int) -> "TruncatedSeries":
         _order(order)
         return cls(ring, [1] + [0] * order)
-
-    @classmethod
-    def t(cls, ring, order: int) -> "TruncatedSeries":
-        """The series t itself."""
-        _index(order=order)
-        if order < 1:
-            raise ValueError("order must be at least 1 for the series t")
-        return cls(ring, [0, 1] + [0] * (order - 1))
 
     @property
     def order(self) -> int:

@@ -222,6 +222,8 @@ def _row(n: int, r: int, first: bool, lam) -> tuple:
     w = c0 + c1 l, and only row n is wrapped and kept.  _step returns int
     lists without trailing zeros, so the wrap is the trusted _pl_reduce.
     """
+    if n < 0:
+        raise ValueError(f"row index n must be nonnegative, got {n}")
     slope = 1 if lam else 0  # the l-coefficient of lam
     m, row = 0, [(1,)]
     for j in range(n - 1, 0, -1):

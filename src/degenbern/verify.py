@@ -326,15 +326,16 @@ class IdentityId(str, Enum):
     """Stable tokens naming the verifiable identities.
 
     Each member is the one declaration of its identity: the token (its
-    value), a one-line description, and the run fields that run_suite and
-    suite_plan read: the case check, the first n, and the inner ranges swept
-    at row n.
+    value), a one-line description, the run fields that run_suite and
+    suite_plan read (the case check, the first n, and the inner ranges swept
+    at row n), and whether a failure is informational, which the command
+    line counts toward its exit code only with --strict.
     """
 
-    def __new__(cls, token: str, description: str, check, first_n: int, sweep):
+    def __new__(cls, token: str, description: str, check, first_n: int, sweep, informational=False):
         member = str.__new__(cls, token)
         member._value_ = token
-        member.description = description
+        member.description, member.informational = description, informational
         member._check, member._first_n, member._sweep = check, first_n, sweep
         return member
 
@@ -384,10 +385,11 @@ class IdentityId(str, Enum):
                   _remark_check("step"), 0, lambda b, n: {"p": _remark_p(b)})
     REMARK_DIFF = ("Remark-diff", "unit-shift difference rule for the polynomials",
                    _remark_check("difference"), 0, lambda b, n: {"p": _remark_p(b)})
+    # the two readings are mutually exclusive by construction, so their failures are informational
     REMARK_MULT_A = ("Remark-mult-A", "argument-scaling rule, step read as l/(m-1)",
-                     _remark_check("ratio"), 0, _remark_m)
+                     _remark_check("ratio"), 0, _remark_m, True)
     REMARK_MULT_B = ("Remark-mult-B", "argument-scaling rule, step read as l/m - 1",
-                     _remark_check("shift"), 0, _remark_m)
+                     _remark_check("shift"), 0, _remark_m, True)
     STIRLING_DUALITY = ("StirlingDuality", "the two degenerate triangles invert each other",
                         _ck_duality, 0, _every_k)
     CLASSICAL_LIMITS = ("ClassicalLimits", "l = 0 specializations match classical recurrences",

@@ -25,7 +25,7 @@ from degenbern.cli import (
     _render_json,
     main,
 )
-from degenbern.exactcore import PolyLambda, PolyXOverLambda, _render_rational, specialize
+from degenbern.exactcore import PolyLambda, PolyXOverLambda, _render_rational
 
 
 def run(capsys, *argv):
@@ -70,13 +70,13 @@ class TestCompute:
         assert code == EXIT_OK
         assert out == "0: 1\n1: -1/4\n"
 
-    def test_evaluation_matches_specialize(self, capsys):
+    def test_evaluation_matches_the_exact_value(self, capsys):
         lam = Fraction(2, 3)
         code, out, _ = run(capsys, "compute", "beta", "--max-n", "6", "--lambda", "2/3")
         assert code == EXIT_OK
         for line in out.splitlines():
             label, value = line.split(": ")
-            expected = specialize(carlitz_beta(int(label)), lam=lam)
+            expected = carlitz_beta(int(label)).evaluate(lam)
             assert Fraction(value) == expected
 
     def test_csv_number_family(self, capsys):

@@ -17,7 +17,6 @@ from degenbern.exactcore import (
     lincomb,
     poly_divmod,
     poly_gcd,
-    specialize,
 )
 from degenbern.triangles import log_weight
 
@@ -122,15 +121,6 @@ class TestRationalFunction:
     def test_field_inverse(self):
         rf = RationalFunctionLambda(LAM + 1, LAM**3)
         assert rf * (1 / rf) == RationalFunctionLambda.one()
-
-    def test_to_poly(self):
-        assert RationalFunctionLambda(LAM * LAM, LAM).to_poly() == LAM
-        with pytest.raises(ValueError, match="not a polynomial"):
-            RationalFunctionLambda(ONE, LAM).to_poly()
-
-    def test_is_polynomial(self):
-        assert RationalFunctionLambda(LAM, ONE).is_polynomial()
-        assert not RationalFunctionLambda(ONE, LAM + 1).is_polynomial()
 
     def test_serialize(self):
         rf = RationalFunctionLambda(LAM + 1, LAM)
@@ -546,7 +536,7 @@ class TestPolyXOverLambda:
         with pytest.raises(ValueError, match="x-degree 2"):
             p.evaluate(X * X + 1)
         with pytest.raises(ValueError, match="x-degree 3"):
-            specialize(p, x=X * X * X * LAM)
+            p.evaluate(X * X * X * LAM)
 
     def test_derivative(self):
         p = X * X * X - X * LAM
@@ -595,28 +585,23 @@ class TestHashMatchesEquality:
         assert len({LAM, X, RationalFunctionLambda(ONE, LAM), PolyLambda.constant(1)}) == 4
 
 
-class TestSpecialize:
+class TestEvaluation:
     def test_lambda_constant_term(self):
-        assert specialize(pl(2, -3, 1), lam=Fraction(0)) == 2
+        assert pl(2, -3, 1).evaluate(Fraction(0)) == 2
 
     def test_beta_style_value(self):
-        assert specialize(pl(Fraction(1, 6), 0, Fraction(-1, 6)), lam=Fraction(0)) == Fraction(1, 6)
+        assert pl(Fraction(1, 6), 0, Fraction(-1, 6)).evaluate(Fraction(0)) == Fraction(1, 6)
 
     def test_x_substitution(self):
-        assert specialize(X * X - X * LAM, x=Fraction(1)) == 1 - LAM
-
-    def test_exactly_one_target(self):
-        with pytest.raises(ValueError):
-            specialize(LAM)
-        with pytest.raises(ValueError):
-            specialize(X, lam=Fraction(0), x=Fraction(0))
+        assert (X * X - X * LAM).evaluate(Fraction(1)) == 1 - LAM
 
     def test_boolean_evaluation_point_rejected(self):
         for route in (
             lambda: LAM.evaluate(True),
-            lambda: specialize(LAM, lam=False),
-            lambda: specialize(X * LAM, x=True),
-            lambda: specialize(PolyXOverLambda.zero(), lam=True),
+            lambda: LAM.evaluate(False),
+            lambda: (X * LAM).evaluate(True),
+            lambda: (X * LAM).subs_lambda(True),
+            lambda: PolyXOverLambda.zero().subs_lambda(True),
             lambda: PolyXOverLambda.zero().subs_lambda(False),
         ):
             with pytest.raises(TypeError, match="evaluation point must be int or Fraction, got bool"):
@@ -625,11 +610,10 @@ class TestSpecialize:
     def test_float_evaluation_point_rejected(self):
         for route in (
             lambda: LAM.evaluate(0.1),
-            lambda: specialize(LAM, lam=0.1),
             lambda: (X * LAM).subs_lambda(0.1),
-            lambda: specialize(X * LAM, lam=0.1),
-            lambda: specialize(X * LAM, x=0.5),
-            lambda: specialize(PolyXOverLambda.zero(), lam=1.5),
+            lambda: (X * LAM).evaluate(0.5),
+            lambda: PolyXOverLambda.zero().evaluate(0.5),
+            lambda: PolyXOverLambda.zero().subs_lambda(1.5),
             lambda: PolyXOverLambda.zero().subs_lambda(0.1),
         ):
             with pytest.raises(TypeError, match="evaluation point must be int or Fraction, got float"):
@@ -644,10 +628,10 @@ class TestSpecialize:
     @given(polys, polys, rationals)
     @settings(max_examples=60)
     def test_homomorphism_in_lambda(self, a, b, v):
-        assert specialize(a * b, lam=v) == specialize(a, lam=v) * specialize(b, lam=v)
-        assert specialize(a + b, lam=v) == specialize(a, lam=v) + specialize(b, lam=v)
+        assert (a * b).evaluate(v) == a.evaluate(v) * b.evaluate(v)
+        assert (a + b).evaluate(v) == a.evaluate(v) + b.evaluate(v)
 
     @given(st.lists(polys, max_size=4).map(PolyXOverLambda), st.lists(polys, max_size=4).map(PolyXOverLambda), rationals)
     @settings(max_examples=40)
     def test_homomorphism_in_x(self, a, b, v):
-        assert specialize(a * b, x=v) == specialize(a, x=v) * specialize(b, x=v)
+        assert (a * b).evaluate(v) == a.evaluate(v) * b.evaluate(v)

@@ -78,9 +78,7 @@ ROUTES = [
     ("forward_difference", lambda k: forward_difference([1, 2, 4], k), {"k": 2}, ("k",)),
     ("PolyLambda.__pow__", lambda k: LAM**k, {"k": 2}, ("k",)),
     ("PolyXOverLambda.__pow__", lambda k: PolyXOverLambda.x() ** k, {"k": 2}, ("k",)),
-    ("TruncatedSeries.zero", lambda order: TruncatedSeries.zero(PolyLambda, order), {"order": 2}, ("order",)),
     ("TruncatedSeries.one", lambda order: TruncatedSeries.one(PolyLambda, order), {"order": 2}, ("order",)),
-    ("TruncatedSeries.t", lambda order: TruncatedSeries.t(PolyLambda, order), {"order": 2}, ("order",)),
     ("TruncatedSeries.coefficient", SERIES.coefficient, {"n": 2}, ("n",)),
     ("TruncatedSeries.truncate", SERIES.truncate, {"order": 2}, ("order",)),
     ("degenerate_exp", lambda order: degenerate_exp(1, order), {"order": 2}, ("order",)),

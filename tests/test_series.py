@@ -44,7 +44,8 @@ class TestArithmetic:
 
     def test_mul_by_zero_absorbs(self):
         f = degenerate_exp(1, 5)
-        assert f.mul(TruncatedSeries.zero(PolyLambda, 5)) == TruncatedSeries.zero(PolyLambda, 5)
+        zero = series(0, 0, 0, 0, 0, 0)
+        assert f.mul(zero) == zero
 
     def test_exp_times_reciprocal_exp(self):
         n = 8
@@ -127,7 +128,7 @@ class TestArithmetic:
 class TestCompose:
     def test_identity_outer(self):
         g = degenerate_log(6)
-        t = TruncatedSeries.t(PolyLambda, 6)
+        t = series(0, 1, 0, 0, 0, 0, 0)
         assert t.compose(g) == g
 
     def test_exp_log_inverse(self):
@@ -139,7 +140,7 @@ class TestCompose:
     def test_log_exp_inverse(self):
         n = 10
         em1 = degenerate_exp(1, n) - TruncatedSeries.one(PolyLambda, n)
-        assert degenerate_log(n).compose(em1) == TruncatedSeries.t(PolyLambda, n)
+        assert degenerate_log(n).compose(em1) == TruncatedSeries(PolyLambda, [0, 1] + [0] * (n - 1))
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError, match="composition requires zero constant term"):
@@ -169,11 +170,11 @@ class TestCompose:
 
 class TestBinomialPow:
     def test_zeroth_power(self):
-        u = TruncatedSeries.t(PolyLambda, 5)
+        u = series(0, 1, 0, 0, 0, 0)
         assert u.binomial_pow(Fraction(0)) == TruncatedSeries.one(PolyLambda, 5)
 
     def test_integer_power_matches_mul(self):
-        u = TruncatedSeries.t(PolyLambda, 5)
+        u = series(0, 1, 0, 0, 0, 0)
         one_plus = TruncatedSeries.one(PolyLambda, 5) + u
         assert u.binomial_pow(Fraction(2)) == one_plus.mul(one_plus)
 
@@ -282,12 +283,12 @@ class TestNamedSeries:
             assert f.coefficient(n).evaluate(Fraction(0)) == expected
 
     def test_2f1_zero_argument(self):
-        u = TruncatedSeries.zero(PolyLambda, 6)
+        u = series(0, 0, 0, 0, 0, 0, 0)
         assert gauss_2f1_formal(LAM, 1, 3, u) == TruncatedSeries.one(PolyLambda, 6)
 
     def test_2f1_geometric_case(self):
         """2F1(1,1;1;t) would need c=1; 2F1(1,b;b;t) = 1/(1-t) for any b."""
-        u = TruncatedSeries.t(PolyLambda, 6)
+        u = series(0, 1, 0, 0, 0, 0, 0)
         f = gauss_2f1_formal(1, 5, 5, u)
         assert ordinary(f) == tuple(PolyLambda.one() for _ in range(7))
 
@@ -301,7 +302,7 @@ class TestNamedSeries:
             gauss_2f1_formal(1, 1, 2, u)
 
     def test_2f1_vanishing_lower_parameter(self):
-        u = TruncatedSeries.t(PolyLambda, 6)
+        u = series(0, 1, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="invalid lower parameter"):
             gauss_2f1_formal(1, 1, -2, u)
 
@@ -331,11 +332,10 @@ class TestNamedSeries:
         "call",
         [
             lambda: TruncatedSeries.one(PolyLambda, -1),
-            lambda: TruncatedSeries.zero(PolyLambda, -1),
             lambda: series(1, 1).truncate(-1),
             lambda: degenerate_exp(1, -1),
         ],
-        ids=["one", "zero", "truncate", "degenerate_exp"],
+        ids=["one", "truncate", "degenerate_exp"],
     )
     def test_negative_order_refused(self, call):
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):

@@ -560,8 +560,9 @@ class TestSubstitution:
             (log_weight, (3,), 0.5, TypeError, r"type and shape of log_weight\(3,\), a PolyLambda, got float"),
             (_row, ROW4, _row(*ROW4)[:4], TypeError, "type and shape of _row"),
             (_row, ROW4, _row_with(ROW4, 2, 2.0), TypeError, "type and shape of _row"),
+            (_row, (-1, 0, False, LAM), (PolyLambda.one(),), ValueError, "row index n must be nonnegative, got -1"),
         ],
-        ids=["not-memoized", "bool-index", "float-index", "k-past-n", "negative", "float-value", "short-row", "float-entry"],
+        ids=["not-memoized", "bool-index", "float-index", "k-past-n", "negative", "float-value", "short-row", "float-entry", "negative-row"],
     )
     def test_refused_by_name_before_any_memo_is_touched(self, builder, args, value, error, message):
         memo = getattr(builder, "pristine", {})

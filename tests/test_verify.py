@@ -32,6 +32,11 @@ class TestRegistry:
         for ident in IdentityId:
             assert isinstance(ident.description, str) and ident.description
 
+    def test_only_the_remark_mult_readings_are_informational(self):
+        assert {ident: ident.informational for ident in IdentityId} == {
+            ident: ident in (IdentityId.REMARK_MULT_A, IdentityId.REMARK_MULT_B) for ident in IdentityId
+        }
+
     def test_tokens_are_stable_strings(self):
         assert {i.name: i.value for i in IdentityId} == {
             "THM1": "Thm1",
