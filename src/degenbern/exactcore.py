@@ -172,6 +172,8 @@ def _dense_ring(inner, embed, var, render, *, build, reduce):
 
         def coefficient(self, i: int):
             """The i-th element of .coeffs, built alone; zero past the degree."""
+            if type(i) is not int:
+                _index(i=i)
             if not 0 <= i < len(self._terms):
                 return czero
             t, d = self._terms[i], self._den

@@ -21,6 +21,7 @@ from degenbern.cli import (
     EXIT_VERIFY_FAILED,
     FAMILIES,
     CliConfig,
+    _at_lambda,
     _build_rows,
     _render_json,
     main,
@@ -78,6 +79,18 @@ class TestCompute:
             label, value = line.split(": ")
             expected = carlitz_beta(int(label)).evaluate(lam)
             assert Fraction(value) == expected
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            (PolyLambda.lam() ** 2 - 1, PolyLambda.constant(Fraction(-5, 9))),
+            (PolyXOverLambda.x() * PolyLambda.lam() + 1, PolyXOverLambda.x() * Fraction(2, 3) + 1),
+        ],
+        ids=["PolyLambda", "PolyXOverLambda"],
+    )
+    def test_value_at_lambda_stays_in_its_ring(self, value, expected):
+        at = _at_lambda(value, Fraction(2, 3))
+        assert type(at) is type(value) and at == expected
 
     def test_csv_number_family(self, capsys):
         code, out, _ = run(capsys, "compute", "beta", "--max-n", "0", "--format", "csv")

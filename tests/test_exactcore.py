@@ -118,6 +118,11 @@ class TestRationalFunction:
         assert rf.den == LAM
         assert rf.num == PolyLambda.constant(Fraction(1, 2))
 
+    def test_polynomial_quotient_has_unit_denominator(self):
+        rf = RationalFunctionLambda(LAM * LAM, LAM)
+        assert (rf.num, rf.den) == (LAM, ONE)
+        assert RationalFunctionLambda(ONE, LAM + 1).den == LAM + 1
+
     def test_field_inverse(self):
         rf = RationalFunctionLambda(LAM + 1, LAM**3)
         assert rf * (1 / rf) == RationalFunctionLambda.one()

@@ -78,6 +78,8 @@ ROUTES = [
     ("forward_difference", lambda k: forward_difference([1, 2, 4], k), {"k": 2}, ("k",)),
     ("PolyLambda.__pow__", lambda k: LAM**k, {"k": 2}, ("k",)),
     ("PolyXOverLambda.__pow__", lambda k: PolyXOverLambda.x() ** k, {"k": 2}, ("k",)),
+    ("PolyLambda.coefficient", LAM.coefficient, {"i": 1}, ("i",)),
+    ("PolyXOverLambda.coefficient", PolyXOverLambda.x().coefficient, {"i": 1}, ("i",)),
     ("TruncatedSeries.one", lambda order: TruncatedSeries.one(PolyLambda, order), {"order": 2}, ("order",)),
     ("TruncatedSeries.coefficient", SERIES.coefficient, {"n": 2}, ("n",)),
     ("TruncatedSeries.truncate", SERIES.truncate, {"order": 2}, ("order",)),
