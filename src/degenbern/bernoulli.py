@@ -326,7 +326,7 @@ def gen_beta_poly_derivative(n: int, p: int) -> PolyXOverLambda:
 _REMARK_RULES = ("addition", "difference", "ratio", "shift", "step")
 
 
-def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2):
+def remark_sides(rule: str, n: int, p: int, y: int | None = None, m: int | None = None):
     """Both sides of one argument-shift rule for B_k = gen_beta_poly(k, p).
 
     Each rule reads lhs = rhs, symbolic in x, with rhs = sum_k binom(n,k)
@@ -339,11 +339,17 @@ def remark_sides(rule: str, n: int, p: int, y: int = 0, m: int = 2):
         step         B_n(x + l) - B_n(x)   rhs = n l B_{n-1}(x), and 0 at n = 0
 
     ratio and shift are the two readings of the scaling rule's step; step is
-    addition's l-step form, the one the Remark-add identity compares.
+    addition's l-step form, the one the Remark-add identity compares.  Only
+    addition reads y (default 0) and only ratio and shift read m (default
+    2, at least 2); any other rule given either raises TypeError.
     Returns (lhs, rhs) as PolyXOverLambda.
     """
     if rule not in _REMARK_RULES:
         raise ValueError(f"unknown remark rule: {rule!r}")
+    for name, v, readers in (("y", y, ("addition",)), ("m", m, ("ratio", "shift"))):
+        if v is not None and rule not in readers:
+            raise TypeError(f"remark rule {rule!r} takes no {name}")
+    y, m = 0 if y is None else y, 2 if m is None else m
     _index(y=y, m=m)
     _check_range(n, p, 0, 0)
     if m < 2:

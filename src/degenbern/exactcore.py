@@ -7,16 +7,18 @@ Three value types are built on stdlib ints and rationals:
     PolyXOverLambda         polynomial in x with PolyLambda coefficients
 
 The two polynomial rings share one dense-polynomial definition (the
-_dense_ring class decorator).  An element stores a dense, ascending term
-tuple without trailing zeros over one denominator.  A PolyLambda stores int
-numerators over one positive int denominator, coprime to their content, so
-its arithmetic runs on plain ints and pays one gcd per result, none when the
-denominator is 1; zero is ((), 1).  A PolyXOverLambda stores its PolyLambda
-coefficients over 1.  The canonical form makes structural equality exact
-mathematical equality.  The .coeffs view is built on each read: a
-PolyLambda coefficient that is an integer is a plain int, any other a
-Fraction; `coefficient(i)` and `lead` read one of them alone.  The value
-at a rational l, `PolyLambda.evaluate`, is a Fraction even at an int point.
+_dense_ring class decorator), printing included: one pretty joins the signed
+terms of each ring's hook, _signed_rational or _signed_coefficients.  An
+element stores a dense, ascending term tuple without trailing zeros over one
+denominator.  A PolyLambda stores int numerators over one positive int
+denominator, coprime to their content, so its arithmetic runs on plain ints
+and pays one gcd per result, none when the denominator is 1; zero is
+((), 1).  A PolyXOverLambda stores its PolyLambda coefficients over 1.  The
+canonical form makes structural equality exact mathematical equality.  The
+.coeffs view is built on each read: a PolyLambda coefficient that is an
+integer is a plain int, any other a Fraction; `coefficient(i)` and `lead`
+read one of them alone.  The value at a rational l, `PolyLambda.evaluate`,
+is a Fraction even at an int point.
 The RationalFunctionLambda constructor normalizes fully; its arithmetic
 reduces by Henrici's smaller gcds, and a gcd with, or a division by, a
 monomial c l^k is a shift of the numerators.
@@ -126,19 +128,20 @@ def _equality(same):
     return __eq__
 
 
-def _dense_ring(inner, embed, var, render, *, build, reduce):
+def _dense_ring(inner, embed, var, render, signed, *, build, reduce):
     """Class decorator: the dense-polynomial methods of one coefficient ring.
 
     An instance stores _terms over _den, each term falsy exactly where its
     coefficient is zero.  The ring's lift is _lifter(cls, inner, embed):
     inner lifts into the coefficient ring, embed(c) is the constant c.  var
     names the variable and render(p) lists the rendered coefficients of p
-    (one, for zero).  build(p, coeffs) sets p from public coefficients and
-    reduce(terms, den) is the canonical element of a computed term list.  As
-    with functools.total_ordering, the methods are built anew for each
-    decorated class, so each class holds its own function objects in its own
-    namespace: rebinding PolyLambda.__mul__ (perfbench's tracer does) leaves
-    PolyXOverLambda.__mul__ alone.
+    (one, for zero); signed(p) gives (power, negative, magnitude) for each
+    nonzero term of p, which pretty joins.  build(p, coeffs) sets p from
+    public coefficients and reduce(terms, den) is the canonical element of a
+    computed term list.  As with functools.total_ordering, the methods are
+    built anew for each decorated class, so each class holds its own function
+    objects in its own namespace: rebinding PolyLambda.__mul__ (perfbench's
+    tracer does) leaves PolyXOverLambda.__mul__ alone.
     """
 
     def decorate(cls):
@@ -262,12 +265,22 @@ def _dense_ring(inner, embed, var, render, *, build, reduce):
                 parts[i] += f"*{var}" if i == 1 else f"*{var}^{i}"
             return " + ".join(parts)
 
+        def pretty(self) -> str:
+            """Human form: signs between the terms; zero terms, unit coefficients and /1 left out."""
+            parts = []
+            for i, negative, mag in signed(self):
+                if i:
+                    v = var if i == 1 else f"{var}^{i}"
+                    mag = v if mag == "1" else f"{mag}*{v}"
+                parts.append(("- " if negative else "+ ") + mag if parts else "-" + mag if negative else mag)
+            return " ".join(parts) or "0"
+
         def __repr__(self) -> str:
             return f"{name}({self.serialize()!r})"
 
         methods = (
             __init__, __bool__, __eq__, __hash__, __neg__, __add__, __sub__, __rsub__,
-            __mul__, __pow__, coefficient, serialize, __repr__,
+            __mul__, __pow__, coefficient, serialize, pretty, __repr__,
         )
         for fn in methods:
             fn.__qualname__ = f"{name}.{fn.__name__}"
@@ -321,9 +334,16 @@ def _render_rational(p) -> list[str]:
     return [f"{c // g}/{d // g}" for c in p._terms or (0,) for g in (gcd(c, d),)]
 
 
+def _signed_rational(p):
+    """(power, negative, |num|/den reduced, without /1) for each nonzero coefficient of p."""
+    d = p._den
+    return [(i, c < 0, f"{abs(c) // g}" if g == d else f"{abs(c) // g}/{d // g}")
+            for i, c in enumerate(p._terms) if c for g in (gcd(c, d),)]
+
+
 @_dense_ring(
     lambda v: _norm_coeff(v) if isinstance(v, (int, Fraction)) else NotImplemented,
-    lambda c: _pl_reduce([c.numerator], c.denominator), "l", _render_rational,
+    lambda c: _pl_reduce([c.numerator], c.denominator), "l", _render_rational, _signed_rational,
     build=_pl_build, reduce=_pl_reduce,
 )
 class PolyLambda:
@@ -355,29 +375,6 @@ class PolyLambda:
         for c in reversed(self._terms):
             acc = acc * at + c
         return Fraction(acc, self._den)
-
-    def pretty(self, var: str = "l") -> str:
-        """Human form: zero terms skipped, unit coefficients and /1 suppressed."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self._terms):
-            if not c:
-                continue
-            g = gcd(c, self._den)
-            num, den = c // g, self._den // g
-            mag = -num if num < 0 else num
-            coef = str(mag) if den == 1 else f"{mag}/{den}"
-            if i == 0:
-                term = coef
-            else:
-                v = var if i == 1 else f"{var}^{i}"
-                term = v if mag == den == 1 else f"{coef}*{v}"
-            if not parts:
-                parts.append(f"-{term}" if num < 0 else term)
-            else:
-                parts.append(f"- {term}" if num < 0 else f"+ {term}")
-        return " ".join(parts)
 
 
 _PL_ZERO, _PL_ONE = PolyLambda.zero(), PolyLambda.one()
@@ -587,8 +584,18 @@ def _render_parenthesized(p) -> list[str]:
     return [f"({c.serialize()})" for c in p._terms or (_PL_ZERO,)]
 
 
+def _signed_coefficients(p):
+    """Each constant coefficient signed as in Q[l], any other as its pretty form, parenthesized past x^0."""
+    for j, c in enumerate(p._terms):
+        if c.degree == 0:
+            ((_, negative, mag),) = _signed_rational(c)
+            yield j, negative, mag
+        elif c:
+            yield j, False, f"({c.pretty()})" if j else c.pretty()
+
+
 @_dense_ring(
-    PolyLambda._lift, lambda c: PolyXOverLambda((c,)), "x", _render_parenthesized,
+    PolyLambda._lift, lambda c: PolyXOverLambda((c,)), "x", _render_parenthesized, _signed_coefficients,
     build=_px_build, reduce=lambda terms, den: PolyXOverLambda(terms),
 )
 class PolyXOverLambda:
@@ -639,26 +646,6 @@ class PolyXOverLambda:
     def derivative(self) -> "PolyXOverLambda":
         """Formal d/dx."""
         return PolyXOverLambda(c * j for j, c in enumerate(self.coeffs) if j > 0)
-
-    def pretty(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            inner = c.pretty()
-            if j == 0:
-                parts.append(inner)
-                continue
-            v = var if j == 1 else f"{var}^{j}"
-            if c == _PL_ONE:
-                parts.append(v)
-            elif c.degree == 0 and " " not in inner:
-                parts.append(f"{inner}*{v}")
-            else:
-                parts.append(f"({inner})*{v}")
-        return " + ".join(parts)
 
 
 def _columns(v) -> tuple:

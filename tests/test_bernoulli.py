@@ -199,10 +199,10 @@ class TestPolynomials:
                 assert acc == gen_beta_poly(n, p)
 
 
-def remark_holds(rule, n, p, m=2):
+def remark_holds(rule, n, p, **m):
     """Both sides of one remark rule agree; the addition rule at every y = 0..n."""
-    for y in range(n + 1) if rule == "addition" else (0,):
-        lhs, rhs = remark_sides(rule, n, p, y=y, m=m)
+    for y in range(n + 1) if rule == "addition" else (None,):
+        lhs, rhs = remark_sides(rule, n, p, y=y, **m)
         if lhs != rhs:
             return False
     return True
@@ -223,13 +223,31 @@ class TestRemarkIdentities:
     def test_other_parameters(self):
         for m in (2, 3):
             for p in (0, 1):
-                assert remark_holds("ratio", 3, p, m)
-                assert not remark_holds("shift", 3, p, m)
+                assert remark_holds("ratio", 3, p, m=m)
+                assert not remark_holds("shift", 3, p, m=m)
 
     def test_multiplier_must_be_at_least_two(self):
-        for rule in ("addition", "difference", "ratio", "shift", "step"):
+        for rule in ("ratio", "shift"):
             with pytest.raises(ValueError, match="parameter out of range"):
                 remark_sides(rule, 2, 0, m=1)
+
+    @pytest.mark.parametrize(
+        "rule,extra",
+        [
+            ("difference", {"y": 5}),
+            ("step", {"y": 7}),
+            ("step", {"m": 9}),
+            ("ratio", {"y": 4}),
+            ("shift", {"y": 1}),
+            ("addition", {"m": 1}),
+            ("difference", {"m": 2}),
+        ],
+        ids=["difference-y", "step-y", "step-m", "ratio-y", "shift-y", "addition-m", "difference-m"],
+    )
+    def test_an_argument_the_rule_does_not_read_is_refused(self, rule, extra):
+        (name,) = extra
+        with pytest.raises(TypeError, match=rf"remark rule '{rule}' takes no {name}$"):
+            remark_sides(rule, 3, 1, **extra)
 
 
 class TestMemoIsolation:

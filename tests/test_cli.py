@@ -71,6 +71,11 @@ class TestCompute:
         assert code == EXIT_OK
         assert out == "0: 1\n1: -1/4\n"
 
+    def test_evaluated_polynomial_signs_its_terms(self, capsys):
+        code, out, _ = run(capsys, "compute", "gen-beta-poly", "--max-n", "2", "--p", "1", "--lambda", "1/2")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "2: 1/24 - 5/6*x + x^2"
+
     def test_evaluation_matches_the_exact_value(self, capsys):
         lam = Fraction(2, 3)
         code, out, _ = run(capsys, "compute", "beta", "--max-n", "6", "--lambda", "2/3")

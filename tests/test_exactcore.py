@@ -559,6 +559,53 @@ class TestPolyXOverLambda:
         assert a * b == b * a
 
 
+def px(*coeffs):
+    return PolyXOverLambda([c if isinstance(c, PolyLambda) else Fraction(c) for c in coeffs])
+
+
+class TestPretty:
+    """Both rings print through one pretty: signs between the terms, zero terms,
+    unit coefficients and /1 left out."""
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (PolyLambda.zero(), "0"),
+            (pl(1), "1"),
+            (pl(-1), "-1"),
+            (pl(0, -1), "-l"),
+            (pl(Fraction(-1, 2), 3, -1), "-1/2 + 3*l - l^2"),
+            (pl(Fraction(1, 2), Fraction(6, 3)), "1/2 + 2*l"),
+            (pl(0, 0, 1), "l^2"),
+            (pl(Fraction(1, 6), 0, Fraction(-1, 6)), "1/6 - 1/6*l^2"),
+            (PolyXOverLambda.zero(), "0"),
+            (px(1), "1"),
+            (px(-1), "-1"),
+            (px(0, -1), "-x"),
+            (px(-1, 0, 1), "-1 + x^2"),
+            (px(Fraction(1, 24), Fraction(-5, 6), 1), "1/24 - 5/6*x + x^2"),
+            (px(Fraction(1, 2), Fraction(6, 3)), "1/2 + 2*x"),
+            (px(0, 0, 1), "x^2"),
+            (px(LAM - 1, 1), "-1 + l + x"),
+            (px(1, 0, 1 - LAM), "1 + (1 - l)*x^2"),
+            (px(0, -LAM, -1), "(-l)*x - x^2"),
+        ],
+        ids=[
+            "pl-zero", "pl-one", "pl-minus-one", "pl-minus-l", "pl-leading-negative", "pl-over-one",
+            "pl-unit", "pl-carlitz-2", "px-zero", "px-one", "px-minus-one", "px-minus-x",
+            "px-leading-negative", "px-negative-constant-at-x", "px-over-one", "px-unit",
+            "px-polynomial-at-x0", "px-polynomial-at-x2", "px-negative-polynomial-at-x",
+        ],
+    )
+    def test_table(self, value, text):
+        assert value.pretty() == text
+
+    @given(st.lists(rationals, max_size=6))
+    @settings(max_examples=60)
+    def test_constant_coefficients_print_as_in_q_l(self, cs):
+        assert px(*cs).pretty() == PolyLambda(cs).pretty().replace("l", "x")
+
+
 class TestHashMatchesEquality:
     """A value equal to a simpler one hashes like it, so either finds it in a dict."""
 

@@ -102,15 +102,16 @@ ROUTES = [
     ("gen_beta_poly_derivative", gen_beta_poly_derivative, {"n": 2, "p": 1}, ("n", "p")),
     (
         "remark_sides",
-        lambda n, p, y, m: remark_sides("addition", n, p, y=y, m=m),
-        {"n": 2, "p": 1, "y": 1, "m": 2},
-        ("n", "p", "y", "m"),
+        lambda n, p, y: remark_sides("addition", n, p, y=y),
+        {"n": 2, "p": 1, "y": 1},
+        ("n", "p", "y"),
     ),
+    ("remark_sides-step", lambda n, p: remark_sides("step", n, p), {"n": 2, "p": 1}, ("n", "p")),
     (
-        "remark_sides-step",
-        lambda n, p, y, m: remark_sides("step", n, p, y=y, m=m),
-        {"n": 2, "p": 1, "y": 1, "m": 2},
-        ("n", "p", "y", "m"),
+        "remark_sides-ratio",
+        lambda n, p, m: remark_sides("ratio", n, p, m=m),
+        {"n": 2, "p": 1, "m": 2},
+        ("n", "p", "m"),
     ),
     (
         "run_suite",
