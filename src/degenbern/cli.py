@@ -7,12 +7,12 @@ Three subcommands:
   export    write a family table to --output as JSON or CSV, default JSON
 
 Families are symbolic by default (exact coefficient lists in l); --lambda a/b
-evaluates every entry at that rational instead.  --p and --r are refused for
-a family that does not take them.  A JSON --config file may supply any
-long-flag value under its underscored name (e.g. "max_n"); flags given on the
-command line win.  A table is written entry by entry as it is rendered, never
-held whole; file writes go through a temp file and rename so an interrupted
-run never leaves a partial file.
+evaluates every entry at that rational instead; --p and --r are refused for a
+family that does not take them.  One flag table, _FLAGS, drives parsing, --help
+and the config keys: a JSON --config file may give any flag's value under its
+underscored name (e.g. "max_n"), and flags on the command line win.  A table is
+written entry by entry, never held whole, and a file through a temp file and
+rename, so an interrupted run never leaves a partial file.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.  A failing identity declared informational (IdentityId.informational:
@@ -22,12 +22,11 @@ exit code only with --strict.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
@@ -91,14 +90,6 @@ class CliConfig:
     strict: bool = False
 
 
-# config-file key per CliConfig field (the file uses flag spellings)
-_CONFIG_KEYS = {
-    f.name: {"lam": "lambda", "fmt": "format"}.get(f.name, f.name)
-    for f in fields(CliConfig)
-    if f.name != "command"
-}
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(str(text))
@@ -119,36 +110,28 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _merge(args: argparse.Namespace) -> CliConfig:
+def _merge(command: str, values: dict) -> CliConfig:
     """Command-line values win over config-file values win over defaults.
 
-    The file is outside input, so every value is checked for its type: no
-    float, no boolean standing in for an integer, no unknown format.
+    The file is outside input, so each value is checked against its flag's
+    kind: no float, no boolean standing in for an integer, no unknown format.
     """
-    file_cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    file_cfg = _load_config(values["config"]) if values.get("config") else {}
     for key in file_cfg:
-        if key not in _CONFIG_KEYS.values():
+        if key not in _KEYS:
             raise UsageError(f"unknown config key: {key}")
-    cfg = CliConfig(command=args.command)
-    for field, key in _CONFIG_KEYS.items():
-        value = getattr(args, field, None)
+    cfg = CliConfig(command=command)
+    for key, (field, kind) in _KEYS.items():
+        value = values.get(field)
         if value is None:
             value = file_cfg.get(key, getattr(cfg, field))
+        if type(value) is not kind and field != "lam" and not (value is None and getattr(CliConfig, field) is None):
+            raise UsageError(f"{key} must be {_KINDS[kind]}")
         setattr(cfg, field, value)
     if cfg.lam is not None:
         if type(cfg.lam) is not int and not isinstance(cfg.lam, str):
             raise UsageError('lambda must be an integer or a rational string such as "1/3"')
         cfg.lam = _parse_rational(cfg.lam)
-    for field in ("max_n", "p", "r", "truncation", "max_p"):
-        value = getattr(cfg, field)
-        if type(value) is not int and not (field == "max_n" and value is None):
-            raise UsageError(f"{_CONFIG_KEYS[field]} must be an integer")
-    if not isinstance(cfg.strict, bool):
-        raise UsageError("strict must be a boolean")
-    if not isinstance(cfg.suite, str):
-        raise UsageError("suite must be a string")
-    if cfg.output is not None and not isinstance(cfg.output, str):
-        raise UsageError("output must be a string")
     if cfg.fmt is not None and cfg.fmt not in FORMATS:
         raise UsageError(f"format must be one of {', '.join(FORMATS)}")
     return cfg
@@ -315,53 +298,81 @@ def _cmd_verify(cfg: CliConfig) -> int:
     return EXIT_VERIFY_FAILED if hard_failure else EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, *, verify: bool):
-    sub.add_argument("--config", help="JSON file with default flag values")
-    sub.add_argument("--max-n", dest="max_n", type=int, help="largest index n")
-    if verify:
-        sub.add_argument(
-            "--truncation", type=int, help="series order for oracle checks (default 16)"
-        )
-        sub.add_argument("--suite", help='identity tokens, comma separated, or "all"')
-        sub.add_argument("--max-p", dest="max_p", type=int, help="largest p swept (default 4)")
-        sub.add_argument(
-            "--strict",
-            action="store_const",
-            const=True,
-            help="count informational identities toward the exit code",
-        )
-    else:
-        sub.add_argument("family", nargs="?", choices=FAMILIES, help="table family")
-        sub.add_argument("--p", type=int, help="generalization order p (default 0)")
-        sub.add_argument("--r", type=int, help="restriction parameter r (default 1)")
-        sub.add_argument(
-            "--lambda",
-            dest="lam",
-            help='rational value "a/b" to evaluate at instead of symbolic output',
-        )
-        sub.add_argument("--format", dest="fmt", choices=FORMATS)
-        sub.add_argument("--output", help="write to this path (temp file + rename)")
+_COMMANDS = {"compute": "print a table", "verify": "run the identity suite", "export": "write a table to a file"}
+_TABLES = ("compute", "export")
+
+# flag -> (CliConfig field, kind: int, str or bool for a switch, the commands that take it, help);
+# -h is --help.  _KEYS: the config key of each flag that sets a field ("-" read as "_"), and family.
+_FLAGS = {
+    "--config": ("config", str, tuple(_COMMANDS), "JSON file with default flag values"),
+    "--max-n": ("max_n", int, tuple(_COMMANDS), "largest index n"),
+    "--p": ("p", int, _TABLES, "generalization order p (default 0)"),
+    "--r": ("r", int, _TABLES, "restriction parameter r (default 1)"),
+    "--lambda": ("lam", str, _TABLES, 'rational value "a/b" to evaluate at instead of symbolic output'),
+    "--truncation": ("truncation", int, ("verify",), "series order for oracle checks (default 16)"),
+    "--format": ("fmt", str, _TABLES, f"{', '.join(FORMATS)} (default pretty, json for export)"),
+    "--output": ("output", str, _TABLES, "write to this path (temp file + rename)"),
+    "--suite": ("suite", str, ("verify",), 'identity tokens, comma separated, or "all"'),
+    "--max-p": ("max_p", int, ("verify",), "largest p swept (default 4)"),
+    "--strict": ("strict", bool, ("verify",), "count informational identities toward the exit code"),
+    "--help": ("help", bool, ("degenbern", *_COMMANDS), "print this help (also -h)"),
+}
+_KEYS = {"family": ("family", str)} | {f[2:].replace("-", "_"): s[:2] for f, s in _FLAGS.items() if hasattr(CliConfig, s[0])}
+_KINDS = {int: "an integer", str: "a string", bool: "a boolean"}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="degenbern",
-        description="Exact degenerate Bernoulli, Stirling, and Eulerian tables.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    _add_common(commands.add_parser("compute", help="print a table"), verify=False)
-    _add_common(commands.add_parser("verify", help="run the identity suite"), verify=True)
-    _add_common(commands.add_parser("export", help="write a table to a file"), verify=False)
-    return parser
+def _is_flag(token: str) -> bool:
+    """Whether token starts with "-" and is neither "-" nor a number such as -3, -.5 or -1/2."""
+    return token[:1] == "-" and token != "-" and not token[1:].replace("/", "", 1).replace(".", "", 1).isdigit()
+
+
+def _parse_argv(argv):
+    """(command, {CliConfig field, "config" or "help": value}); no command reads as "degenbern"."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else "degenbern"
+    flags = [flag for flag, spec in _FLAGS.items() if command in spec[2]]
+    values, tokens = {}, iter(argv[command != "degenbern":])
+    for token in tokens:
+        if not _is_flag(token):
+            if command not in _TABLES or "family" in values:
+                raise UsageError(f"unexpected argument: {token}")
+            if token not in FAMILIES:
+                raise UsageError(f"unknown family: {token}")
+            values["family"] = token
+            continue
+        name, eq, value = ("--help", "", "") if token == "-h" else token.partition("=")
+        found = [f for f in flags if f == name] or [f for f in flags if f.startswith(name) and name != "--"]
+        if len(found) != 1:
+            raise UsageError(f"{name} is ambiguous: {', '.join(found)}" if found else f"{command} takes no {name}")
+        flag, (field, kind) = found[0], _FLAGS[found[0]][:2]
+        if kind is bool and eq or kind is not bool and not eq and _is_flag(value := next(tokens, "--")):
+            raise UsageError(f"{flag} {'takes no' if kind is bool else 'needs a'} value")
+        if field == "fmt" and value not in FORMATS:  # here, so that a later --help cannot pass it
+            raise UsageError(f"{flag} must be one of {', '.join(FORMATS)}")
+        try:
+            values[field] = True if kind is bool else kind(value)
+        except ValueError:
+            raise UsageError(f"{flag} takes an integer, not {value!r}") from None
+    if command == "degenbern" and not values:
+        raise UsageError(f"a command is required: {', '.join(_COMMANDS)}")
+    return command, values
+
+
+def _help(command) -> str:
+    """The --help text from _COMMANDS and _FLAGS: the commands, or one command's flags."""
+    rows = [(f + {int: " INT", str: " TEXT", bool: ""}[s[1]], s[3]) for f, s in _FLAGS.items() if command in s[2]]
+    lead = {"degenbern": list(_COMMANDS.items()), "verify": []}.get(command, [("FAMILY", ", ".join(FAMILIES))])
+    usage = {"degenbern": "degenbern COMMAND", "verify": "degenbern verify"}.get(command, f"degenbern {command} FAMILY")
+    return f"usage: {usage} [flags]\n\n" + "".join(f"  {name:<18}{text}\n" for name, text in lead + rows)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _merge(args)
-        if cfg.command == "verify":
-            return _cmd_verify(cfg)
-        return _cmd_table(cfg, {f for f in _CONFIG_KEYS if getattr(args, f, None) is not None})
+        command, values = _parse_argv(sys.argv[1:] if argv is None else list(argv))
+        if values.get("help"):
+            sys.stdout.write(_help(command))
+            return EXIT_OK
+        cfg = _merge(command, values)
+        return _cmd_verify(cfg) if command == "verify" else _cmd_table(cfg, set(values))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -373,3 +384,7 @@ def entry():
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

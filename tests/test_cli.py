@@ -1,8 +1,9 @@
 """The user surfaces: the package namespace, and the command-line interface's
-golden outputs, config merging, exit codes and atomic export."""
+golden outputs, flag parsing, config merging, exit codes and atomic export."""
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from degenbern.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     FAMILIES,
+    _FLAGS,
+    _KEYS,
     CliConfig,
     _at_lambda,
     _build_rows,
@@ -433,10 +436,10 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("command", ["compute", "export"])
     def test_truncation_is_a_verify_flag(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "beta", "--max-n", "1", "--truncation", "3"])
-        capsys.readouterr()
-        assert exc.value.code == EXIT_USAGE
+        code, out, err = run(capsys, command, "beta", "--max-n", "1", "--truncation", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {command} takes no --truncation\n"
 
     def test_symbolic_is_no_longer_a_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -445,11 +448,11 @@ class TestConfigAndErrors:
         assert code == EXIT_USAGE
         assert "unknown config key: symbolic" in err
 
-    def test_unknown_family_is_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "nosuch", "--max-n", "2"])
-        capsys.readouterr()
-        assert exc.value.code == EXIT_USAGE
+    def test_unknown_family_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "compute", "nosuch", "--max-n", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: unknown family: nosuch\n"
 
     def test_missing_family(self, capsys):
         code, _, err = run(capsys, "compute", "--max-n", "2")
@@ -460,3 +463,142 @@ class TestConfigAndErrors:
         code, _, err = run(capsys, "compute", "gen-beta", "--max-n", "3", "--p", "-2")
         assert code == EXIT_USAGE
         assert "parameter out of range" in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+COMMANDS = ("compute", "verify", "export")
+
+
+def flag_argv(flag, command, tmp_path):
+    """A command line of command that is valid without flag, plus flag with a
+    value it accepts."""
+    if command == "verify":
+        argv = ["verify", "--suite", "Thm4", "--max-n", "2", "--truncation", "4"]
+    else:
+        family = {"--p": "gen-beta", "--r": "r-stirling2"}.get(flag, "beta")
+        argv = [command, family, "--max-n", "1"]
+        argv += ["--output", str(tmp_path / "table.out")] if command == "export" else []
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    value = {
+        "--config": str(config), "--max-n": "1", "--p": "1", "--r": "2", "--lambda": "1/2",
+        "--truncation": "5", "--format": "csv", "--output": str(tmp_path / "other.out"),
+        "--suite": "Thm4", "--max-p": "1",
+    }.get(flag)
+    return argv + [flag] + ([] if value is None else [value])
+
+
+class TestParser:
+    """The command line as the flag table declares it: each flag on the
+    commands that take it, its spellings, and every refusal as exit code 2
+    with one error line and nothing on stdout."""
+
+    @pytest.mark.parametrize("flag", list(_FLAGS))
+    def test_each_flag_is_taken_by_its_commands_only(self, capsys, tmp_path, flag):
+        takes = _FLAGS[flag][2]
+        for command in COMMANDS:
+            code, out, err = run(capsys, *flag_argv(flag, command, tmp_path))
+            if command in takes:
+                assert (code, err) == (EXIT_OK, ""), (command, err)
+                assert out.startswith("usage: ") == (flag == "--help")
+            else:
+                assert (code, out, err) == (EXIT_USAGE, "", f"error: {command} takes no {flag}\n")
+
+    @pytest.mark.parametrize("flag", [f for f, spec in _FLAGS.items() if spec[1] is not bool])
+    def test_equals_spelling_is_the_same_call(self, capsys, tmp_path, flag):
+        command = next(c for c in COMMANDS if c in _FLAGS[flag][2])
+        *head, name, value = flag_argv(flag, command, tmp_path)
+        spaced = run(capsys, *head, name, value)
+        assert spaced[0] == EXIT_OK
+        assert run(capsys, *head, f"{name}={value}") == spaced
+
+    def test_a_unique_prefix_names_the_flag(self, capsys):
+        assert run(capsys, "compute", "beta", "--max", "2") == run(capsys, "compute", "beta", "--max-n", "2")
+        full = run(capsys, "compute", "beta", "--max-n", "2", "--lambda", "1/3", "--format", "csv")
+        assert full[1] == "0, 1/1\n1, -1/3\n2, 4/27\n"
+        assert run(capsys, "compute", "beta", "--max-n=2", "--lam=1/3", "--form=csv") == full
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["compute", "beta", "--max-n"], "--max-n needs a value"),
+            (["compute", "beta", "--output", "--max-n", "2"], "--output needs a value"),
+            (["compute", "beta", "--max-n", "2", "--output", "-1x"], "--output needs a value"),
+            (["compute", "beta", "--max-n", "two"], "--max-n takes an integer, not 'two'"),
+            (["verify", "--max-p=1.5"], "--max-p takes an integer, not '1.5'"),
+            (["verify", "--strict=yes"], "--strict takes no value"),
+            (["compute", "beta", "--max-n", "2", "--bogus"], "compute takes no --bogus"),
+            (["compute", "beta", "--max-n", "2", "-x"], "compute takes no -x"),
+            (["verify", "--max", "2"], "--max is ambiguous: --max-n, --max-p"),
+            (["verify", "--s", "Thm4"], "--s is ambiguous: --suite, --strict"),
+            (["compute", "beta", "stirling2", "--max-n", "2"], "unexpected argument: stirling2"),
+            (["verify", "beta"], "unexpected argument: beta"),
+            (["compute", "nosuch", "--max-n", "2"], "unknown family: nosuch"),
+            (["compute", "beta", "--max-n", "2", "--format", "xml"], "--format must be one of json, csv, pretty"),
+            ([], "a command is required: compute, verify, export"),
+            (["--max-n", "2"], "degenbern takes no --max-n"),
+            (["comptue", "beta"], "unexpected argument: comptue"),
+        ],
+        ids=[
+            "missing-value", "flag-as-value", "dash-value", "non-int", "float", "switch-value", "unknown-flag",
+            "short-flag", "ambiguous-max", "ambiguous-s", "second-positional", "verify-positional",
+            "unknown-family", "unknown-format", "no-command", "no-command-flag", "unknown-command",
+        ],
+    )
+    def test_refusal_is_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--max-n", "1", "--lambda", "-1/2"], ["--max-n", "1", "--lambda=-1/2"]])
+    def test_negative_lambda_is_a_value(self, capsys, argv):
+        assert run(capsys, "compute", "beta", *argv) == (EXIT_OK, "0: 1\n1: -3/4\n", "")
+
+    def test_help_is_printed_once_the_line_parses(self, capsys):
+        code, out, _ = run(capsys, "compute", "beta", "--max-n", "2", "-h")
+        assert code == EXIT_OK and out.startswith("usage: degenbern compute FAMILY")
+        assert run(capsys, "compute", "nosuch", "--help")[:2] == (EXIT_USAGE, "")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_every_flag_the_command_takes(self, capsys, command):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (EXIT_OK, "")
+        listed = set(re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE))
+        assert listed == {flag for flag, spec in _FLAGS.items() if command in spec[2]}
+        for flag in listed:
+            assert _FLAGS[flag][3] in out
+
+    def test_root_help_lists_the_commands(self, capsys):
+        code, out, err = run(capsys, "-h")
+        assert (code, err) == (EXIT_OK, "")
+        assert set(re.findall(r"^  ([a-z]+) ", out, re.MULTILINE)) == set(COMMANDS)
+
+    def test_config_keys_are_the_readme_keys(self, capsys, tmp_path):
+        text = re.search(r"Keys mirror the long flag names \((.*?)\)", README.read_text(), re.DOTALL).group(1)
+        keys = re.findall(r"`(\w+)`", text)
+        assert len(keys) == 11 and set(keys) == set(_KEYS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": "beta", "max_n": 1, "p": 0, "r": 1, "lambda": "1/2", "truncation": 16,
+            "format": "csv", "output": str(tmp_path / "t.csv"), "suite": "all", "max_p": 4, "strict": False,
+        }))
+        assert run(capsys, "compute", "--config", str(cfg)) == (EXIT_OK, "", "")
+        assert (tmp_path / "t.csv").read_text() == "0, 1/1\n1, -1/4\n"
+
+
+class TestModuleRun:
+    """python -m degenbern.cli runs the command, as the console script does."""
+
+    def module(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(degenbern.__file__).parent.parent)}
+        return subprocess.run(
+            [sys.executable, "-m", "degenbern.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_stdout_is_main_s(self, capsys):
+        done = self.module("compute", "beta", "--max-n", "2")
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout == run(capsys, "compute", "beta", "--max-n", "2")[1]
+
+    def test_usage_error_exits_2(self):
+        done = self.module("compute", "beta", "--max-n", "1", "--truncation", "3")
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+        assert done.stderr == "error: compute takes no --truncation\n"

@@ -23,3 +23,12 @@ def test_runtime_imports_only_the_standard_library():
     assert "degenbern.exactcore" in added
     foreign = [m for m in added if m.split(".")[0] not in sys.stdlib_module_names | {"degenbern"}]
     assert foreign == []
+
+
+def test_cli_import_leaves_argparse_and_gettext_out():
+    # argparse's import and first use cost each shell call about 3 ms (BENCH_23.json)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", ADDED], capture_output=True, text=True, env=env, check=True)
+    added = set(run.stdout.split())
+    assert "degenbern.cli" in added
+    assert added & {"argparse", "gettext"} == set()
