@@ -26,8 +26,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
 from .exactcore import PolyLambda, PolyXOverLambda, _render_rational
@@ -74,8 +74,8 @@ class UsageError(Exception):
     """Invalid flags, config, or parameters; mapped to exit code 2."""
 
 
-@dataclass
-class CliConfig:
+# the one table of defaults, read by _KEYS and _merge as CliConfig._field_defaults
+class CliConfig(NamedTuple):
     command: str
     family: str | None = None
     max_n: int | None = None
@@ -120,21 +120,20 @@ def _merge(command: str, values: dict) -> CliConfig:
     for key in file_cfg:
         if key not in _KEYS:
             raise UsageError(f"unknown config key: {key}")
-    cfg = CliConfig(command=command)
+    fields = {}
     for key, (field, kind) in _KEYS.items():
-        value = values.get(field)
-        if value is None:
-            value = file_cfg.get(key, getattr(cfg, field))
-        if type(value) is not kind and field != "lam" and not (value is None and getattr(CliConfig, field) is None):
+        default = CliConfig._field_defaults[field]
+        value = file_cfg.get(key, default) if values.get(field) is None else values[field]
+        if field == "lam" and value is not None:
+            if type(value) is not int and not isinstance(value, str):
+                raise UsageError('lambda must be an integer or a rational string such as "1/3"')
+            value = _parse_rational(value)
+        elif type(value) is not kind and not (value is None and default is None):
             raise UsageError(f"{key} must be {_KINDS[kind]}")
-        setattr(cfg, field, value)
-    if cfg.lam is not None:
-        if type(cfg.lam) is not int and not isinstance(cfg.lam, str):
-            raise UsageError('lambda must be an integer or a rational string such as "1/3"')
-        cfg.lam = _parse_rational(cfg.lam)
-    if cfg.fmt is not None and cfg.fmt not in FORMATS:
+        fields[field] = value
+    if fields["fmt"] not in (None, *FORMATS):
         raise UsageError(f"format must be one of {', '.join(FORMATS)}")
-    return cfg
+    return CliConfig(command, **fields)
 
 
 def _build_rows(cfg: CliConfig, given):
@@ -317,7 +316,7 @@ _FLAGS = {
     "--strict": ("strict", bool, ("verify",), "count informational identities toward the exit code"),
     "--help": ("help", bool, ("degenbern", *_COMMANDS), "print this help (also -h)"),
 }
-_KEYS = {"family": ("family", str)} | {f[2:].replace("-", "_"): s[:2] for f, s in _FLAGS.items() if hasattr(CliConfig, s[0])}
+_KEYS = {"family": ("family", str)} | {f[2:].replace("-", "_"): s[:2] for f, s in _FLAGS.items() if s[0] in CliConfig._field_defaults}
 _KINDS = {int: "an integer", str: "a string", bool: "a boolean"}
 
 

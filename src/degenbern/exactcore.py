@@ -44,7 +44,7 @@ shape of the triangle-route numbers and the degenerate Eulerian numbers: it
 runs Horner in the linear factors l - k over one common denominator,
 O(n^2) coefficient products instead of O(n^3) against the expanded
 weights.  Its step, a (c0 + c1 l) + s b on int numerator lists (_step), also
-builds every triangle row in the triangles module.
+builds every degenerate triangle row in the triangles module.
 """
 
 from __future__ import annotations

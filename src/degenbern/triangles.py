@@ -11,7 +11,8 @@ Multiplying (x)_{m-1,l} by x - (m-1)l, and (x)_{m-1} by x - (m-1), turns these
 relations into the row recurrence T(m,k) = w T(m-1,k) + T(m-1,k-1), with
 w = k - (m-1)l for the second kind and w = kl - (m-1) for the first; at l = 0
 it is the classical recurrence.  That one recurrence builds all four Stirling
-triangles here, one exactcore._step per entry on int numerators.  The basis
+triangles here: the degenerate ones by one exactcore._step per entry on int
+numerators, the classical ones by a loop of their own on plain ints.  The basis
 relations themselves, the generating functions and finite differences serve
 as independent routes in the test and verification layers.  All degenerate
 entries are PolyLambda with integer coefficients; classical entries are plain
@@ -26,7 +27,6 @@ never reaches a pristine memo.
 
 from __future__ import annotations
 
-import inspect
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -101,20 +101,26 @@ def memoized(fn):
 
     A call reads and writes the pristine memo of fn, or, inside substituted,
     the substitution's own memo only; the scope is a ContextVar, so it holds
-    in the thread that opened it and nowhere else.  Keyword arguments are
-    bound to their positions first, so every call has one key, and an
-    argument annotated int must pass _index before any memo is read.  fn
-    must not return None.  The wrapper's pristine attribute is the pristine
-    memo, for callers that read it or need it cold.
+    in the thread that opened it and nowhere else.  A keyword takes the
+    position of its name in fn.__code__, so every call has one key; an
+    unknown, repeated or missing argument, or an argument annotated int that
+    _index refuses, is a TypeError before any memo is read.  fn must have
+    plain parameters without defaults (else TypeError when it is decorated)
+    and must not return None.  The wrapper's .pristine is the pristine memo.
     """
+    code = fn.__code__  # flags 0x04 and 0x08: *args and **kwargs
+    if fn.__defaults__ or code.co_flags & 0x0C or code.co_kwonlyargcount or code.co_posonlyargcount:
+        raise TypeError(f"memoized needs plain positional parameters without defaults: {fn.__qualname__}")
+    names = code.co_varnames[: code.co_argcount]
+    indices = [(i, name) for i, name in enumerate(names) if fn.__annotations__.get(name) in ("int", int)]
     pristine: dict = {}
-    signature = inspect.signature(fn)
-    indices = [(i, name) for i, (name, prm) in enumerate(signature.parameters.items()) if prm.annotation in ("int", int)]
 
     @wraps(fn)
     def call(*args, **kwargs):
         if kwargs:
-            args = signature.bind(*args, **kwargs).args
+            args += tuple([kwargs.pop(name) for name in names[len(args):] if name in kwargs])
+            if kwargs or len(args) < len(names):
+                raise TypeError(f"{fn.__qualname__}({', '.join(names)}): an argument is missing, unknown or repeated")
         for i, name in indices:
             if i < len(args) and type(args[i]) is not int:
                 _index(**{name: args[i]})
@@ -215,29 +221,34 @@ def _row(n: int, r: int, first: bool, lam) -> tuple:
     """Row n of T(m,k) = w T(m-1,k) + T(m-1,k-1), T(0,0) = 1.
 
     w = k lam - (m-1) gives the first kind, w = k + r - (m-1) lam the second
-    (the r-Stirling one for r > 0).  lam = 0 gives the classical rows as ints,
-    lam = l the degenerate rows as PolyLambda over 1.  The row is built upward
-    without recursion from the nearest lower row already in the memo (row 0
-    at worst), each entry one exactcore._step on int numerators with
-    w = c0 + c1 l, and only row n is wrapped and kept.  _step returns int
-    lists without trailing zeros, so the wrap is the trusted _pl_reduce.
+    (the r-Stirling one for r > 0).  lam = 0 gives the classical rows, run on
+    plain ints; lam = l the degenerate rows as PolyLambda over 1, each entry
+    one exactcore._step on int numerators with w = c0 + c1 l.  The row is
+    built upward without recursion from the nearest lower row already in the
+    memo (row 0 at worst), and only row n is kept.  _step returns int lists
+    without trailing zeros, so the degenerate wrap is the trusted _pl_reduce.
     """
     if n < 0:
         raise ValueError(f"row index n must be nonnegative, got {n}")
-    slope = 1 if lam else 0  # the l-coefficient of lam
-    m, row = 0, [(1,)]
+    m, row = 0, (1,)
     for j in range(n - 1, 0, -1):
         known = _row.pristine.get((j, r, first, lam))
         if known is not None:
-            m, row = j, [v.coeffs if slope else (v,) if v else () for v in known]
+            m, row = j, known
             break
+    if not lam:
+        for m in range(m + 1, n + 1):
+            w = [1 - m] * (m + 1) if first else range(r, r + m + 1)
+            row = [c * a + b for c, a, b in zip(w, [*row, 0], [0, *row])]
+        return tuple(row)
+    row = [v.coeffs for v in row] if m else [row]
     for m in range(m + 1, n + 1):
         pairs = enumerate(zip([*row, ()], [(), *row]))
         if first:
-            row = [_step(a, 1 - m, k * slope, 1, b) for k, (a, b) in pairs]
+            row = [_step(a, 1 - m, k, 1, b) for k, (a, b) in pairs]
         else:
-            row = [_step(a, k + r, (1 - m) * slope, 1, b) for k, (a, b) in pairs]
-    return tuple([_pl_reduce(list(t), 1) for t in row] if slope else [t[0] if t else 0 for t in row])
+            row = [_step(a, k + r, 1 - m, 1, b) for k, (a, b) in pairs]
+    return tuple([_pl_reduce(list(t), 1) for t in row])
 
 
 def stirling2_deg(n: int, k: int) -> PolyLambda:
@@ -265,9 +276,8 @@ def stirling1_deg(n: int, k: int) -> PolyLambda:
 
 def _classical_entry(n: int, k: int, r: int, first: bool) -> int:
     _index(n=n, k=k)
-    if n < 0:
-        raise ValueError("row index must be nonnegative")
-    return _row(n, r, first, 0)[k] if 0 <= k <= n else 0
+    row = _row(n, r, first, 0)  # refuses a negative n
+    return row[k] if 0 <= k <= n else 0
 
 
 def stirling2_classical(n: int, k: int) -> int:

@@ -25,11 +25,11 @@ identity fail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import count, product
 from math import comb, factorial
+from typing import NamedTuple
 
 from .bernoulli import (
     carlitz_beta,
@@ -77,8 +77,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FirstFailure:
+class FirstFailure(NamedTuple):
     """Earliest failing comparison: index assignment plus both canonical forms.
 
     mismatch_index is set whenever both sides are polynomials in x
@@ -91,16 +90,14 @@ class FirstFailure:
     mismatch_index: int | None = None
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(NamedTuple):
     """One identity together with the index ranges a run sweeps for it."""
 
     identity_id: IdentityId
     parameters: dict[str, range]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: IdentityId
     cases_run: int
     cases_passed: int
@@ -113,15 +110,10 @@ class IdentityReport:
 
 
 def _canon(v) -> str:
-    if isinstance(v, (PolyLambda, PolyXOverLambda, RationalFunctionLambda)):
-        return v.serialize()
-    return str(v)
+    return v.serialize() if isinstance(v, (PolyLambda, PolyXOverLambda, RationalFunctionLambda)) else str(v)
 
 
-@dataclass(frozen=True)
-class _Bounds:
-    """One run's bounds."""
-
+class _Bounds(NamedTuple):
     max_n: int
     max_p: int
     truncation: int
@@ -406,21 +398,21 @@ def _resolve_selection(selection):
     return sorted(resolved, key=lambda i: i.value)
 
 
-def _check_bounds(max_n: int, max_p: int, truncation: int):
-    """Refuse bounds no run can honour: run_suite and suite_plan both ask here."""
+def _check_bounds(max_n: int, max_p: int, truncation: int) -> _Bounds:
+    """The run's bounds, refusing any no run can honour: run_suite and suite_plan both ask here."""
     _index(max_n=max_n, max_p=max_p, truncation=truncation)
     for name, bound in (("max_n", max_n), ("max_p", max_p)):
         if bound < 0:
             raise ValueError(f"{name} must be nonnegative")
     if truncation < max_n + 1:
         raise ValueError("insufficient series order")
+    return _Bounds(max_n, max_p, truncation)
 
 
 def suite_plan(selection=None, max_n: int = 12, max_p: int = 4, truncation: int = 16):
     """The cases a run_suite call with these arguments would sweep: the inner
     ranges are those of the last row, n = max_n."""
-    _check_bounds(max_n, max_p, truncation)
-    bounds = _Bounds(max_n, max_p, truncation)
+    bounds = _check_bounds(max_n, max_p, truncation)
     plan = []
     for ident in _resolve_selection(selection):
         params = {"n": range(ident._first_n, bounds.max_n + 1), **ident._sweep(bounds, bounds.max_n)}
@@ -450,9 +442,8 @@ def run_suite(
     One case per outer index n.  Reports are returned sorted by identity
     token and are deterministic apart from the elapsed field.
     """
-    _check_bounds(max_n, max_p, truncation)
+    bounds = _check_bounds(max_n, max_p, truncation)
     idents = _resolve_selection(selection)
-    bounds = _Bounds(max_n, max_p, truncation)
     reports = []
     for ident in idents:
         start = time.perf_counter()

@@ -488,6 +488,25 @@ def flag_argv(flag, command, tmp_path):
     return argv + [flag] + ([] if value is None else [value])
 
 
+class TestCliConfig:
+    def test_defaults_are_the_documented_ones(self):
+        assert CliConfig(command="compute")._asdict() == {
+            "command": "compute", "family": None, "max_n": None, "p": 0, "r": 1, "lam": None,
+            "truncation": 16, "fmt": None, "output": None, "suite": "all", "max_p": 4, "strict": False,
+        }
+
+    def test_every_field_but_the_command_is_a_config_key(self):
+        assert {field for field, _ in _KEYS.values()} == set(CliConfig._fields) - {"command"}
+
+    def test_unknown_field_is_refused(self):
+        with pytest.raises(TypeError, match="bogus"):
+            CliConfig(command="compute", bogus=1)
+
+    def test_config_is_immutable(self):
+        with pytest.raises(AttributeError):
+            CliConfig(command="compute").max_n = 3
+
+
 class TestParser:
     """The command line as the flag table declares it: each flag on the
     commands that take it, its spellings, and every refusal as exit code 2

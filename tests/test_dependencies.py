@@ -25,10 +25,11 @@ def test_runtime_imports_only_the_standard_library():
     assert foreign == []
 
 
-def test_cli_import_leaves_argparse_and_gettext_out():
-    # argparse's import and first use cost each shell call about 3 ms (BENCH_23.json)
+def test_cli_import_leaves_argparse_gettext_dataclasses_and_inspect_out():
+    # argparse's import and first use cost each shell call about 3 ms (BENCH_23.json); dataclasses and
+    # inspect bring ast, dis, tokenize and eight more modules that nothing else needs (BENCH_24.json)
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-c", ADDED], capture_output=True, text=True, env=env, check=True)
     added = set(run.stdout.split())
     assert "degenbern.cli" in added
-    assert added & {"argparse", "gettext"} == set()
+    assert added & {"argparse", "gettext", "dataclasses", "inspect"} == set()

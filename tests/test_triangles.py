@@ -10,6 +10,7 @@ from math import comb, factorial, prod
 import pytest
 
 from degenbern import triangles
+from degenbern.bernoulli import gen_beta
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp, degenerate_log
 from degenbern.triangles import (
@@ -20,6 +21,7 @@ from degenbern.triangles import (
     falling_lambda,
     forward_difference,
     log_weight,
+    memoized,
     r_stirling2_classical,
     r_stirling2_deg,
     stirling1_classical,
@@ -507,6 +509,49 @@ ROW4 = (4, 0, False, LAM)
 def _row_with(key, k, value):
     row = _row(*key)
     return row[:k] + (value,) + row[k + 1 :]
+
+
+class TestMemoizedBinding:
+    """memoized binds a keyword to the position of its name in the builder's code."""
+
+    def test_keyword_call_shares_the_positional_entry(self):
+        value = gen_beta(3, 1)
+        size = len(gen_beta.pristine)
+        assert gen_beta(n=3, p=1) is value
+        assert gen_beta(p=1, n=3) is value
+        assert gen_beta(3, p=1) is value
+        assert len(gen_beta.pristine) == size
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [((7,), {"q": 2}), ((7, 2), {"n": 7}), ((7,), {"n": 7, "p": 2}), ((), {"p": 2})],
+        ids=["unknown", "twice-all-positional", "twice", "missing"],
+    )
+    def test_unbindable_call_is_refused_before_the_memo(self, args, kwargs):
+        gen_beta.pristine.pop((7, 2), None)
+        before = dict(gen_beta.pristine)
+        with pytest.raises(TypeError, match=r"gen_beta\(n, p\): an argument is missing, unknown or repeated"):
+            gen_beta(*args, **kwargs)
+        assert gen_beta.pristine == before
+
+    def test_keyword_index_is_checked(self):
+        with pytest.raises(TypeError, match="n must be int, got float"):
+            gen_beta(n=3.0, p=1)
+
+    def test_keyword_call_reads_the_substitution(self):
+        value = gen_beta(3, 1) + 1
+        with substituted(gen_beta, (3, 1), value):
+            assert gen_beta(n=3, p=1) is value
+        assert gen_beta(n=3, p=1) == value - 1
+
+    @pytest.mark.parametrize(
+        "builder",
+        [lambda *args: 0, lambda n, *, p: 0, lambda n, **kwargs: 0, lambda n, p=0: 0, lambda n, /: 0],
+        ids=["varargs", "keyword-only", "varkeywords", "default", "positional-only"],
+    )
+    def test_builder_without_plain_parameters_is_refused(self, builder):
+        with pytest.raises(TypeError, match="memoized needs plain positional parameters without defaults"):
+            memoized(builder)
 
 
 class TestSubstitution:

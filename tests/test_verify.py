@@ -13,7 +13,10 @@ from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp
 from degenbern.triangles import substituted
 from degenbern.verify import (
+    FirstFailure,
+    IdentityCase,
     IdentityId,
+    IdentityReport,
     explain_failure,
     run_suite,
     suite_plan,
@@ -80,6 +83,33 @@ class TestRegistry:
         a = run_suite([IdentityId.THM4], max_n=2, truncation=4)
         b = run_suite(["Thm4"], max_n=2, truncation=4)
         assert [r.identity_id for r in a] == [r.identity_id for r in b]
+
+
+class TestRecords:
+    """The report records are immutable and compare and print field by field."""
+
+    def test_field_names_in_order(self):
+        assert FirstFailure._fields == ("parameters", "lhs", "rhs", "mismatch_index")
+        assert IdentityCase._fields == ("identity_id", "parameters")
+        assert IdentityReport._fields == ("identity_id", "cases_run", "cases_passed", "first_failure", "elapsed")
+
+    def test_mismatch_index_defaults_to_none(self):
+        failure = FirstFailure((("n", 2),), "1/1", "2/1")
+        assert failure.mismatch_index is None
+        assert failure == FirstFailure((("n", 2),), "1/1", "2/1", None) != FirstFailure((("n", 2),), "1/1", "2/1", 0)
+        assert repr(failure) == "FirstFailure(parameters=(('n', 2),), lhs='1/1', rhs='2/1', mismatch_index=None)"
+
+    def test_passed_reads_the_counts(self):
+        assert IdentityReport(IdentityId.THM1, 3, 3, None, 0.0).passed
+        assert not IdentityReport(IdentityId.THM1, 3, 2, FirstFailure((), "a", "b"), 0.0).passed
+
+    def test_records_refuse_attribute_assignment(self):
+        report = run_suite(["Thm1"], max_n=2, truncation=3)[0]
+        (case,) = suite_plan(["Thm1"], max_n=2, truncation=3)
+        for record, field in ((report, "cases_passed"), (FirstFailure((), "a", "b"), "lhs"), (case, "parameters")):
+            for name in (field, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
 
 
 class TestCaseCounts:
