@@ -18,10 +18,12 @@ the triangle sums are read two ways: gen_beta and eulerian_degenerate (so
 gen_beta_eulerian) nest them as Horner in the linear factors
 (exactcore.falling_sum), while gen_beta_integral, gen_beta_poly_stirling
 and the suite's Thm2 and Eq30 multiply by the expanded log_weight(k), so a
-corrupted weight is caught between them.  Route agreement is exercised by the
-verification suite; the functions themselves do not cross-check.  Likewise
-remark_sides only builds both sides of the argument-shift rules; the suite's
-Remark-* identities compare them.
+corrupted weight is caught between them.  So are the chains (x)_{j,l}:
+Horner in the factors x - j l (the same kernel) in gen_beta_poly, expanded
+in gen_beta_poly_gf, gen_beta_poly_stirling and the remark rules.  Route
+agreement is exercised by the verification suite; the functions themselves
+do not cross-check.  Likewise remark_sides only builds both sides of the
+argument-shift rules; the suite's Remark-* identities compare them.
 
 The rstirling route deserves a note.  Its published double-sum form breaks
 down for l != 0 because a step in its derivation silently rewrites the
@@ -279,14 +281,12 @@ def gen_beta_classical_limit(n: int, p: int) -> Fraction:
 def gen_beta_poly(n: int, p: int) -> PolyXOverLambda:
     """Generalized degenerate Bernoulli polynomial, symbolic in x.
 
-    sum_l binom(n,l) gen_beta(l,p) (x)_{n-l,l}; monic of x-degree n, value
-    at x = 0 is gen_beta(n,p).
+    sum_j binom(n,j) gen_beta(n-j,p) (x)_{j,l}, summed by Horner in the
+    factors x - j l (exactcore.falling_sum); monic of x-degree n, value at
+    x = 0 is gen_beta(n,p).
     """
     _check_range(n, p)
-    x = PolyXOverLambda.x()
-    lam = PolyLambda.lam()
-    w = _chain(x, n, lam)
-    return lincomb((w[n - l], gen_beta(l, p), comb(n, l)) for l in range(n + 1))
+    return falling_sum(((gen_beta(n - j, p), comb(n, j)) for j in range(n + 1)), in_x=True)
 
 
 def gen_beta_poly_stirling(n: int, p: int) -> PolyXOverLambda:

@@ -28,9 +28,10 @@ an int or a Fraction, and into Q[l][x] and Q(l) a PolyLambda, becomes the
 ring's trusted constant; a bool, never a coefficient, raises TypeError; any
 other value lifts to NotImplemented.  Every binary operator lifts its other
 operand so (_guarded), constant(c) is the lift or TypeError, and equality
-with a bool is plain False.  A value equal to a simpler one (a constant
-PolyLambda and its rational, a constant PolyXOverLambda and its PolyLambda,
-a polynomial RationalFunctionLambda and its numerator) hashes like it.
+lifts an operand of another type, a bool being plain False.  A value equal
+to a simpler one (a constant PolyLambda and its rational, a constant
+PolyXOverLambda and its PolyLambda, a polynomial RationalFunctionLambda and
+its numerator) hashes like it.
 
 lincomb(terms) is the one kernel for a sum of products, sum a_i b_i w_i with
 a_i, b_i rational, PolyLambda or PolyXOverLambda and w_i an int or a
@@ -40,11 +41,12 @@ reducing every product and every partial sum.  Its result lives in the
 widest ring among its operands: rationals alone give a Fraction.
 
 falling_sum(pairs) is the kernel for sum_k w_k b_k (l-1)(l-2)...(l-k), the
-shape of the triangle-route numbers and the degenerate Eulerian numbers: it
-runs Horner in the linear factors l - k over one common denominator,
-O(n^2) coefficient products instead of O(n^3) against the expanded
-weights.  Its step, a (c0 + c1 l) + s b on int numerator lists (_step), also
-builds every degenerate triangle row in the triangles module.
+shape of the triangle-route numbers and the degenerate Eulerian numbers, and
+for sum_k w_k b_k (x)_{k,l}, gen_beta_poly's: Horner in the linear factors
+l - k or x - k l, on one int numerator column per power of x over one common
+denominator, O(n^2) coefficient products per column instead of O(n^3)
+against the expanded weights.  Its step, a (c0 + c1 l) + s b on int
+numerator lists (_step), also builds every degenerate triangle row.
 """
 
 from __future__ import annotations
@@ -116,14 +118,15 @@ def _guarded(op):
 
 
 def _equality(same):
-    """__eq__ from same, guarded: a bool, which every lift refuses, is unequal instead of an error."""
-    same = _guarded(same)
+    """__eq__ from same(self, other) in one ring; another type is lifted, and a bool, refused by every lift, is unequal."""
 
     def __eq__(self, other) -> bool:
-        try:
-            return same(self, other)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not type(self):
+            try:
+                other = self._lift(other)
+            except TypeError:
+                return NotImplemented
+        return NotImplemented if other is NotImplemented else same(self, other)
 
     return __eq__
 
@@ -710,25 +713,29 @@ def _step(a, c0: int, c1: int, s: int, b) -> list:
     """Numerators of a (c0 + c1 l) + s b, for int numerator sequences a and b,
     without trailing zeros: one step of a Horner sum and of a triangle row."""
     if c1 and a:
-        out = [c0 * u + c1 * v for u, v in zip([*a, 0], [0, *a])]
+        # c0 = 0, as in falling_sum's x-columns: a l is a shift
+        out = [c0 * u + c1 * v for u, v in zip([*a, 0], [0, *a])] if c0 else [0, *[c1 * v for v in a]]
     else:
         out = [c0 * u for u in a]
     if s and b:
         if len(out) < len(b):
             out += [0] * (len(b) - len(out))
-        out[: len(b)] = [u + s * v for u, v in zip(out, b)]
+        # s = 1 in every triangle row and x-carry: no product by one
+        out[: len(b)] = [u + s * v for u, v in zip(out, b)] if s != 1 else [u + v for u, v in zip(out, b)]
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def falling_sum(terms) -> PolyLambda:
-    """sum_k w_k b_k (l-1)(l-2)...(l-k) over the pairs (b_k, w_k) of terms,
-    k = 0, 1, ...; b_k a rational or a PolyLambda, w_k an int or a Fraction.
+def falling_sum(terms, *, in_x=False):
+    """sum_k w_k b_k f_k over the pairs (b_k, w_k) of terms, k = 0, 1, ...;
+    b_k a rational or a PolyLambda, w_k an int or a Fraction, f_k
+    (l-1)(l-2)...(l-k), or with in_x (x)_{k,l} = x (x-l)...(x-(k-1)l).
 
-    Horner in the factors l - k, acc <- acc (l - (k+1)) + w_k b_k from the
-    top k down, on int numerators over the lcm of the terms' denominators,
-    reduced once: O(n^2) coefficient products where a sum against the
+    Horner in the factors f = l - (k+1), or x - k l, acc <- acc f + w_k b_k
+    from the top k down, on int numerators over the lcm of the terms'
+    denominators: one column per power of x (one in Q[l]), each reduced
+    once.  O(n^2) coefficient products per column, where a sum against the
     expanded weights takes O(n^3).
     """
     cs = []
@@ -740,8 +747,15 @@ def falling_sum(terms) -> PolyLambda:
             w = _norm_coeff(w)
         cs.append((cols[0][1], w.numerator, cols[0][2] * w.denominator) if cols and w else ((), 0, 1))
     den = lcm(*[d for _, _, d in cs])
-    acc = []
+    acc = [[]]  # acc[i]: numerators of the x^i coefficient, never a zero top past x^0
     for k in range(len(cs) - 1, -1, -1):
         bt, wn, d = cs[k]
-        acc = _step(acc, -(k + 1), 1, wn * (den // d), bt)
-    return _PL_ONE if acc == [1] and den == 1 else _pl_reduce(acc, den)  # as in lincomb
+        c0, c1 = (0, -k) if in_x else (-(k + 1), 1)
+        if in_x:
+            # column i of acc (x - k l) is -k l acc[i] + acc[i-1]
+            if acc[-1]:
+                acc.append(())
+            acc[1:] = [_step(a, 0, c1, 1, b) for a, b in zip(acc[1:], acc)]
+        acc[0] = _step(acc[0], c0, c1, wn * (den // d), bt)
+    coeffs = [_PL_ONE if a == [den] else _pl_reduce(a, den) for a in acc]  # one is shared, as in lincomb
+    return PolyXOverLambda(coeffs) if in_x else coeffs[0]

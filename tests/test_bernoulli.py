@@ -25,7 +25,7 @@ from degenbern.bernoulli import (
     gen_beta_stirling_sum,
     remark_sides,
 )
-from degenbern.exactcore import PolyLambda, PolyXOverLambda
+from degenbern.exactcore import PolyLambda, PolyXOverLambda, lincomb
 from degenbern import triangles
 from degenbern.triangles import eulerian_degenerate, falling_lambda, stirling2_deg_poly, substituted
 
@@ -197,6 +197,18 @@ class TestPolynomials:
                     term = falling_lambda(X, n - l) * gen_beta(l, p)
                     acc = acc + term * comb(n, l)
                 assert acc == gen_beta_poly(n, p)
+
+    def test_horner_matches_the_chain_and_lincomb_form(self):
+        """The Horner sum in the factors x - j l stores the same numerators
+        and denominator in every x-coefficient as one lincomb against the
+        expanded chain (x)_{j,l}, and its monic top is the shared one."""
+        for n in range(31):
+            chain = triangles._chain(X, n, LAM)
+            for p in range(-1, 5):
+                got = gen_beta_poly(n, p)
+                want = lincomb((chain[j], gen_beta(n - j, p), comb(n, j)) for j in range(n + 1))
+                assert [(c._terms, c._den) for c in got.coeffs] == [(c._terms, c._den) for c in want.coeffs]
+                assert got.coeffs[-1] is PolyLambda.one()
 
 
 def remark_holds(rule, n, p, **m):

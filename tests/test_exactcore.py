@@ -240,6 +240,27 @@ class TestBooleanEquality:
             assert value != flag
         assert len({True, value}) == 2
 
+    @pytest.mark.parametrize(
+        "value", [LAM, X, RationalFunctionLambda(LAM, LAM + 1)], ids=["pl", "px", "ratfun"]
+    )
+    def test_eq_answers_not_implemented_to_a_bool_and_a_foreign_type(self, value):
+        for other in (True, False, "a", 1.5, None):
+            assert value.__eq__(other) is NotImplemented
+
+    @pytest.mark.parametrize(
+        "a, b, lifted",
+        [(LAM, LAM + 0, 3), (X, X + 0, ONE), (RationalFunctionLambda(LAM, LAM + 1), RationalFunctionLambda(LAM, LAM + 1), LAM)],
+        ids=["pl", "px", "ratfun"],
+    )
+    def test_same_type_equality_takes_no_lift(self, monkeypatch, a, b, lifted):
+        def refuse(v):
+            raise AssertionError("lifted")
+
+        monkeypatch.setattr(type(a), "_lift", staticmethod(refuse))
+        assert a == b and not (a != b) and a != -a
+        with pytest.raises(AssertionError, match="lifted"):
+            a == lifted
+
     def test_construction_with_bool_still_refused(self):
         for build in (
             lambda: RationalFunctionLambda(True),
@@ -473,9 +494,57 @@ class TestFallingSum:
         with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
             falling_sum([bad])
 
-    def test_x_operand_refused(self):
+    @pytest.mark.parametrize("in_x", [False, True], ids=["l", "x"])
+    def test_x_operand_refused(self, in_x):
         with pytest.raises(TypeError, match="falling_sum operands must be rational or PolyLambda"):
-            falling_sum([(ONE, 1), (X, 1)])
+            falling_sum([(ONE, 1), (X, 1)], in_x=in_x)
+
+
+def value_at(b, r):
+    """A falling_sum operand at l = r."""
+    return b.evaluate(r) if isinstance(b, PolyLambda) else Fraction(b)
+
+
+class TestFallingSumInX:
+    """falling_sum(terms, in_x=True), sum_j w_j b_j (x)_{j,l}, against a
+    Fraction sum at rational points, which shares none of its code."""
+
+    @given(FALLING_TERMS, rationals, rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_sum_at_rational_points(self, terms, q, r):
+        got = falling_sum(terms, in_x=True)
+        assert type(got) is PolyXOverLambda
+        canonical_form(got)
+        want, chain = Fraction(0), Fraction(1)
+        for j, (b, w) in enumerate(terms):
+            want += w * value_at(b, r) * chain
+            chain *= q - j * r
+        assert got.evaluate(q).evaluate(r) == want
+
+    def test_empty_and_zero_sums_are_the_zero_polynomial(self):
+        for terms in ([], [(LAM, 0), (1, 0)], [(0, 5), (PolyLambda.zero(), 1)]):
+            got = falling_sum(terms, in_x=True)
+            assert type(got) is PolyXOverLambda and got._terms == ()
+
+    def test_a_coefficient_equal_to_one_is_the_shared_one(self):
+        assert falling_sum([(1, 1)], in_x=True)._terms[0] is ONE
+        # the columns share the denominator 6, and the monic x^2 column is the shared one
+        got = falling_sum([(Fraction(1, 2), 1), (ONE, Fraction(1, 3)), (1, 1)], in_x=True)
+        assert got == PolyXOverLambda((Fraction(1, 2), Fraction(1, 3) - LAM, 1))
+        assert got._terms[2] is ONE
+
+    def test_no_trailing_zero_x_column(self):
+        # zero top terms leave x-degree 0
+        assert falling_sum([(LAM, 1), (LAM, 0), (0, 5)], in_x=True)._terms == (LAM,)
+        assert falling_sum([(1, 1), (LAM, 1), (PolyLambda.zero(), 4), (2, 0)], in_x=True).degree == 1
+        # l x + x (x - l) = x^2: zero columns below the top stay, as zero
+        zero = PolyLambda.zero()
+        assert falling_sum([(0, 1), (LAM, 1), (1, 1), (-1, 0)], in_x=True)._terms == (zero, zero, ONE)
+
+    def test_small_sum_by_hand(self):
+        # 1 + 2 x + 3 x (x - l) = 1 + (2 - 3 l) x + 3 x^2
+        got = falling_sum([(1, 1), (2, 1), (3, 1)], in_x=True)
+        assert got == PolyXOverLambda((1, PolyLambda((2, -3)), 3))
 
 
 class TestCoefficientReads:

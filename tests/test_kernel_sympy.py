@@ -3,9 +3,10 @@
 Every PolyLambda result is compared with sympy's, and its stored form is
 checked to be canonical: a positive denominator coprime to the content of
 the integer numerators, and no trailing zero.  The same holds for the fused
-kernel lincomb over Q[l] and Q[l][x], for the Horner sum falling_sum, and for
-the monomial paths of poly_gcd and poly_divmod, which the Q(l) values of the
-rstirling route take.
+kernel lincomb over Q[l] and Q[l][x], for the Horner sum falling_sum over
+Q[l] and, against the chains (x)_{j,l}, over Q[l][x], and for the monomial
+paths of poly_gcd and poly_divmod, which the Q(l) values of the rstirling
+route take.
 """
 
 from fractions import Fraction
@@ -199,3 +200,19 @@ def test_falling_sum_agrees_with_sympy(terms):
         weight = sympy.Poly(sympy.prod([L - i for i in range(1, k + 1)]), L, domain=sympy.QQ)
         want += to_sympy(PolyLambda.one() * b) * weight * rational(Fraction(w))
     agree(got, want)
+
+
+@given(falling_terms)
+@settings(max_examples=100, deadline=None)
+def test_falling_sum_in_x_agrees_with_sympy(terms):
+    got = falling_sum(terms, in_x=True)
+    want = sympy.Integer(0)
+    for j, (b, w) in enumerate(terms):
+        # the chain (x)_{j,l} = x (x - l)...(x - (j-1) l), built by sympy
+        chain = sympy.prod([X - i * L for i in range(j)])
+        want += to_sympy(PolyLambda.one() * b).as_expr() * chain * rational(Fraction(w))
+    want = sympy.Poly(want, X, L, domain=sympy.QQ)
+    assert type(got) is PolyXOverLambda
+    assert len(got.coeffs) == (want.degree(X) + 1 if want else 0)
+    for i, c in enumerate(got.coeffs):
+        agree(c, sympy.Poly(want.as_expr().coeff(X, i), L, domain=sympy.QQ))
