@@ -11,8 +11,8 @@ evaluates every entry at that rational instead; --p and --r are refused for a
 family that does not take them.  One flag table, _FLAGS, drives parsing, --help
 and the config keys: a JSON --config file may give any flag's value under its
 underscored name (e.g. "max_n"), and flags on the command line win.  A table is
-written entry by entry, never held whole, and a file through a temp file and
-rename, so an interrupted run never leaves a partial file.
+computed and written row by row, never held whole (a sweep holds at most two
+triangle rows), a file through a temp file and rename: no partial files.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error.  A failing identity declared informational (IdentityId.informational:
@@ -27,6 +27,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .bernoulli import carlitz_beta, gen_beta, gen_beta_poly
@@ -38,6 +39,7 @@ from .triangles import (
     stirling1_deg,
     stirling2_deg,
     stirling2_deg_poly,
+    _drop_rows_below,
 )
 from .verify import explain_failure, run_suite
 
@@ -53,21 +55,22 @@ def _eulerian_entry(n: int, k: int) -> PolyLambda:
 
 
 # family -> (name of its entry function in this module, indexed by (n, k)
-# rather than n, CliConfig fields it takes after the index).  The name is
-# looked up at each call, so a rebound module name (a tracer's wrapper) is seen.
+# rather than n, CliConfig fields it takes after the index, whether it sweeps:
+# entry n reads no triangle row below n).  The name is looked up at each call,
+# so a rebound module name (a tracer's wrapper) is seen.
 _FAMILY_TABLE = {
-    "beta": ("carlitz_beta", False, ()),
-    "gen-beta": ("gen_beta", False, ("p",)),
-    "gen-beta-poly": ("gen_beta_poly", False, ("p",)),
-    "stirling1": ("stirling1_deg", True, ()),
-    "stirling2": ("stirling2_deg", True, ()),
-    "stirling2-poly": ("stirling2_deg_poly", True, ()),
-    "r-stirling2": ("r_stirling2_deg", True, ("r",)),
-    "eulerian": ("_eulerian_entry", True, ()),
-    "eulerian-deg": ("eulerian_degenerate", True, ()),
+    "beta": ("carlitz_beta", False, (), True),
+    "gen-beta": ("gen_beta", False, ("p",), True),
+    "gen-beta-poly": ("gen_beta_poly", False, ("p",), True),
+    "stirling1": ("stirling1_deg", True, (), True),
+    "stirling2": ("stirling2_deg", True, (), True),
+    "stirling2-poly": ("stirling2_deg_poly", True, (), False),
+    "r-stirling2": ("r_stirling2_deg", True, ("r",), False),
+    "eulerian": ("_eulerian_entry", True, (), True),
+    "eulerian-deg": ("eulerian_degenerate", True, (), True),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
-_FAMILY_PARAMS = {name for _, _, takes in _FAMILY_TABLE.values() for name in takes}
+_FAMILY_PARAMS = {name for _, _, takes, _ in _FAMILY_TABLE.values() for name in takes}
 
 
 class UsageError(Exception):
@@ -137,13 +140,15 @@ def _merge(command: str, values: dict) -> CliConfig:
 
 
 def _build_rows(cfg: CliConfig, given):
-    """Entries for cfg.family: (parameters, [(index dict, value)]).
+    """Entries for cfg.family: (parameters, an iterator of (index dict, value)).
 
     given holds the CliConfig fields set on the command line; a family
-    parameter among them that the family does not take is refused.  Values
-    are PolyLambda or PolyXOverLambda.  With a rational l they are evaluated
-    here, once, and stay in their ring (a number becomes a constant
-    PolyLambda), so the renderers never need to know about l.
+    parameter among them that the family does not take is refused.  The
+    first entry is computed here, so a refused parameter fails before any
+    output; the rest a row at a time, as they are read.  Values are
+    PolyLambda or PolyXOverLambda, at l = cfg.lam when it is set (a number
+    becomes a constant PolyLambda), so the renderers never need to know
+    about l.
     """
     if cfg.family is None:
         raise UsageError("a family is required (e.g. compute beta ...)")
@@ -153,23 +158,29 @@ def _build_rows(cfg: CliConfig, given):
         raise UsageError("--max-n is required")
     if cfg.max_n < 0:
         raise UsageError("--max-n must be nonnegative")
-    route, triangle, takes = _FAMILY_TABLE[cfg.family]
-    entry = globals()[route]
+    route, triangle, takes, sweeps = _FAMILY_TABLE[cfg.family]
     refused = sorted(given & _FAMILY_PARAMS - set(takes))
     if refused:
         flags = ", ".join(f"--{name}" for name in refused)
         raise UsageError(f"family {cfg.family} does not take {flags}")
     params = {name: getattr(cfg, name) for name in takes}
-    indices = (
-        [(n, k) for n in range(cfg.max_n + 1) for k in range(n + 1)]
-        if triangle
-        else [(n,) for n in range(cfg.max_n + 1)]
-    )
-    rows = [(dict(zip("nk", index)), entry(*index, *params.values())) for index in indices]
+    rows = _entries(globals()[route], tuple(params.values()), cfg, triangle, sweeps)
     if cfg.lam is not None:
         params["lambda"] = f"{cfg.lam.numerator}/{cfg.lam.denominator}"
-        rows = [(index, _at_lambda(value, cfg.lam)) for index, value in rows]
-    return params, rows
+    return params, chain([next(rows)], rows)
+
+
+def _entries(entry, args: tuple, cfg: CliConfig, triangle: bool, sweeps: bool):
+    """(index dict, value) for n = 0 .. cfg.max_n, computed a row at a time
+    (rendering between two entries measured slower); before row n a sweep
+    drops the triangle rows below n - 1."""
+    for n in range(cfg.max_n + 1):
+        if sweeps:
+            _drop_rows_below(n - 1)
+        indices = [(n, k) for k in range(n + 1)] if triangle else [(n,)]
+        values = [entry(*index, *args) for index in indices]
+        for index, value in zip(indices, values):
+            yield dict(zip("nk", index)), value if cfg.lam is None else _at_lambda(value, cfg.lam)
 
 
 def _at_lambda(value, lam: Fraction):

@@ -19,7 +19,8 @@ entries are PolyLambda with integer coefficients; classical entries are plain
 ints.  eulerian_degenerate sums its row against the weights (l-1)...(l-k) by
 Horner (exactcore.falling_sum); log_weight keeps the expanded weights for the
 routes that multiply by them.  memoized keeps the rows, the factorial chains,
-log_weight, eulerian_degenerate and stirling2_deg_poly, each built once.
+log_weight, eulerian_degenerate and stirling2_deg_poly, each built once; the
+CLI's table sweeps drop the pristine rows they have built on (_drop_rows_below).
 Inside substituted(builder, args, value) one entry of any memoized builder
 answers value and every memo is the substitution's own, so a corrupted entry
 never reaches a pristine memo.
@@ -249,6 +250,12 @@ def _row(n: int, r: int, first: bool, lam) -> tuple:
         else:
             row = [_step(a, k + r, 1 - m, 1, b) for k, (a, b) in pairs]
     return tuple([_pl_reduce(list(t), 1) for t in row])
+
+
+def _drop_rows_below(n: int):
+    """Drop the pristine rows below row n of every triangle; a substituted row stays."""
+    for key in [key for key in _row.pristine if key[0] < n]:
+        del _row.pristine[key]
 
 
 def stirling2_deg(n: int, k: int) -> PolyLambda:

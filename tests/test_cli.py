@@ -16,6 +16,7 @@ import pytest
 import degenbern
 from degenbern import bernoulli, exactcore, series, triangles, verify
 from degenbern.bernoulli import carlitz_beta
+from degenbern.triangles import stirling2_deg
 from degenbern.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -24,6 +25,7 @@ from degenbern.cli import (
     _FLAGS,
     _KEYS,
     CliConfig,
+    _FAMILY_TABLE,
     _at_lambda,
     _build_rows,
     _render_json,
@@ -200,12 +202,15 @@ class TestJsonWriter:
     def test_large_triangle_matches_json_dumps(self):
         cfg = CliConfig(command="compute", family="stirling2", max_n=44, fmt="json")
         params, rows = _build_rows(cfg, set())
+        rows = list(rows)  # read twice below
         assert "".join(_render_json(cfg, params, rows)) == reference_json(cfg, params, rows)
 
     def test_streamed_parts_peak_under_a_tenth_of_the_output(self):
-        # one part per entry is alive at a time, never the whole text
+        # one part per entry is alive at a time, never the whole text; the rows
+        # are computed before the traced window, which traces the renderer alone
         cfg = CliConfig(command="compute", family="stirling2", max_n=44, fmt="json")
         params, rows = _build_rows(cfg, set())
+        rows = list(rows)
         size = 0
         tracemalloc.start()
         try:
@@ -215,6 +220,60 @@ class TestJsonWriter:
         finally:
             tracemalloc.stop()
         assert peak <= size / 10
+
+
+LAM = PolyLambda.lam()
+
+
+@pytest.fixture
+def cold_rows():
+    """An empty pristine row memo for the test, and the kept rows back after it."""
+    kept = dict(triangles._row.pristine)
+    triangles._row.pristine.clear()
+    yield triangles._row.pristine
+    triangles._row.pristine.clear()
+    triangles._row.pristine.update(kept)
+
+
+class TestSweep:
+    """A sweeping family drops the rows below n - 1 before row n: each row
+    is built once, from the row before it, and at most two are held."""
+
+    @pytest.mark.parametrize("family", [f for f, spec in _FAMILY_TABLE.items() if spec[3]])
+    def test_sweeping_family_holds_at_most_two_rows(self, capsys, monkeypatch, cold_rows, family):
+        held, drop = [], triangles._drop_rows_below
+        monkeypatch.setattr("degenbern.cli._drop_rows_below", lambda n: held.append(len(cold_rows)) or drop(n))
+        assert main(["compute", family, "--max-n", "12"]) == EXIT_OK
+        capsys.readouterr()
+        assert len(held) == 13 and max(held) <= 2 and len(cold_rows) <= 2
+
+    def test_stirling2_44_builds_each_row_once_from_the_row_before(self, capsys, monkeypatch, cold_rows):
+        steps = []
+        step = triangles._step
+        monkeypatch.setattr(triangles, "_step", lambda *args: steps.append(args[0]) or step(*args))
+        assert main(["compute", "stirling2", "--max-n", "44", "--format", "json"]) == EXIT_OK
+        capsys.readouterr()
+        # row m is m + 1 steps from row m - 1; a row built from row 0 again costs far more
+        assert len(steps) == sum(m + 1 for m in range(1, 45))
+        assert sorted(cold_rows) == [(43, 0, False, LAM), (44, 0, False, LAM)]
+
+    @pytest.mark.parametrize("family", ["stirling2-poly", "r-stirling2"])
+    def test_extension_keeps_every_row(self, capsys, cold_rows, family):
+        assert main(["compute", family, "--max-n", "6"]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(cold_rows) == [(n, 0, False, LAM) for n in range(7)]
+
+    def test_sweep_reads_a_substituted_row_and_leaves_its_memo(self, capsys, cold_rows):
+        key = (4, 0, False, LAM)
+        corrupted = triangles._row(*key)[:2] + (PolyLambda.zero(),) + triangles._row(*key)[3:]
+        with triangles.substituted(triangles._row, key, corrupted) as memo:
+            assert main(["compute", "stirling2", "--max-n", "6", "--format", "csv"]) == EXIT_OK
+            assert memo[triangles._row, key] is corrupted
+        dirty = capsys.readouterr().out
+        assert main(["compute", "stirling2", "--max-n", "6", "--format", "csv"]) == EXIT_OK
+        clean = capsys.readouterr().out
+        changed = [(a, b) for a, b in zip(dirty.splitlines(), clean.splitlines()) if a != b]
+        assert changed == [("4, 2, " + PolyLambda.zero().serialize(), "4, 2, " + stirling2_deg(4, 2).serialize())]
 
 
 class TestExport:
@@ -459,10 +518,26 @@ class TestConfigAndErrors:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
 
-    def test_library_range_error_maps_to_usage(self, capsys):
-        code, _, err = run(capsys, "compute", "gen-beta", "--max-n", "3", "--p", "-2")
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "file"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gen-beta", "--p", "-2"], "parameter out of range"),
+            (["r-stirling2", "--r", "0"], "restriction parameter r must be a positive integer"),
+        ],
+        ids=["gen-beta-p", "r-stirling2-r"],
+    )
+    def test_library_range_error_maps_to_usage(self, capsys, tmp_path, argv, message, fmt, output):
+        # rows are computed as they are written: the first entry is computed
+        # before any byte, so a parameter the route refuses leaves no output
+        target = tmp_path / "table.out"
+        extra = ["--output", str(target)] if output else []
+        code, out, err = run(capsys, "compute", *argv, "--max-n", "3", "--format", fmt, *extra)
         assert code == EXIT_USAGE
-        assert "parameter out of range" in err
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

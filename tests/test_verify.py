@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from degenbern import bernoulli, series, triangles, verify
+from degenbern.cli import main
 from degenbern.exactcore import PolyLambda, PolyXOverLambda
 from degenbern.series import TruncatedSeries, degenerate_exp
 from degenbern.triangles import substituted
@@ -356,6 +357,25 @@ class TestPinnedReports:
             with _s2_substituted(*corruption):
                 reports = run_suite(**SMALL)
         assert _report_digest(reports) == digest
+
+    def test_suite_after_a_cli_sweep_matches_the_clean_digest(self, capsys):
+        # the sweeps drop pristine rows; the suite builds them again
+        for family in ("beta", "stirling2", "eulerian-deg"):
+            assert main(["compute", family, "--max-n", "9", "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert _report_digest(run_suite(**SMALL)) == PINNED_REPORTS["clean"][1]
+
+    def test_suite_drops_no_row(self):
+        # every second-kind row the suite read is still in the memo after it
+        kept = dict(triangles._row.pristine)
+        try:
+            triangles._row.pristine.clear()
+            run_suite(**SMALL)
+            rows = {key[0] for key in triangles._row.pristine if key[1:] == (0, False, _LAM)}
+        finally:
+            triangles._row.pristine.clear()
+            triangles._row.pristine.update(kept)
+        assert rows >= set(range(SMALL["max_n"] + 1))
 
     def test_plan_ranges_match_pinned(self):
         six, zero = _plan_ranges(6), _plan_ranges(0)
