@@ -13,17 +13,17 @@ Every quantity here is reachable by several genuinely independent routes:
   gen_beta_rstirling      double sum over restricted second-kind entries,
                           carried out in Q(l) and normalized afterwards
 
-and likewise for the polynomials in x.  The weights (l-1)(l-2)...(l-k) of
-the triangle sums are read two ways: gen_beta and eulerian_degenerate (so
-gen_beta_eulerian) nest them as Horner in the linear factors
-(exactcore.falling_sum), while gen_beta_integral, gen_beta_poly_stirling
-and the suite's Thm2 and Eq30 multiply by the expanded log_weight(k), so a
-corrupted weight is caught between them.  So are the chains (x)_{j,l}:
-Horner in the factors x - j l (the same kernel) in gen_beta_poly, expanded
-in gen_beta_poly_gf, gen_beta_poly_stirling and the remark rules.  Route
-agreement is exercised by the verification suite; the functions themselves
-do not cross-check.  Likewise remark_sides only builds both sides of the
-argument-shift rules; the suite's Remark-* identities compare them.
+and likewise for the polynomials in x.  Every sum against a falling chain
+is read two ways, so a corrupted chain or a wrong kernel is caught between
+them.  The weights (l-1)...(l-k): gen_beta and eulerian_degenerate (so
+gen_beta_eulerian) run Horner in the factors l - k (exactcore.falling_sum),
+while gen_beta_integral, gen_beta_poly_stirling and the suite's Thm2 and
+Eq30 multiply by the expanded log_weight(k).  The chains in x: gen_beta_poly
+and the remark rules run the same Horner kernel, while gen_beta_poly_gf,
+gen_beta_poly_stirling and _poly_entry expand theirs, and Thm7-vs-Thm9
+compares the two.  Route agreement is exercised by the verification suite;
+the functions themselves do not cross-check, and remark_sides only builds
+both sides of the argument-shift rules, which the Remark-* identities compare.
 
 The rstirling route deserves a note.  Its published double-sum form breaks
 down for l != 0 because a step in its derivation silently rewrites the
@@ -148,7 +148,8 @@ def gen_beta_stirling_sum(n: int, p: int) -> PolyLambda:
     form (l-1)_{n,l}, which the suite's Eq23 compares with this sum.
     """
     _check_range(n, p)
-    return falling_sum((stirling2_deg(n, k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
+    terms = ((stirling2_deg(n, k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
+    return falling_sum(terms, PolyLambda((-1, 1)), 1)  # the chain of l - 1 with step 1
 
 
 @memoized
@@ -286,7 +287,7 @@ def gen_beta_poly(n: int, p: int) -> PolyXOverLambda:
     x = 0 is gen_beta(n,p).
     """
     _check_range(n, p)
-    return falling_sum(((gen_beta(n - j, p), comb(n, j)) for j in range(n + 1)), in_x=True)
+    return falling_sum(((gen_beta(n - j, p), comb(n, j)) for j in range(n + 1)), PolyXOverLambda.x(), PolyLambda.lam())
 
 
 def gen_beta_poly_stirling(n: int, p: int) -> PolyXOverLambda:
@@ -362,14 +363,14 @@ def remark_sides(rule: str, n: int, p: int, y: int | None = None, m: int | None 
         return poly.evaluate(x + lam) - poly, rhs
     polys = [gen_beta_poly(k, p) for k in range(n + 1)]
     if rule in ("ratio", "shift"):
-        step = lam * Fraction(1, m - 1) if rule == "ratio" else lam * Fraction(1, m) - 1
-        lhs, base, ratio = polys[n].evaluate(x * m), x, m - 1
+        # (m-1)^j (x)_{j,l/(m-1)} = ((m-1)x)_{j,l} and (m-1)^j (x)_{j,l/m-1} = (m(m-1)x)_{j,(m-1)(l-m)} / m^j
+        a, step, scale = (m - 1, lam, 1) if rule == "ratio" else (m * (m - 1), (lam - m) * (m - 1), m)
+        lhs, base = polys[n].evaluate(x * m), x * a
     else:
         y = 1 if rule == "difference" else y
-        lhs, base, ratio, step = polys[n].evaluate(x + y), Fraction(y), 1, lam
-    w = _chain(base, n, step)
-    ks = range(n if rule == "difference" else n + 1)
-    rhs = lincomb(((polys[k], w[n - k], ratio ** (n - k) * comb(n, k)) for k in ks), PolyXOverLambda)
+        lhs, base, step, scale = polys[n].evaluate(x + y), y, lam, 1
+    terms = [(polys[n - j], comb(n, j) if scale == 1 else Fraction(comb(n, j), scale**j)) for j in range(n + 1)]
     if rule == "difference":
         lhs = lhs - polys[n]
-    return lhs, rhs
+        terms[0] = (0, 0)  # w_0 = 0: B_n(x) leaves both sides
+    return lhs, falling_sum(terms, base, step)

@@ -40,19 +40,20 @@ x-coefficient over one common denominator and reduces it once, instead of
 reducing every product and every partial sum.  Its result lives in the
 widest ring among its operands: rationals alone give a Fraction.
 
-falling_sum(pairs) is the kernel for sum_k w_k b_k (l-1)(l-2)...(l-k), the
-shape of the triangle-route numbers and the degenerate Eulerian numbers, and
-for sum_k w_k b_k (x)_{k,l}, gen_beta_poly's: Horner in the linear factors
-l - k or x - k l, on one int numerator column per power of x over one common
-denominator, O(n^2) coefficient products per column instead of O(n^3)
-against the expanded weights.  Its step, a (c0 + c1 l) + s b on int
-numerator lists (_step), also builds every degenerate triangle row.
+falling_sum(terms, base, step) is the one kernel for a sum against a falling
+chain, sum_k w_k b_k (base)_{k,step} with base and step int linear in x and
+l: the triangle sums, gen_beta_poly and the remark rules.  It runs Horner in
+the factors base - k step on one int numerator column per power of x over
+one common denominator, O(n^2) coefficient products per column where the
+expanded chain takes O(n^3).  Its one-pass step, a (c0 + c1 l) + s b on int
+numerator lists (_step), builds every degenerate triangle row too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
+from itertools import zip_longest
 from math import comb, gcd, lcm
 from operator import attrgetter
 from typing import Union
@@ -652,7 +653,7 @@ class PolyXOverLambda:
 
 
 def _columns(v) -> tuple:
-    """(rank, columns) of a lincomb operand: rank 0, 1, 2 for a rational, a PolyLambda,
+    """(rank, columns) of a kernel operand: rank 0, 1, 2 for a rational, a PolyLambda,
     a PolyXOverLambda; a column (j, numerators, denominator) per nonzero x^j coefficient."""
     t = type(v)
     if t is PolyLambda:
@@ -663,14 +664,11 @@ def _columns(v) -> tuple:
     return 0, ((0, (v.numerator,), v.denominator),) if v else ()
 
 
-_RANKS = {Fraction: 0, PolyLambda: 1, PolyXOverLambda: 2}
-
-
-def lincomb(terms, ring=Fraction):
+def lincomb(terms):
     """sum a * b * w over the triples (a, b, w) of terms, each x-coefficient
     over the lcm of its terms' denominators and reduced once (see the module
-    docstring); the sum lives in the widest of ring and the operands' rings."""
-    rank = _RANKS[ring]
+    docstring); the sum lives in the widest of the operands' rings."""
+    rank = 0
     acc = []  # acc[j]: [numerators, denominator] of the x^j coefficient
     for a, b, w in terms:
         ra, xs = _columns(a)
@@ -710,52 +708,57 @@ def lincomb(terms, ring=Fraction):
 
 
 def _step(a, c0: int, c1: int, s: int, b) -> list:
-    """Numerators of a (c0 + c1 l) + s b, for int numerator sequences a and b,
-    without trailing zeros: one step of a Horner sum and of a triangle row."""
-    if c1 and a:
-        # c0 = 0, as in falling_sum's x-columns: a l is a shift
-        out = [c0 * u + c1 * v for u, v in zip([*a, 0], [0, *a])] if c0 else [0, *[c1 * v for v in a]]
+    """Numerators of a (c0 + c1 l) + s b, for int numerator sequences a and b, without
+    trailing zeros: one step of a Horner sum and of a triangle row, with no product by
+    s = 1 (rows, x-carries), c0 = 0 (x-columns of (x)_{j,l}) or c1 = 1 (Q[l] sums)."""
+    terms = zip_longest(a, [0, *a], b, fillvalue=0)
+    if s == 1:
+        out = [c0 * u + c1 * v + w for u, v, w in terms] if c0 else [c1 * v + w for _, v, w in terms]
+    elif c1 == 1:
+        out = [c0 * u + v + s * w for u, v, w in terms]
     else:
-        out = [c0 * u for u in a]
-    if s and b:
-        if len(out) < len(b):
-            out += [0] * (len(b) - len(out))
-        # s = 1 in every triangle row and x-carry: no product by one
-        out[: len(b)] = [u + s * v for u, v in zip(out, b)] if s != 1 else [u + v for u, v in zip(out, b)]
+        out = [c0 * u + c1 * v + s * w for u, v, w in terms]
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def falling_sum(terms, *, in_x=False):
-    """sum_k w_k b_k f_k over the pairs (b_k, w_k) of terms, k = 0, 1, ...;
-    b_k a rational or a PolyLambda, w_k an int or a Fraction, f_k
-    (l-1)(l-2)...(l-k), or with in_x (x)_{k,l} = x (x-l)...(x-(k-1)l).
-
-    Horner in the factors f = l - (k+1), or x - k l, acc <- acc f + w_k b_k
-    from the top k down, on int numerators over the lcm of the terms'
-    denominators: one column per power of x (one in Q[l]), each reduced
-    once.  O(n^2) coefficient products per column, where a sum against the
-    expanded weights takes O(n^3).
-    """
+def falling_sum(terms, base, step):
+    """sum_k w_k b_k (base)_{k,step} over the pairs (b_k, w_k) of terms, k = 0, 1, ..., with
+    (base)_{k,step} = base (base - step) ... (base - (k-1) step): b_k a rational, a PolyLambda
+    or a PolyXOverLambda, w_k an int or a Fraction, base and step a x + c0 + c1 l with int
+    coefficients (else ValueError).  A PolyXOverLambda if any of them is one, else a PolyLambda."""
+    f, rank = [0] * 6, 0  # c0, c1, a of the base, then of the step
+    for o, v in (0, base), (3, step):
+        r, cols = _columns(v)
+        rank = r if r > rank else rank
+        for j, t, d in cols:
+            if d != 1 or len(t) > 2 - j:
+                raise ValueError(f"a chain's base and step must be a x + c0 + c1 l with int coefficients, got {v!r}")
+            f[o + 2 * j : o + 2 * j + len(t)] = t
+    c0, c1, a, s0, s1, sa = f
     cs = []
     for b, w in terms:
-        rank, cols = _columns(b)
-        if rank == 2:
-            raise TypeError("falling_sum operands must be rational or PolyLambda, got PolyXOverLambda")
+        r, cols = _columns(b)
+        rank = r if r > rank else rank
         if type(w) is not int:
             w = _norm_coeff(w)
-        cs.append((cols[0][1], w.numerator, cols[0][2] * w.denominator) if cols and w else ((), 0, 1))
-    den = lcm(*[d for _, _, d in cs])
-    acc = [[]]  # acc[i]: numerators of the x^i coefficient, never a zero top past x^0
-    for k in range(len(cs) - 1, -1, -1):
-        bt, wn, d = cs[k]
-        c0, c1 = (0, -k) if in_x else (-(k + 1), 1)
-        if in_x:
-            # column i of acc (x - k l) is -k l acc[i] + acc[i-1]
-            if acc[-1]:
-                acc.append(())
-            acc[1:] = [_step(a, 0, c1, 1, b) for a, b in zip(acc[1:], acc)]
-        acc[0] = _step(acc[0], c0, c1, wn * (den // d), bt)
-    coeffs = [_PL_ONE if a == [den] else _pl_reduce(a, den) for a in acc]  # one is shared, as in lincomb
-    return PolyXOverLambda(coeffs) if in_x else coeffs[0]
+        cs.append((cols, w.numerator, w.denominator))
+    den = lcm(*[d * wd for cols, _, wd in cs for _, _, d in cols])
+    acc = [[]]  # acc[i]: numerators of the x^i coefficient
+    for k, (cols, wn, wd) in reversed([*enumerate(cs)]):
+        fa, f0, f1 = a - k * sa, c0 - k * s0, c1 - k * s1
+        # column i of acc (fa x + f0 + f1 l) is acc[i] (f0 + f1 l) + fa acc[i-1]
+        if fa and acc[-1]:
+            acc.append(())
+        if len(acc) > 1:
+            acc[1:] = [_step(u, f0, f1, fa, v) for u, v in zip(acc[1:], acc if fa else [()] * len(acc))]
+        # w_k b_k: its x^0 column joins column 0's pass, the others are added after
+        _, t, d = cols[0] if cols and not cols[0][0] else (0, (), 1)
+        acc[0] = _step(acc[0], f0, f1, wn * (den // (d * wd)), t)
+        for j, t, d in cols:
+            if j:
+                acc += [()] * (j + 1 - len(acc))
+                acc[j] = _step(t, wn * (den // (d * wd)), 0, 1, acc[j])
+    coeffs = [_PL_ONE if u == [den] else _pl_reduce(u, den) for u in acc]  # one is shared, as in lincomb
+    return PolyXOverLambda(coeffs) if rank == 2 else coeffs[0]

@@ -134,7 +134,7 @@ class TruncatedSeries:
         self._check_ring(other)
         a, b = self.coeffs, other.coeffs
         return TruncatedSeries(self.ring, [
-            lincomb(((a[i], b[m - i], comb(m, i)) for i in range(m + 1)), self.ring)
+            lincomb((a[i], b[m - i], comb(m, i)) for i in range(m + 1))
             for m in range(min(self.order, other.order) + 1)
         ])
 
@@ -152,7 +152,7 @@ class TruncatedSeries:
         for m in range(min(self.order, other.order) + 1):
             # out_m = (a_m - sum_{i<m} binom(m, i) out_i b_{m-i}) / b_0
             terms = [(a[m], 1, inv)] + [(out[i], b[m - i], -comb(m, i) * inv) for i in range(m)]
-            out.append(lincomb(terms, self.ring))
+            out.append(lincomb(terms))
         return TruncatedSeries(self.ring, out)
 
     __truediv__ = div
@@ -171,7 +171,7 @@ class TruncatedSeries:
         powers = _scaled_powers(inner, n)
         # inner^k/k! starts at t^k, so coefficient m sums over k <= m only
         return TruncatedSeries(self.ring, [
-            lincomb(((powers[k].coeffs[m], f[k], 1) for k in range(m + 1)), self.ring)
+            lincomb((powers[k].coeffs[m], f[k], 1) for k in range(m + 1))
             for m in range(n + 1)
         ])
 

@@ -25,9 +25,17 @@ from degenbern.bernoulli import (
     gen_beta_stirling_sum,
     remark_sides,
 )
-from degenbern.exactcore import PolyLambda, PolyXOverLambda, lincomb
-from degenbern import triangles
-from degenbern.triangles import eulerian_degenerate, falling_lambda, stirling2_deg_poly, substituted
+from degenbern.exactcore import PolyLambda, PolyXOverLambda, falling_sum, lincomb
+from degenbern import bernoulli, triangles
+from degenbern.triangles import (
+    eulerian_degenerate,
+    falling_lambda,
+    log_weight,
+    stirling2_deg,
+    stirling2_deg_poly,
+    substituted,
+)
+from degenbern.verify import run_suite
 
 LAM = PolyLambda.lam()
 X = PolyXOverLambda.x()
@@ -209,6 +217,91 @@ class TestPolynomials:
                 want = lincomb((chain[j], gen_beta(n - j, p), comb(n, j)) for j in range(n + 1))
                 assert [(c._terms, c._den) for c in got.coeffs] == [(c._terms, c._den) for c in want.coeffs]
                 assert got.coeffs[-1] is PolyLambda.one()
+
+
+def stored(v):
+    """The numerators and denominator of each x-coefficient of v."""
+    return [(c._terms, c._den) for c in PolyXOverLambda.constant(v).coeffs]
+
+
+def remark_chain_form(rule, n, p, y=0, m=2):
+    """remark_sides' right side as one lincomb against the expanded chain w_j."""
+    polys = [gen_beta_poly(k, p) for k in range(n + 1)]
+    if rule in ("ratio", "shift"):
+        step = LAM * Fraction(1, m - 1) if rule == "ratio" else LAM * Fraction(1, m) - 1
+        base, ratio = X, m - 1
+    else:
+        base, ratio, step = Fraction(1 if rule == "difference" else y), 1, LAM
+    w = triangles._chain(base, n, step)
+    ks = range(n if rule == "difference" else n + 1)
+    return lincomb((polys[k], w[n - k], ratio ** (n - k) * comb(n, k)) for k in ks)
+
+
+class TestChainSums:
+    """Every chain sum the package runs by Horner (exactcore.falling_sum)
+    stores the same numerators and denominators as one lincomb against the
+    expanded chain."""
+
+    REMARK_CASES = (
+        [("addition", {"y": y}) for y in range(-2, 4)]
+        + [("difference", {})]
+        + [(rule, {"m": m}) for rule in ("ratio", "shift") for m in (2, 3, 4)]
+    )
+
+    @pytest.mark.parametrize(
+        "rule,index", REMARK_CASES, ids=[rule + "".join(f"-{k}={v}" for k, v in i.items()) for rule, i in REMARK_CASES]
+    )
+    def test_remark_rules(self, rule, index):
+        for n in range(21):
+            for p in range(3):
+                _, rhs = remark_sides(rule, n, p, **index)
+                assert stored(rhs) == stored(remark_chain_form(rule, n, p, **index))
+
+    def test_triangle_sums_against_the_expanded_weights(self):
+        for n in range(21):
+            for p in range(-1, 3):
+                weights = (Fraction(1, comb(p + k + 1, p + 1)) for k in range(n + 1))
+                want = lincomb((log_weight(k), stirling2_deg(n, k), w) for k, w in enumerate(weights))
+                assert stored(gen_beta_stirling_sum(n, p)) == stored(want)
+            for m in range(n + 1):
+                sign = (-1) ** (n - m)
+                want = lincomb((log_weight(k), stirling2_deg(n, k), sign * comb(n - k, m)) for k in range(n - m + 1))
+                assert stored(eulerian_degenerate(n, m)) == stored(want)
+
+
+def _step_off_by_l(terms, base, step):
+    return falling_sum(terms, base, step + LAM)
+
+
+def _carry_dropped(terms, base, step):
+    """The sum with the a x of its base dropped where a is neither 0 nor 1."""
+    a = base.coefficient(1).coefficient(0) if isinstance(base, PolyXOverLambda) else 0
+    return falling_sum(terms, base if a in (0, 1) else base - a * X, step)
+
+
+class TestArbiterCatchesAWrongKernel:
+    """A wrong Horner kernel in bernoulli fails the suite at run_suite's small
+    size (max_n 6, p 2, order 8): the routes that expand their chains catch
+    the ones that sum them by Horner.  A wrong step leaves Remark-mult-A
+    passing, since the argument-scaling rule holds for every step of the
+    chains (x)_{j,h} its polynomials and its weights share; a dropped carry
+    of (m-1) x is caught by it alone."""
+
+    @pytest.mark.parametrize(
+        "kernel,caught",
+        [
+            (_step_off_by_l, {"Eq23", "Prop8", "Remark-add", "Thm1", "Thm2", "Thm3-vs-GF", "Thm7-vs-Thm9"}),
+            (_carry_dropped, {"Remark-mult-A"}),
+        ],
+        ids=["step-off-by-l", "carry-dropped"],
+    )
+    def test_wrong_kernel_fails_the_suite(self, monkeypatch, kernel, caught):
+        small = dict(max_n=6, max_p=2, truncation=8)
+        clean = {str(r.identity_id): r.passed for r in run_suite(**small)}
+        monkeypatch.setattr(bernoulli, "falling_sum", kernel)
+        # away from the pristine memos, which hold the right kernel's sums
+        reports = _rebuilt(lambda: run_suite(**small))
+        assert {str(r.identity_id) for r in reports if r.passed != clean[str(r.identity_id)]} == caught
 
 
 def remark_holds(rule, n, p, **m):

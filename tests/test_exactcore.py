@@ -18,7 +18,7 @@ from degenbern.exactcore import (
     poly_divmod,
     poly_gcd,
 )
-from degenbern.triangles import log_weight
+from degenbern.triangles import _chain
 
 LAM = PolyLambda.lam()
 ONE = PolyLambda.one()
@@ -406,6 +406,11 @@ KERNEL_TERMS = st.lists(
 RINGS = (Fraction, PolyLambda, PolyXOverLambda)
 
 
+def widest(*values):
+    """The widest of the rings of values: a rational is in Fraction's."""
+    return max((type(v) if type(v) in RINGS else Fraction for v in values), key=RINGS.index, default=Fraction)
+
+
 def naive_sum(terms, ring=Fraction):
     """The add-multiply loop lincomb replaces, started from the zero of ring."""
     acc = ring(0) if ring is Fraction else ring.zero()
@@ -430,28 +435,21 @@ def canonical_form(v):
 class TestLincomb:
     """exactcore.lincomb against the add-multiply loop it replaces."""
 
-    @given(KERNEL_TERMS, st.sampled_from(RINGS))
+    @given(KERNEL_TERMS)
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_add_multiply_loop(self, terms, ring):
-        got, want = lincomb(terms, ring), naive_sum(terms, ring)
+    def test_matches_the_add_multiply_loop_in_the_widest_ring(self, terms):
+        got = lincomb(t for t in terms)
+        want = naive_sum(terms, widest(*[v for a, b, _ in terms for v in (a, b)]))
         assert got == want
         assert type(got) is type(want)
         canonical_form(got)
-
-    @given(KERNEL_TERMS)
-    @settings(max_examples=100, deadline=None)
-    def test_accepts_a_generator_and_keeps_the_ring_of_its_operands(self, terms):
-        got = lincomb(t for t in terms)
-        assert got == naive_sum(terms)
-        ranks = [RINGS.index(type(v)) if type(v) in RINGS else 0 for a, b, _ in terms for v in (a, b)]
-        assert type(got) is RINGS[max(ranks, default=0)]
 
     def test_rationals_give_a_fraction(self):
         got = lincomb([(1, 2, 3), (Fraction(1, 2), 4, -1)])
         assert type(got) is Fraction and got == 4
         assert type(lincomb([(1, 1, 0)])) is Fraction
         assert type(lincomb([])) is Fraction
-        assert lincomb([], PolyXOverLambda) == PolyXOverLambda.zero()
+        assert type(lincomb([(X, 1, 0)])) is PolyXOverLambda
 
     @pytest.mark.parametrize("bad", [(1.5, LAM, 1), (LAM, True, 1), (LAM, LAM, 0.5), (LAM, LAM, True), ("1", LAM, 1)])
     def test_float_bool_and_foreign_operands_refused(self, bad):
@@ -459,92 +457,117 @@ class TestLincomb:
             lincomb([bad])
 
 
-# falling_sum pairs: a rational or PolyLambda operand, zeros and denominators
-# other than 1 included, and an int or Fraction weight, zero included
+# falling_sum pairs: an operand of each ring, zeros and denominators other
+# than 1 included, and an int or Fraction weight, zero included
 FALLING_TERMS = st.lists(
     st.tuples(
-        st.one_of(KERNEL_SCALARS, KERNEL_PL),
+        st.one_of(KERNEL_SCALARS, KERNEL_PL, KERNEL_PX),
         st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**4)),
     ),
     max_size=9,
 )
 
 
+def linear(a, c0, c1):
+    """a x + c0 + c1 l in the narrowest ring that holds it."""
+    v = c0 + c1 * LAM if c1 else c0
+    return v + a * X if a else v
+
+
+# a chain's base and step, each a x + c0 + c1 l with small ints
+LINEAR = st.tuples(*[st.integers(-3, 3)] * 3).map(lambda f: linear(*f))
+
+
+def value_at(v, q, r):
+    """A falling_sum operand, base or step at x = q, l = r."""
+    if isinstance(v, PolyXOverLambda):
+        return v.evaluate(q).evaluate(r)
+    return v.evaluate(r) if isinstance(v, PolyLambda) else Fraction(v)
+
+
 class TestFallingSum:
-    """exactcore.falling_sum against lincomb over the expanded log_weight(k)."""
+    """exactcore.falling_sum, sum_k w_k b_k (base)_{k,step}, against a
+    Fraction sum at rational points, which shares none of its code, and
+    against lincomb over the expanded chain."""
 
-    @given(FALLING_TERMS)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_lincomb_against_the_expanded_weights(self, terms):
-        got = falling_sum(terms)
-        assert got == lincomb(((log_weight(k), b, w) for k, (b, w) in enumerate(terms)), PolyLambda)
-        assert type(got) is PolyLambda
-        canonical_form(got)
-
-    def test_empty_sum_and_shared_one(self):
-        assert falling_sum([]) == PolyLambda.zero() and type(falling_sum([])) is PolyLambda
-        assert falling_sum([(LAM, 0), (0, 5)]) == PolyLambda.zero()
-        assert falling_sum([(1, 1)]) is ONE and falling_sum([(ONE, 1), (0, 3)]) is ONE
-        assert falling_sum([(Fraction(1, 2), 2)]) == ONE
-        # 1 - 1 (l - 1) + 1/2 (l - 1)(l - 2) = (l^2 - 5 l + 6) / 2
-        assert falling_sum([(1, 1), (-1, 1), (ONE, Fraction(1, 2))]) == pl(3, Fraction(-5, 2), Fraction(1, 2))
-
-    @pytest.mark.parametrize("bad", [(1.5, 1), (True, 1), (LAM, 0.5), (LAM, True)])
-    def test_float_and_bool_operands_refused(self, bad):
-        with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
-            falling_sum([bad])
-
-    @pytest.mark.parametrize("in_x", [False, True], ids=["l", "x"])
-    def test_x_operand_refused(self, in_x):
-        with pytest.raises(TypeError, match="falling_sum operands must be rational or PolyLambda"):
-            falling_sum([(ONE, 1), (X, 1)], in_x=in_x)
-
-
-def value_at(b, r):
-    """A falling_sum operand at l = r."""
-    return b.evaluate(r) if isinstance(b, PolyLambda) else Fraction(b)
-
-
-class TestFallingSumInX:
-    """falling_sum(terms, in_x=True), sum_j w_j b_j (x)_{j,l}, against a
-    Fraction sum at rational points, which shares none of its code."""
-
-    @given(FALLING_TERMS, rationals, rationals)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_fraction_sum_at_rational_points(self, terms, q, r):
-        got = falling_sum(terms, in_x=True)
-        assert type(got) is PolyXOverLambda
+    @given(FALLING_TERMS, LINEAR, LINEAR, rationals, rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_fraction_sum_at_rational_points(self, terms, base, step, q, r):
+        got = falling_sum(terms, base, step)
+        assert type(got) is (PolyXOverLambda if widest(base, step, *[b for b, _ in terms]) is PolyXOverLambda else PolyLambda)
         canonical_form(got)
         want, chain = Fraction(0), Fraction(1)
-        for j, (b, w) in enumerate(terms):
-            want += w * value_at(b, r) * chain
-            chain *= q - j * r
-        assert got.evaluate(q).evaluate(r) == want
+        for k, (b, w) in enumerate(terms):
+            want += w * value_at(b, q, r) * chain
+            chain *= value_at(base, q, r) - k * value_at(step, q, r)
+        assert value_at(got, q, r) == want
 
-    def test_empty_and_zero_sums_are_the_zero_polynomial(self):
-        for terms in ([], [(LAM, 0), (1, 0)], [(0, 5), (PolyLambda.zero(), 1)]):
-            got = falling_sum(terms, in_x=True)
+    @given(FALLING_TERMS, LINEAR, LINEAR)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lincomb_against_the_expanded_chain(self, terms, base, step):
+        chain = _chain(base, len(terms), step)
+        assert falling_sum(terms, base, step) == lincomb((chain[k], b, w) for k, (b, w) in enumerate(terms))
+
+    def test_empty_sum_and_shared_one(self):
+        l1 = LAM - 1
+        assert falling_sum([], l1, 1) == PolyLambda.zero() and type(falling_sum([], l1, 1)) is PolyLambda
+        assert falling_sum([(LAM, 0), (0, 5)], l1, 1) == PolyLambda.zero()
+        assert falling_sum([(1, 1)], l1, 1) is ONE and falling_sum([(ONE, 1), (0, 3)], l1, 1) is ONE
+        assert falling_sum([(Fraction(1, 2), 2)], l1, 1) == ONE
+        # 1 - 1 (l - 1) + 1/2 (l - 1)(l - 2) = (l^2 - 5 l + 6) / 2
+        assert falling_sum([(1, 1), (-1, 1), (ONE, Fraction(1, 2))], l1, 1) == pl(3, Fraction(-5, 2), Fraction(1, 2))
+        # rationals against an int chain give a constant PolyLambda: 1 + 2 * 3 + 1/2 * 3 * 1
+        got = falling_sum([(1, 1), (2, 1), (1, Fraction(1, 2))], 3, 2)
+        assert type(got) is PolyLambda and got == Fraction(17, 2)
+
+    def test_empty_and_zero_sums_in_x_are_the_zero_polynomial(self):
+        for terms in ([], [(LAM, 0), (1, 0)], [(0, 5), (PolyLambda.zero(), 1)], [(X, 0), (PolyXOverLambda.zero(), 2)]):
+            got = falling_sum(terms, X, LAM)
             assert type(got) is PolyXOverLambda and got._terms == ()
 
     def test_a_coefficient_equal_to_one_is_the_shared_one(self):
-        assert falling_sum([(1, 1)], in_x=True)._terms[0] is ONE
+        assert falling_sum([(1, 1)], X, LAM)._terms[0] is ONE
         # the columns share the denominator 6, and the monic x^2 column is the shared one
-        got = falling_sum([(Fraction(1, 2), 1), (ONE, Fraction(1, 3)), (1, 1)], in_x=True)
+        got = falling_sum([(Fraction(1, 2), 1), (ONE, Fraction(1, 3)), (1, 1)], X, LAM)
         assert got == PolyXOverLambda((Fraction(1, 2), Fraction(1, 3) - LAM, 1))
         assert got._terms[2] is ONE
 
     def test_no_trailing_zero_x_column(self):
         # zero top terms leave x-degree 0
-        assert falling_sum([(LAM, 1), (LAM, 0), (0, 5)], in_x=True)._terms == (LAM,)
-        assert falling_sum([(1, 1), (LAM, 1), (PolyLambda.zero(), 4), (2, 0)], in_x=True).degree == 1
+        assert falling_sum([(LAM, 1), (LAM, 0), (0, 5)], X, LAM)._terms == (LAM,)
+        assert falling_sum([(1, 1), (LAM, 1), (PolyLambda.zero(), 4), (2, 0)], X, LAM).degree == 1
         # l x + x (x - l) = x^2: zero columns below the top stay, as zero
         zero = PolyLambda.zero()
-        assert falling_sum([(0, 1), (LAM, 1), (1, 1), (-1, 0)], in_x=True)._terms == (zero, zero, ONE)
+        assert falling_sum([(0, 1), (LAM, 1), (1, 1), (-1, 0)], X, LAM)._terms == (zero, zero, ONE)
+        # an x operand that cancels the chain's top: x^2 - x (x - l) = l x
+        assert falling_sum([(X * X, 1), (0, 1), (-1, 1)], X, LAM)._terms == (zero, LAM)
 
-    def test_small_sum_by_hand(self):
+    def test_small_sums_by_hand(self):
         # 1 + 2 x + 3 x (x - l) = 1 + (2 - 3 l) x + 3 x^2
-        got = falling_sum([(1, 1), (2, 1), (3, 1)], in_x=True)
-        assert got == PolyXOverLambda((1, PolyLambda((2, -3)), 3))
+        assert falling_sum([(1, 1), (2, 1), (3, 1)], X, LAM) == PolyXOverLambda((1, PolyLambda((2, -3)), 3))
+        # x + x (2 x + 1) = x + 2 x^2 + x, x operands against the chain of 2 x + 1 with step l - 1
+        assert falling_sum([(X, 1), (X, 1)], 2 * X + 1, LAM - 1) == PolyXOverLambda((0, 2, 2))
+        # a step in x: 1 + x + x (x - x) = 1 + x
+        assert falling_sum([(1, 1), (1, 1), (1, 1)], X, X) == PolyXOverLambda((1, 1))
+
+    @pytest.mark.parametrize("bad", [(1.5, 1), (True, 1), (LAM, 0.5), (LAM, True)])
+    def test_float_and_bool_operands_refused(self, bad):
+        with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
+            falling_sum([bad], LAM - 1, 1)
+
+    @pytest.mark.parametrize(
+        "base,step",
+        [(Fraction(1, 2), LAM), (LAM * Fraction(1, 2), 1), (LAM * LAM, 1), (X * X, LAM), (X * LAM, 1), (X, X * X)],
+        ids=["half", "half-l", "l-squared", "x-squared", "x-l", "x-squared-step"],
+    )
+    def test_base_and_step_must_be_int_linear(self, base, step):
+        with pytest.raises(ValueError, match="a chain's"):
+            falling_sum([(1, 1)], base, step)
+
+    @pytest.mark.parametrize("base,step", [(True, 1), (LAM, 1.0), ("x", 1)])
+    def test_float_bool_and_foreign_base_or_step_refused(self, base, step):
+        with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
+            falling_sum([(1, 1)], base, step)
 
 
 class TestCoefficientReads:

@@ -4,9 +4,9 @@ Every PolyLambda result is compared with sympy's, and its stored form is
 checked to be canonical: a positive denominator coprime to the content of
 the integer numerators, and no trailing zero.  The same holds for the fused
 kernel lincomb over Q[l] and Q[l][x], for the Horner sum falling_sum over
-Q[l] and, against the chains (x)_{j,l}, over Q[l][x], and for the monomial
-paths of poly_gcd and poly_divmod, which the Q(l) values of the rstirling
-route take.
+Q[l][x] against the chains of a x + c0 + c1 l with a step of that form, and
+for the monomial paths of poly_gcd and poly_divmod, which the Q(l) values of
+the rstirling route take.
 """
 
 from fractions import Fraction
@@ -185,34 +185,24 @@ def test_lincomb_agrees_with_sympy(terms):
 
 
 falling_terms = st.lists(
-    st.tuples(st.one_of(scalars_or_zero, kernel_pl), st.one_of(st.sampled_from([0, 1, -1]), scalars)),
+    st.tuples(st.one_of(scalars_or_zero, kernel_pl, kernel_px), st.one_of(st.sampled_from([0, 1, -1]), scalars)),
     max_size=8,
 )
+small = st.integers(-4, 4)
 
 
-@given(falling_terms)
+@given(falling_terms, small, small, small, small, small, small)
 @settings(max_examples=150, deadline=None)
-def test_falling_sum_agrees_with_sympy(terms):
-    got = falling_sum(terms)
-    want = sympy.Poly(0, L, domain=sympy.QQ)
-    for k, (b, w) in enumerate(terms):
-        # the weight (l-1)(l-2)...(l-k), built by sympy
-        weight = sympy.Poly(sympy.prod([L - i for i in range(1, k + 1)]), L, domain=sympy.QQ)
-        want += to_sympy(PolyLambda.one() * b) * weight * rational(Fraction(w))
-    agree(got, want)
-
-
-@given(falling_terms)
-@settings(max_examples=100, deadline=None)
-def test_falling_sum_in_x_agrees_with_sympy(terms):
-    got = falling_sum(terms, in_x=True)
+def test_falling_sum_agrees_with_sympy(terms, a, c0, c1, sa, s0, s1):
+    x, lam = PolyXOverLambda.x(), PolyLambda.lam()
+    got = falling_sum(terms, a * x + c0 + c1 * lam, sa * x + s0 + s1 * lam)
     want = sympy.Integer(0)
-    for j, (b, w) in enumerate(terms):
-        # the chain (x)_{j,l} = x (x - l)...(x - (j-1) l), built by sympy
-        chain = sympy.prod([X - i * L for i in range(j)])
-        want += to_sympy(PolyLambda.one() * b).as_expr() * chain * rational(Fraction(w))
-    want = sympy.Poly(want, X, L, domain=sympy.QQ)
+    for k, (b, w) in enumerate(terms):
+        # the chain (base)_{k,step}, built by sympy
+        chain = sympy.prod([a * X + c0 + c1 * L - i * (sa * X + s0 + s1 * L) for i in range(k)])
+        want += to_sympy_xl(b).as_expr() * chain * rational(Fraction(w))
+    assert to_sympy_xl(got) == sympy.Poly(want, X, L, domain=sympy.QQ)
     assert type(got) is PolyXOverLambda
-    assert len(got.coeffs) == (want.degree(X) + 1 if want else 0)
-    for i, c in enumerate(got.coeffs):
-        agree(c, sympy.Poly(want.as_expr().coeff(X, i), L, domain=sympy.QQ))
+    assert not got.coeffs or got.coeffs[-1]
+    for c in got.coeffs:
+        canonical(c)
