@@ -108,9 +108,7 @@ def carlitz_beta_gf(n: int, order: int | None = None) -> PolyLambda:
     The common factor t is cancelled first, so the division is by a unit
     series with constant term 1.
     """
-    _index(n=n)
-    if n < 0:
-        raise ValueError(_RANGE_ERROR)
+    _check_range(n, 0)
     return _carlitz_series(_series_order(n, order)).coefficient(n)
 
 
@@ -149,7 +147,7 @@ def gen_beta_stirling_sum(n: int, p: int) -> PolyLambda:
     """
     _check_range(n, p)
     terms = ((stirling2_deg(n, k), Fraction(1, comb(p + k + 1, p + 1))) for k in range(n + 1))
-    return falling_sum(terms, PolyLambda((-1, 1)), 1)  # the chain of l - 1 with step 1
+    return falling_sum(terms, (0, -1, 1), (1, 0))  # the chain of l - 1 with step 1
 
 
 @memoized
@@ -287,7 +285,7 @@ def gen_beta_poly(n: int, p: int) -> PolyXOverLambda:
     x = 0 is gen_beta(n,p).
     """
     _check_range(n, p)
-    return falling_sum(((gen_beta(n - j, p), comb(n, j)) for j in range(n + 1)), PolyXOverLambda.x(), PolyLambda.lam())
+    return falling_sum(((gen_beta(n - j, p), comb(n, j)) for j in range(n + 1)), (1, 0, 0), (0, 1))
 
 
 def gen_beta_poly_stirling(n: int, p: int) -> PolyXOverLambda:
@@ -364,11 +362,11 @@ def remark_sides(rule: str, n: int, p: int, y: int | None = None, m: int | None 
     polys = [gen_beta_poly(k, p) for k in range(n + 1)]
     if rule in ("ratio", "shift"):
         # (m-1)^j (x)_{j,l/(m-1)} = ((m-1)x)_{j,l} and (m-1)^j (x)_{j,l/m-1} = (m(m-1)x)_{j,(m-1)(l-m)} / m^j
-        a, step, scale = (m - 1, lam, 1) if rule == "ratio" else (m * (m - 1), (lam - m) * (m - 1), m)
-        lhs, base = polys[n].evaluate(x * m), x * a
+        base, step, scale = ((m - 1, 0, 0), (0, 1), 1) if rule == "ratio" else ((m * (m - 1), 0, 0), (-m * (m - 1), m - 1), m)
+        lhs = polys[n].evaluate(x * m)
     else:
         y = 1 if rule == "difference" else y
-        lhs, base, step, scale = polys[n].evaluate(x + y), y, lam, 1
+        lhs, base, step, scale = polys[n].evaluate(x + y), (0, y, 0), (0, 1), 1
     terms = [(polys[n - j], comb(n, j) if scale == 1 else Fraction(comb(n, j), scale**j)) for j in range(n + 1)]
     if rule == "difference":
         lhs = lhs - polys[n]

@@ -41,12 +41,12 @@ reducing every product and every partial sum.  Its result lives in the
 widest ring among its operands: rationals alone give a Fraction.
 
 falling_sum(terms, base, step) is the one kernel for a sum against a falling
-chain, sum_k w_k b_k (base)_{k,step} with base and step int linear in x and
-l: the triangle sums, gen_beta_poly and the remark rules.  It runs Horner in
-the factors base - k step on one int numerator column per power of x over
-one common denominator, O(n^2) coefficient products per column where the
-expanded chain takes O(n^3).  Its one-pass step, a (c0 + c1 l) + s b on int
-numerator lists (_step), builds every degenerate triangle row too.
+chain, sum_k w_k b_k (base)_{k,step} with base (a, c0, c1) = a x + c0 + c1 l
+and step (s0, s1) = s0 + s1 l in ints: the triangle sums, gen_beta_poly and
+the remark rules.  Horner in the factors base - k step on one int numerator
+column per power of x over one denominator takes O(n^2) coefficient products
+per column, the expanded chain O(n^3).  Its one-pass step, a (c0 + c1 l) + s b
+on int numerator lists (_step), builds every degenerate triangle row too.
 """
 
 from __future__ import annotations
@@ -613,7 +613,7 @@ class PolyXOverLambda:
     @classmethod
     def x(cls) -> "PolyXOverLambda":
         """The variable x itself."""
-        return cls((0, 1))
+        return _PX_X
 
     def evaluate(self, at):
         """Substitute for x.
@@ -650,6 +650,9 @@ class PolyXOverLambda:
     def derivative(self) -> "PolyXOverLambda":
         """Formal d/dx."""
         return PolyXOverLambda(c * j for j, c in enumerate(self.coeffs) if j > 0)
+
+
+_PX_X = PolyXOverLambda((0, 1))
 
 
 def _columns(v) -> tuple:
@@ -725,18 +728,12 @@ def _step(a, c0: int, c1: int, s: int, b) -> list:
 
 def falling_sum(terms, base, step):
     """sum_k w_k b_k (base)_{k,step} over the pairs (b_k, w_k) of terms, k = 0, 1, ..., with
-    (base)_{k,step} = base (base - step) ... (base - (k-1) step): b_k a rational, a PolyLambda
-    or a PolyXOverLambda, w_k an int or a Fraction, base and step a x + c0 + c1 l with int
-    coefficients (else ValueError).  A PolyXOverLambda if any of them is one, else a PolyLambda."""
-    f, rank = [0] * 6, 0  # c0, c1, a of the base, then of the step
-    for o, v in (0, base), (3, step):
-        r, cols = _columns(v)
-        rank = r if r > rank else rank
-        for j, t, d in cols:
-            if d != 1 or len(t) > 2 - j:
-                raise ValueError(f"a chain's base and step must be a x + c0 + c1 l with int coefficients, got {v!r}")
-            f[o + 2 * j : o + 2 * j + len(t)] = t
-    c0, c1, a, s0, s1, sa = f
+    (base)_{k,step} = base (base - step) ... (base - (k-1) step), base = (a, c0, c1) the ints of
+    a x + c0 + c1 l, step = (s0, s1) those of s0 + s1 l, b_k in Q, Q[l] or Q[l][x] and w_k an
+    int or a Fraction.  A PolyXOverLambda if a != 0 or some b_k is one, else a PolyLambda."""
+    (a, c0, c1), (s0, s1) = base, step
+    _index(a=a, c0=c0, c1=c1, s0=s0, s1=s1)
+    rank = 2 if a else 0
     cs = []
     for b, w in terms:
         r, cols = _columns(b)
@@ -747,12 +744,12 @@ def falling_sum(terms, base, step):
     den = lcm(*[d * wd for cols, _, wd in cs for _, _, d in cols])
     acc = [[]]  # acc[i]: numerators of the x^i coefficient
     for k, (cols, wn, wd) in reversed([*enumerate(cs)]):
-        fa, f0, f1 = a - k * sa, c0 - k * s0, c1 - k * s1
-        # column i of acc (fa x + f0 + f1 l) is acc[i] (f0 + f1 l) + fa acc[i-1]
-        if fa and acc[-1]:
+        f0, f1 = c0 - k * s0, c1 - k * s1
+        # column i of acc (a x + f0 + f1 l) is acc[i] (f0 + f1 l) + a acc[i-1]
+        if a and acc[-1]:
             acc.append(())
         if len(acc) > 1:
-            acc[1:] = [_step(u, f0, f1, fa, v) for u, v in zip(acc[1:], acc if fa else [()] * len(acc))]
+            acc[1:] = [_step(u, f0, f1, a, v) for u, v in zip(acc[1:], acc if a else [()] * len(acc))]
         # w_k b_k: its x^0 column joins column 0's pass, the others are added after
         _, t, d = cols[0] if cols and not cols[0][0] else (0, (), 1)
         acc[0] = _step(acc[0], f0, f1, wn * (den // (d * wd)), t)

@@ -367,7 +367,7 @@ def eulerian_degenerate(n: int, m: int) -> PolyLambda:
     """
     _check_triangle_indices(n, m)
     sign = -1 if (n - m) % 2 else 1
-    return falling_sum(((stirling2_deg(n, k), sign * comb(n - k, m)) for k in range(n - m + 1)), PolyLambda((-1, 1)), 1)
+    return falling_sum(((stirling2_deg(n, k), sign * comb(n - k, m)) for k in range(n - m + 1)), (0, -1, 1), (1, 0))
 
 
 def forward_difference(values, k: int):

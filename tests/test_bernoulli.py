@@ -270,13 +270,14 @@ class TestChainSums:
 
 
 def _step_off_by_l(terms, base, step):
-    return falling_sum(terms, base, step + LAM)
+    s0, s1 = step
+    return falling_sum(terms, base, (s0, s1 + 1))
 
 
 def _carry_dropped(terms, base, step):
     """The sum with the a x of its base dropped where a is neither 0 nor 1."""
-    a = base.coefficient(1).coefficient(0) if isinstance(base, PolyXOverLambda) else 0
-    return falling_sum(terms, base if a in (0, 1) else base - a * X, step)
+    a, c0, c1 = base
+    return falling_sum(terms, base if a in (0, 1) else (0, c0, c1), step)
 
 
 class TestArbiterCatchesAWrongKernel:

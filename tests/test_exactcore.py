@@ -474,12 +474,15 @@ def linear(a, c0, c1):
     return v + a * X if a else v
 
 
-# a chain's base and step, each a x + c0 + c1 l with small ints
-LINEAR = st.tuples(*[st.integers(-3, 3)] * 3).map(lambda f: linear(*f))
+# a chain's base (a, c0, c1) and step (s0, s1): the ints of a x + c0 + c1 l and s0 + s1 l
+BASES = st.tuples(*[st.integers(-3, 3)] * 3)
+STEPS = st.tuples(*[st.integers(-3, 3)] * 2)
+L_MINUS_1 = (0, -1, 1), (1, 0)  # the chain (l - 1)_{k,1} of the Q[l] sums
+X_BY_L = (1, 0, 0), (0, 1)  # the chain (x)_{k,l} of the polynomials
 
 
 def value_at(v, q, r):
-    """A falling_sum operand, base or step at x = q, l = r."""
+    """A falling_sum operand at x = q, l = r."""
     if isinstance(v, PolyXOverLambda):
         return v.evaluate(q).evaluate(r)
     return v.evaluate(r) if isinstance(v, PolyLambda) else Fraction(v)
@@ -490,83 +493,90 @@ class TestFallingSum:
     Fraction sum at rational points, which shares none of its code, and
     against lincomb over the expanded chain."""
 
-    @given(FALLING_TERMS, LINEAR, LINEAR, rationals, rationals)
+    @given(FALLING_TERMS, BASES, STEPS, rationals, rationals)
     @settings(max_examples=200, deadline=None)
     def test_matches_the_fraction_sum_at_rational_points(self, terms, base, step, q, r):
         got = falling_sum(terms, base, step)
-        assert type(got) is (PolyXOverLambda if widest(base, step, *[b for b, _ in terms]) is PolyXOverLambda else PolyLambda)
+        in_x = base[0] or any(isinstance(b, PolyXOverLambda) for b, _ in terms)
+        assert type(got) is (PolyXOverLambda if in_x else PolyLambda)
         canonical_form(got)
+        (a, c0, c1), (s0, s1) = base, step
         want, chain = Fraction(0), Fraction(1)
         for k, (b, w) in enumerate(terms):
             want += w * value_at(b, q, r) * chain
-            chain *= value_at(base, q, r) - k * value_at(step, q, r)
+            chain *= a * q + c0 + c1 * r - k * (s0 + s1 * r)
         assert value_at(got, q, r) == want
 
-    @given(FALLING_TERMS, LINEAR, LINEAR)
+    @given(FALLING_TERMS, BASES, STEPS)
     @settings(max_examples=100, deadline=None)
     def test_matches_lincomb_against_the_expanded_chain(self, terms, base, step):
-        chain = _chain(base, len(terms), step)
+        chain = _chain(linear(*base), len(terms), linear(0, *step))
         assert falling_sum(terms, base, step) == lincomb((chain[k], b, w) for k, (b, w) in enumerate(terms))
 
     def test_empty_sum_and_shared_one(self):
-        l1 = LAM - 1
-        assert falling_sum([], l1, 1) == PolyLambda.zero() and type(falling_sum([], l1, 1)) is PolyLambda
-        assert falling_sum([(LAM, 0), (0, 5)], l1, 1) == PolyLambda.zero()
-        assert falling_sum([(1, 1)], l1, 1) is ONE and falling_sum([(ONE, 1), (0, 3)], l1, 1) is ONE
-        assert falling_sum([(Fraction(1, 2), 2)], l1, 1) == ONE
+        assert falling_sum([], *L_MINUS_1) == PolyLambda.zero() and type(falling_sum([], *L_MINUS_1)) is PolyLambda
+        assert falling_sum([(LAM, 0), (0, 5)], *L_MINUS_1) == PolyLambda.zero()
+        assert falling_sum([(1, 1)], *L_MINUS_1) is ONE and falling_sum([(ONE, 1), (0, 3)], *L_MINUS_1) is ONE
+        assert falling_sum([(Fraction(1, 2), 2)], *L_MINUS_1) == ONE
         # 1 - 1 (l - 1) + 1/2 (l - 1)(l - 2) = (l^2 - 5 l + 6) / 2
-        assert falling_sum([(1, 1), (-1, 1), (ONE, Fraction(1, 2))], l1, 1) == pl(3, Fraction(-5, 2), Fraction(1, 2))
+        got = falling_sum([(1, 1), (-1, 1), (ONE, Fraction(1, 2))], *L_MINUS_1)
+        assert got == pl(3, Fraction(-5, 2), Fraction(1, 2))
         # rationals against an int chain give a constant PolyLambda: 1 + 2 * 3 + 1/2 * 3 * 1
-        got = falling_sum([(1, 1), (2, 1), (1, Fraction(1, 2))], 3, 2)
+        got = falling_sum([(1, 1), (2, 1), (1, Fraction(1, 2))], (0, 3, 0), (2, 0))
         assert type(got) is PolyLambda and got == Fraction(17, 2)
 
     def test_empty_and_zero_sums_in_x_are_the_zero_polynomial(self):
         for terms in ([], [(LAM, 0), (1, 0)], [(0, 5), (PolyLambda.zero(), 1)], [(X, 0), (PolyXOverLambda.zero(), 2)]):
-            got = falling_sum(terms, X, LAM)
+            got = falling_sum(terms, *X_BY_L)
             assert type(got) is PolyXOverLambda and got._terms == ()
 
     def test_a_coefficient_equal_to_one_is_the_shared_one(self):
-        assert falling_sum([(1, 1)], X, LAM)._terms[0] is ONE
+        assert falling_sum([(1, 1)], *X_BY_L)._terms[0] is ONE
         # the columns share the denominator 6, and the monic x^2 column is the shared one
-        got = falling_sum([(Fraction(1, 2), 1), (ONE, Fraction(1, 3)), (1, 1)], X, LAM)
+        got = falling_sum([(Fraction(1, 2), 1), (ONE, Fraction(1, 3)), (1, 1)], *X_BY_L)
         assert got == PolyXOverLambda((Fraction(1, 2), Fraction(1, 3) - LAM, 1))
         assert got._terms[2] is ONE
 
     def test_no_trailing_zero_x_column(self):
         # zero top terms leave x-degree 0
-        assert falling_sum([(LAM, 1), (LAM, 0), (0, 5)], X, LAM)._terms == (LAM,)
-        assert falling_sum([(1, 1), (LAM, 1), (PolyLambda.zero(), 4), (2, 0)], X, LAM).degree == 1
+        assert falling_sum([(LAM, 1), (LAM, 0), (0, 5)], *X_BY_L)._terms == (LAM,)
+        assert falling_sum([(1, 1), (LAM, 1), (PolyLambda.zero(), 4), (2, 0)], *X_BY_L).degree == 1
         # l x + x (x - l) = x^2: zero columns below the top stay, as zero
         zero = PolyLambda.zero()
-        assert falling_sum([(0, 1), (LAM, 1), (1, 1), (-1, 0)], X, LAM)._terms == (zero, zero, ONE)
+        assert falling_sum([(0, 1), (LAM, 1), (1, 1), (-1, 0)], *X_BY_L)._terms == (zero, zero, ONE)
         # an x operand that cancels the chain's top: x^2 - x (x - l) = l x
-        assert falling_sum([(X * X, 1), (0, 1), (-1, 1)], X, LAM)._terms == (zero, LAM)
+        assert falling_sum([(X * X, 1), (0, 1), (-1, 1)], *X_BY_L)._terms == (zero, LAM)
 
     def test_small_sums_by_hand(self):
         # 1 + 2 x + 3 x (x - l) = 1 + (2 - 3 l) x + 3 x^2
-        assert falling_sum([(1, 1), (2, 1), (3, 1)], X, LAM) == PolyXOverLambda((1, PolyLambda((2, -3)), 3))
+        assert falling_sum([(1, 1), (2, 1), (3, 1)], *X_BY_L) == PolyXOverLambda((1, PolyLambda((2, -3)), 3))
         # x + x (2 x + 1) = x + 2 x^2 + x, x operands against the chain of 2 x + 1 with step l - 1
-        assert falling_sum([(X, 1), (X, 1)], 2 * X + 1, LAM - 1) == PolyXOverLambda((0, 2, 2))
-        # a step in x: 1 + x + x (x - x) = 1 + x
-        assert falling_sum([(1, 1), (1, 1), (1, 1)], X, X) == PolyXOverLambda((1, 1))
+        assert falling_sum([(X, 1), (X, 1)], (2, 1, 0), (-1, 1)) == PolyXOverLambda((0, 2, 2))
 
     @pytest.mark.parametrize("bad", [(1.5, 1), (True, 1), (LAM, 0.5), (LAM, True)])
     def test_float_and_bool_operands_refused(self, bad):
         with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
-            falling_sum([bad], LAM - 1, 1)
+            falling_sum([bad], *L_MINUS_1)
 
     @pytest.mark.parametrize(
         "base,step",
-        [(Fraction(1, 2), LAM), (LAM * Fraction(1, 2), 1), (LAM * LAM, 1), (X * X, LAM), (X * LAM, 1), (X, X * X)],
-        ids=["half", "half-l", "l-squared", "x-squared", "x-l", "x-squared-step"],
+        [((0, 1.0, 1), (1, 0)), ((True, 0, 0), (0, 1)), ((1, 0, 0), (0, Fraction(1))), ((0, -1, 1), (False, 0))],
+        ids=["float", "bool", "fraction-step", "bool-step"],
     )
-    def test_base_and_step_must_be_int_linear(self, base, step):
-        with pytest.raises(ValueError, match="a chain's"):
+    def test_float_bool_and_fraction_entries_refused(self, base, step):
+        with pytest.raises(TypeError, match="must be int"):
             falling_sum([(1, 1)], base, step)
 
-    @pytest.mark.parametrize("base,step", [(True, 1), (LAM, 1.0), ("x", 1)])
-    def test_float_bool_and_foreign_base_or_step_refused(self, base, step):
-        with pytest.raises(TypeError, match="coefficient must be int or Fraction"):
+    @pytest.mark.parametrize(
+        "base,step", [((0, -1), (1, 0)), ((1, 0, 0, 0), (0, 1)), ((0, -1, 1), (1,)), ((1, 0, 0), (0, 1, 0))]
+    )
+    def test_a_tuple_of_the_wrong_length_refused(self, base, step):
+        with pytest.raises(ValueError, match="values to unpack"):
+            falling_sum([(1, 1)], base, step)
+
+    @pytest.mark.parametrize("base,step", [(LAM - 1, 1), (X, LAM), ((1, 0, 0), LAM), (3, 2)], ids=["l", "x", "step-l", "int"])
+    def test_a_ring_value_refused(self, base, step):
+        with pytest.raises(TypeError, match="cannot unpack"):
             falling_sum([(1, 1)], base, step)
 
 
@@ -634,6 +644,9 @@ class TestPolyXOverLambda:
             p.evaluate(X * X + 1)
         with pytest.raises(ValueError, match="x-degree 3"):
             p.evaluate(X * X * X * LAM)
+
+    def test_x_is_one_shared_constant(self):
+        assert PolyXOverLambda.x() is PolyXOverLambda.x() and PolyLambda.lam() is PolyLambda.lam()
 
     def test_derivative(self):
         p = X * X * X - X * LAM
