@@ -122,8 +122,8 @@ def _series_order(n: int, order: int | None) -> int:
 
 @memoized
 def _carlitz_series(order: int) -> TruncatedSeries:
-    em1 = degenerate_exp(1, order + 1) - TruncatedSeries.one(PolyLambda, order + 1)
-    return TruncatedSeries.one(PolyLambda, order).div(em1.divide_by_t())
+    em1 = degenerate_exp(1, order + 1) - TruncatedSeries.one(order + 1)
+    return TruncatedSeries.one(order).div(em1.divide_by_t())
 
 
 @memoized
@@ -167,7 +167,7 @@ def gen_beta_gf(n: int, p: int, order: int | None = None) -> PolyLambda:
 
 @memoized
 def _gen_beta_series(p: int, order: int) -> TruncatedSeries:
-    u = TruncatedSeries.one(PolyLambda, order) - degenerate_exp(1, order)
+    u = TruncatedSeries.one(order) - degenerate_exp(1, order)
     return gauss_2f1_formal(PolyLambda.one() - PolyLambda.lam(), 1, p + 2, u)
 
 
@@ -307,7 +307,7 @@ def gen_beta_poly_gf(n: int, p: int, order: int | None = None) -> PolyXOverLambd
 @memoized
 def _gen_beta_poly_series(p: int, order: int) -> TruncatedSeries:
     ex = degenerate_exp(PolyXOverLambda.x(), order)
-    return _gen_beta_series(p, order).lift_to_x().mul(ex)
+    return _gen_beta_series(p, order).mul(ex)
 
 
 def gen_beta_poly_derivative(n: int, p: int) -> PolyXOverLambda:

@@ -89,10 +89,10 @@ def _check_rational(at):
 
 
 def _index(**named):
-    """Refuse an index that is not a plain int: a bool, a float, a Fraction."""
+    """Refuse an index or a chain coefficient that is not a plain int: a bool, a float, a Fraction."""
     for name, v in named.items():
         if type(v) is not int:
-            raise TypeError(f"index {name} must be int, got {type(v).__name__}")
+            raise TypeError(f"{name} must be int, got {type(v).__name__}")
 
 
 def _lifter(own, inner, embed):

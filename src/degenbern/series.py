@@ -3,12 +3,13 @@
 A series of order N stores c_0..c_N where c_n = n! * [t^n] f(t), so that the
 product is the binomial convolution c_n(fg) = sum_i binom(n,i) c_i(f) c_{n-i}(g)
 and the coefficients of the degenerate exponential stay polynomial.
-Coefficients live in one of the exact rings from exactcore (PolyLambda or
-PolyXOverLambda); the ring is carried explicitly and mixed-ring arithmetic is
-refused.  All operations truncate to the smaller order of their operands, and
-mul, div and compose make one exactcore.lincomb call per coefficient.  The
-named series and the binomial_pow and gauss_2f1_formal weights are the
-memoized factorial chains of triangles.
+Coefficients live in one of the exact rings from exactcore, and a series' ring
+is the widest among them: PolyXOverLambda, with every coefficient lifted into
+it, if any coefficient is one, else PolyLambda; so mixing the two rings widens,
+as lincomb does.  All operations truncate to the smaller order of their
+operands, and mul, div and compose make one exactcore.lincomb call per
+coefficient.  The named series and the binomial_pow and gauss_2f1_formal
+weights are the memoized factorial chains of triangles.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda, _index, lincomb
+from .exactcore import PolyLambda, PolyXOverLambda, _index, lincomb
 from .triangles import _chain, memoized
 
 __all__ = [
@@ -26,16 +27,11 @@ __all__ = [
     "gauss_2f1_formal",
 ]
 
-_RINGS = (PolyLambda, PolyXOverLambda)
 
-
-def _ring_element(ring, v):
-    """v lifted into ring by its one lift: a value of another ring that does not lift is a
-    mismatch, and for any other the ring's constant raises TypeError."""
-    c = ring._lift(v)
-    if c is NotImplemented and isinstance(v, (*_RINGS, RationalFunctionLambda)):
-        raise ValueError("coefficient ring mismatch")
-    return ring.constant(v) if c is NotImplemented else c
+def _coefficient(v):
+    """v itself if a PolyLambda or PolyXOverLambda, else the PolyLambda constant:
+    TypeError for a float, a bool or a Q(l) value."""
+    return v if type(v) in (PolyLambda, PolyXOverLambda) else PolyLambda.constant(v)
 
 
 def _order(order) -> None:
@@ -45,9 +41,9 @@ def _order(order) -> None:
         raise ValueError(f"order must be nonnegative, got {order}")
 
 
-def _is_unit(ring, c):
-    """A nonzero rational constant of the ring; returns its value or None."""
-    if ring is PolyXOverLambda and c.degree == 0:
+def _is_unit(c):
+    """A nonzero rational constant; returns its value or None."""
+    if type(c) is PolyXOverLambda and c.degree == 0:
         c = c.coeffs[0]
     if isinstance(c, PolyLambda) and c.degree == 0:
         return Fraction(c.coeffs[0])
@@ -57,20 +53,22 @@ def _is_unit(ring, c):
 class TruncatedSeries:
     """Immutable truncated series; coeffs[n] is n! times the t^n coefficient."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, ring, coeffs):
-        if ring not in _RINGS:
-            raise ValueError(f"unsupported coefficient ring: {ring!r}")
-        self.ring = ring
-        self.coeffs = tuple(_ring_element(ring, c) for c in coeffs)
-        if not self.coeffs:
+    def __init__(self, coeffs):
+        coeffs = [_coefficient(c) for c in coeffs]
+        if not coeffs:
             raise ValueError("a truncated series needs at least the order-0 coefficient")
+        if len(set(map(type, coeffs))) > 1:  # both rings: lift every coefficient into Q[l][x]
+            coeffs = map(PolyXOverLambda.constant, coeffs)
+        self.coeffs = tuple(coeffs)
+
+    ring = property(lambda self: type(self.coeffs[0]), doc="The coefficients' ring, PolyLambda or PolyXOverLambda.")
 
     @classmethod
-    def one(cls, ring, order: int) -> "TruncatedSeries":
+    def one(cls, order: int) -> "TruncatedSeries":
         _order(order)
-        return cls(ring, [1] + [0] * order)
+        return cls([1] + [0] * order)
 
     @property
     def order(self) -> int:
@@ -87,17 +85,7 @@ class TruncatedSeries:
         _order(order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1])
-
-    def lift_to_x(self) -> "TruncatedSeries":
-        """Embed a PolyLambda-coefficient series into the PolyXOverLambda ring."""
-        if self.ring is PolyXOverLambda:
-            return self
-        return TruncatedSeries(PolyXOverLambda, self.coeffs)
-
-    def _check_ring(self, other: "TruncatedSeries"):
-        if self.ring is not other.ring:
-            raise ValueError("coefficient ring mismatch")
+        return TruncatedSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -108,14 +96,13 @@ class TruncatedSeries:
         return hash((self.ring, self.coeffs))
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, (-c for c in self.coeffs))
+        return TruncatedSeries(-c for c in self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_ring(other)
         n = min(self.order, other.order)
-        return TruncatedSeries(self.ring, (self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        return TruncatedSeries(self.coeffs[i] + other.coeffs[i] for i in range(n + 1))
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -124,16 +111,15 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply every coefficient by a ring element or rational."""
-        c = _ring_element(self.ring, c)
-        return TruncatedSeries(self.ring, (ci * c for ci in self.coeffs))
+        c = _coefficient(c)
+        return TruncatedSeries(ci * c for ci in self.coeffs)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Binomial-convolution product, truncated at the smaller order."""
         if not isinstance(other, TruncatedSeries):
             raise ValueError("series product needs two series; use scale for ring elements")
-        self._check_ring(other)
         a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(self.ring, [
+        return TruncatedSeries([
             lincomb((a[i], b[m - i], comb(m, i)) for i in range(m + 1))
             for m in range(min(self.order, other.order) + 1)
         ])
@@ -142,8 +128,7 @@ class TruncatedSeries:
 
     def div(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Quotient series; the divisor needs an invertible (rational) constant term."""
-        self._check_ring(other)
-        unit = _is_unit(self.ring, other.coeffs[0])
+        unit = _is_unit(other.coeffs[0])
         if unit is None:
             raise ValueError("series not invertible")
         inv = Fraction(1) / unit
@@ -153,7 +138,7 @@ class TruncatedSeries:
             # out_m = (a_m - sum_{i<m} binom(m, i) out_i b_{m-i}) / b_0
             terms = [(a[m], 1, inv)] + [(out[i], b[m - i], -comb(m, i) * inv) for i in range(m)]
             out.append(lincomb(terms))
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries(out)
 
     __truediv__ = div
 
@@ -163,14 +148,13 @@ class TruncatedSeries:
         Evaluated as the weighted sum of the truncated powers inner^k/k! in
         the exponential normalization, which are memoized per (inner, order).
         """
-        self._check_ring(inner)
         if inner.coeffs[0]:
             raise ValueError("composition requires zero constant term")
         n = min(self.order, inner.order)
         f = self.coeffs
         powers = _scaled_powers(inner, n)
         # inner^k/k! starts at t^k, so coefficient m sums over k <= m only
-        return TruncatedSeries(self.ring, [
+        return TruncatedSeries([
             lincomb((powers[k].coeffs[m], f[k], 1) for k in range(m + 1))
             for m in range(n + 1)
         ])
@@ -182,9 +166,7 @@ class TruncatedSeries:
         The weights binom(alpha, k) k! = alpha (alpha - 1) ... (alpha - k + 1)
         are the memoized falling chain of alpha, composed with self.
         """
-        if self.coeffs[0]:
-            raise ValueError("binomial power requires zero constant term")
-        return TruncatedSeries(self.ring, _chain(alpha, self.order)).compose(self)
+        return TruncatedSeries(_chain(alpha, self.order)).compose(self)
 
     def divide_by_t(self) -> "TruncatedSeries":
         """f/t for a series with zero constant term; drops the order by one."""
@@ -192,10 +174,7 @@ class TruncatedSeries:
             raise ValueError("cannot divide by t: nonzero constant term")
         if self.order < 1:
             raise ValueError("cannot divide by t: order 0")
-        return TruncatedSeries(
-            self.ring,
-            (self.coeffs[m + 1] * Fraction(1, m + 1) for m in range(self.order)),
-        )
+        return TruncatedSeries(self.coeffs[m + 1] * Fraction(1, m + 1) for m in range(self.order))
 
     def __repr__(self) -> str:
         name = self.ring.__name__
@@ -206,7 +185,7 @@ class TruncatedSeries:
 def _scaled_powers(inner: TruncatedSeries, order: int) -> tuple:
     """inner^k/k! for k = 0..order, with inner truncated to order."""
     inner = inner.truncate(order)
-    powers = [TruncatedSeries.one(inner.ring, order)]
+    powers = [TruncatedSeries.one(order)]
     for k in range(1, order + 1):
         powers.append(powers[-1].mul(inner).scale(Fraction(1, k)))
     return tuple(powers)
@@ -220,7 +199,7 @@ def degenerate_exp(x, order: int) -> TruncatedSeries:
     """
     _order(order)
     coeffs = _chain(x, order, PolyLambda.lam())
-    return TruncatedSeries(type(coeffs[0]), coeffs)
+    return TruncatedSeries(coeffs)
 
 
 def degenerate_log(order: int) -> TruncatedSeries:
@@ -228,7 +207,7 @@ def degenerate_log(order: int) -> TruncatedSeries:
     _index(order=order)
     if order < 1:
         raise ValueError("order must be at least 1 for the degenerate logarithm")
-    return TruncatedSeries(PolyLambda, (0,) + _chain(PolyLambda.lam() - 1, order - 1))
+    return TruncatedSeries((0,) + _chain(PolyLambda.lam() - 1, order - 1))
 
 
 def gauss_2f1_formal(a, b, c, u: TruncatedSeries) -> TruncatedSeries:
@@ -242,11 +221,9 @@ def gauss_2f1_formal(a, b, c, u: TruncatedSeries) -> TruncatedSeries:
     """
     if not isinstance(u, TruncatedSeries):
         raise TypeError(f"argument u must be a TruncatedSeries, got {type(u).__name__}")
-    if u.coeffs[0]:
-        raise ValueError("composition requires zero constant term")
     if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
         raise TypeError(f"lower parameter must be int or Fraction, got {type(c).__name__}")
     ra, rb, rc = (_chain(v, u.order, -1) for v in (a, b, c))
     if not rc[-1]:
         raise ValueError("invalid lower parameter")
-    return TruncatedSeries(u.ring, (ra[k] * rb[k] * (1 / rc[k]) for k in range(u.order + 1))).compose(u)
+    return TruncatedSeries(ra[k] * rb[k] * (1 / rc[k]) for k in range(u.order + 1)).compose(u)

@@ -342,18 +342,16 @@ def r_stirling2_classical(n: int, k: int, r: int) -> int:
 def eulerian_classical(n: int, m: int) -> int:
     """Classical Eulerian number: permutations of {1..n} with m descents.
 
-    Computed by the alternating sum sum_{j=0}^{m+1} (-1)^j binom(n+1,j)
-    (m+1-j)^n; the last term has base zero and vanishes, and is read as
-    zero here (so the n = 0 row is 1 rather than tripping over 0^0).
+    Computed by the alternating sum sum_{j=0}^{m} (-1)^j binom(n+1,j)
+    (m+1-j)^n.  The usual sum runs to j = m+1, whose term has base zero and
+    vanishes; stopping at j = m leaves it out, so no 0^0 arises (the n = 0
+    row is 1).
     """
     _index(m=m)
     _check_triangle_indices(n, m)
     total = 0
-    for j in range(m + 2):
-        base = m + 1 - j
-        if base == 0:
-            continue
-        total += (-1) ** j * comb(n + 1, j) * base**n
+    for j in range(m + 1):
+        total += (-1) ** j * comb(n + 1, j) * (m + 1 - j) ** n
     return total
 
 

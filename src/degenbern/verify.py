@@ -123,7 +123,7 @@ class _Bounds(NamedTuple):
 def _transform_side(which: str, p: int, order: int) -> TruncatedSeries:
     """gen_beta's 2F1 series after the Pfaff (Eq8) or Euler (Eq9) transformation."""
     lam = PolyLambda.lam()
-    one = TruncatedSeries.one(PolyLambda, order)
+    one = TruncatedSeries.one(order)
     u = one - degenerate_exp(1, order)
     if which == "pfaff":
         inner = gauss_2f1_formal(PolyLambda.one() - lam, p + 1, p + 2, u.div(u - one))
@@ -138,7 +138,7 @@ def _restricted_column(k: int, r: int, order: int) -> TruncatedSeries:
 
     The powers of e_l(t) - 1 come from the memo that compose shares with Eq8/Eq9.
     """
-    em1 = degenerate_exp(1, order) - TruncatedSeries.one(PolyLambda, order)
+    em1 = degenerate_exp(1, order) - TruncatedSeries.one(order)
     return _scaled_powers(em1, order)[k].mul(degenerate_exp(r, order))
 
 

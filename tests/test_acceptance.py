@@ -48,15 +48,15 @@ def test_criterion_01_exp_log_compositional_inverse_order_32_under_1s():
     started = time.perf_counter()
     composed = degenerate_exp(1, 32).compose(degenerate_log(32))
     elapsed = time.perf_counter() - started
-    expected = TruncatedSeries(PolyLambda, [1, 1] + [0] * 31)
+    expected = TruncatedSeries([1, 1] + [0] * 31)
     assert composed == expected
     assert elapsed < 1.0
 
 
 def test_criterion_02_carlitz_numbers_match_generating_function_to_24():
     order = 24
-    em1 = degenerate_exp(1, order + 1) - TruncatedSeries.one(PolyLambda, order + 1)
-    gf = TruncatedSeries.one(PolyLambda, order).div(em1.divide_by_t())
+    em1 = degenerate_exp(1, order + 1) - TruncatedSeries.one(order + 1)
+    gf = TruncatedSeries.one(order).div(em1.divide_by_t())
     for n in range(order + 1):
         assert gf.coefficient(n) == carlitz_beta(n)
 

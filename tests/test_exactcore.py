@@ -559,12 +559,18 @@ class TestFallingSum:
             falling_sum([bad], *L_MINUS_1)
 
     @pytest.mark.parametrize(
-        "base,step",
-        [((0, 1.0, 1), (1, 0)), ((True, 0, 0), (0, 1)), ((1, 0, 0), (0, Fraction(1))), ((0, -1, 1), (False, 0))],
+        "base,step,message",
+        [
+            ((0, 1.0, 1), (1, 0), "c0 must be int, got float"),
+            ((True, 0, 0), (0, 1), "a must be int, got bool"),
+            ((1, 0, 0), (0, Fraction(1)), "s1 must be int, got Fraction"),
+            ((0, -1, 1), (False, 0), "s0 must be int, got bool"),
+        ],
         ids=["float", "bool", "fraction-step", "bool-step"],
     )
-    def test_float_bool_and_fraction_entries_refused(self, base, step):
-        with pytest.raises(TypeError, match="must be int"):
+    def test_float_bool_and_fraction_entries_refused(self, base, step, message):
+        # a chain entry is named as itself, not as an index
+        with pytest.raises(TypeError, match=f"^{message}$"):
             falling_sum([(1, 1)], base, step)
 
     @pytest.mark.parametrize(

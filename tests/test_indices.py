@@ -80,7 +80,7 @@ ROUTES = [
     ("PolyXOverLambda.__pow__", lambda k: PolyXOverLambda.x() ** k, {"k": 2}, ("k",)),
     ("PolyLambda.coefficient", LAM.coefficient, {"i": 1}, ("i",)),
     ("PolyXOverLambda.coefficient", PolyXOverLambda.x().coefficient, {"i": 1}, ("i",)),
-    ("TruncatedSeries.one", lambda order: TruncatedSeries.one(PolyLambda, order), {"order": 2}, ("order",)),
+    ("TruncatedSeries.one", TruncatedSeries.one, {"order": 2}, ("order",)),
     ("TruncatedSeries.coefficient", SERIES.coefficient, {"n": 2}, ("n",)),
     ("TruncatedSeries.truncate", SERIES.truncate, {"order": 2}, ("order",)),
     ("degenerate_exp", lambda order: degenerate_exp(1, order), {"order": 2}, ("order",)),

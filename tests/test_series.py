@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenbern.exactcore import PolyLambda, PolyXOverLambda
+from degenbern.exactcore import PolyLambda, PolyXOverLambda, RationalFunctionLambda
 from degenbern.series import (
     TruncatedSeries,
     degenerate_exp,
@@ -20,7 +20,7 @@ LAM = PolyLambda.lam()
 
 
 def series(*coeffs):
-    return TruncatedSeries(PolyLambda, coeffs)
+    return TruncatedSeries(coeffs)
 
 
 def ordinary(f):
@@ -30,12 +30,12 @@ def ordinary(f):
 
 def from_ordinary(coeffs):
     """The PolyLambda series whose ordinary coefficients are coeffs."""
-    return TruncatedSeries(PolyLambda, (c * factorial(n) for n, c in enumerate(coeffs)))
+    return TruncatedSeries((c * factorial(n) for n, c in enumerate(coeffs)))
 
 
 small_series = st.lists(
     st.fractions(min_value=-20, max_value=20, max_denominator=6), min_size=1, max_size=6
-).map(lambda cs: TruncatedSeries(PolyLambda, cs))
+).map(lambda cs: TruncatedSeries(cs))
 
 
 class TestArithmetic:
@@ -50,7 +50,7 @@ class TestArithmetic:
     def test_exp_times_reciprocal_exp(self):
         n = 8
         prod = degenerate_exp(1, n).mul(degenerate_exp(-1, n))
-        assert prod == TruncatedSeries.one(PolyLambda, n)
+        assert prod == TruncatedSeries.one(n)
 
     def test_mul_truncates_to_smaller_order(self):
         assert series(1, 1).mul(series(1, 0, 0, 0)).order == 1
@@ -59,49 +59,36 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="use scale for ring elements"):
             series(1, 1).mul(2)
 
-    def test_ring_mismatch_rejected(self):
-        f = series(1, 1)
-        g = TruncatedSeries(PolyXOverLambda, [1, 1])
-        with pytest.raises(ValueError, match="coefficient ring mismatch"):
-            f.mul(g)
-
     def test_foreign_coefficient_is_a_type_error(self):
         with pytest.raises(TypeError, match="cannot lift float into PolyLambda"):
-            TruncatedSeries(PolyLambda, [1.5])
-        with pytest.raises(TypeError, match="cannot lift float into PolyXOverLambda"):
-            TruncatedSeries(PolyXOverLambda, [1, 0.5])
+            TruncatedSeries([1.5])
         with pytest.raises(TypeError, match="cannot lift float into PolyLambda"):
             series(1, 1).scale(1.5)
-        # a value of the other ring stays a ring mismatch
-        with pytest.raises(ValueError, match="coefficient ring mismatch"):
-            TruncatedSeries(PolyLambda, [PolyXOverLambda.x()])
-        with pytest.raises(ValueError, match="coefficient ring mismatch"):
-            series(1, 1).scale(PolyXOverLambda.x())
 
     def test_geometric_series_by_division(self):
         n = 6
-        one = TruncatedSeries.one(PolyLambda, n)
+        one = TruncatedSeries.one(n)
         denom = from_ordinary([1, -1] + [0] * (n - 1))
         geo = one.div(denom)
         assert geo.coeffs == tuple(PolyLambda.constant(factorial(k)) for k in range(n + 1))
 
     def test_division_round_trip(self):
         f = degenerate_log(7)
-        g = degenerate_exp(1, 7) - TruncatedSeries.one(PolyLambda, 7) + series(1, 0, 0, 0, 0, 0, 0, 0)
+        g = degenerate_exp(1, 7) - TruncatedSeries.one(7) + series(1, 0, 0, 0, 0, 0, 0, 0)
         assert f.mul(g).div(g) == f
 
     def test_f_over_f_is_one(self):
         f = degenerate_exp(1, 6)
-        assert f.div(f) == TruncatedSeries.one(PolyLambda, 6)
+        assert f.div(f) == TruncatedSeries.one(6)
 
     def test_non_unit_division_rejected(self):
         with pytest.raises(ValueError, match="series not invertible"):
             series(1, 1).div(series(0, 1))
         with pytest.raises(ValueError, match="series not invertible"):
-            series(1, 1).div(TruncatedSeries(PolyLambda, [LAM, LAM]))
+            series(1, 1).div(TruncatedSeries([LAM, LAM]))
 
     def test_divide_by_t_shifts(self):
-        em1 = degenerate_exp(1, 5) - TruncatedSeries.one(PolyLambda, 5)
+        em1 = degenerate_exp(1, 5) - TruncatedSeries.one(5)
         g = em1.divide_by_t()
         assert g.order == 4
         assert g.coefficient(0) == PolyLambda.one()
@@ -125,6 +112,84 @@ class TestArithmetic:
         assert from_ordinary(ordinary(f)) == f
 
 
+def lifted(f):
+    """f with every coefficient lifted into PolyXOverLambda by hand."""
+    return TruncatedSeries([PolyXOverLambda.constant(c) for c in f.coeffs])
+
+
+X = PolyXOverLambda.x()
+
+
+class TestRingFromCoefficients:
+    """A series' ring is the widest among its coefficients."""
+
+    ORDER = 5
+    F = degenerate_exp(LAM - 2, ORDER)  # Q[l], unit constant term
+    G = degenerate_exp(X, ORDER)  # Q[l][x], unit constant term
+    F0 = degenerate_exp(1, ORDER) - TruncatedSeries.one(ORDER)  # Q[l], zero constant term
+    G0 = G - TruncatedSeries.one(ORDER)  # Q[l][x], zero constant term
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f, g: f + g,
+            lambda f, g: g + f,
+            lambda f, g: f - g,
+            lambda f, g: f.mul(g),
+            lambda f, g: g.mul(f),
+            lambda f, g: f.div(g),
+            lambda f, g: g.div(f),
+        ],
+        ids=["add", "radd", "sub", "mul", "rmul", "div", "rdiv"],
+    )
+    def test_mixed_operation_widens_to_x(self, op):
+        got = op(self.F, self.G)
+        assert got == op(lifted(self.F), self.G)
+        assert got.ring is PolyXOverLambda
+        assert all(type(c) is PolyXOverLambda for c in got.coeffs)
+
+    @pytest.mark.parametrize("outer,inner", [("F", "G0"), ("G", "F0")], ids=["x-inner", "x-outer"])
+    def test_mixed_composition_widens_to_x(self, outer, inner):
+        f, g = getattr(self, outer), getattr(self, inner)
+        got = f.compose(g)
+        want = lifted(f).compose(g) if f.ring is PolyLambda else f.compose(lifted(g))
+        assert got == want
+        assert got.ring is PolyXOverLambda
+        assert all(type(c) is PolyXOverLambda for c in got.coeffs)
+
+    def test_mixed_coefficients_give_a_homogeneous_series(self):
+        f = TruncatedSeries([1, LAM, X, Fraction(1, 2)])
+        assert f.ring is PolyXOverLambda
+        assert f.coeffs == tuple(PolyXOverLambda.constant(c) for c in (1, LAM, X, Fraction(1, 2)))
+        assert all(type(c) is PolyXOverLambda for c in f.coeffs)
+
+    def test_rational_and_lambda_coefficients_give_a_lambda_series(self):
+        f = TruncatedSeries([1, Fraction(1, 2), LAM])
+        assert f.ring is PolyLambda
+        assert all(type(c) is PolyLambda for c in f.coeffs)
+        assert TruncatedSeries.one(3).ring is PolyLambda
+
+    def test_scale_by_x_widens(self):
+        got = self.F.scale(X)
+        assert got == lifted(self.F).scale(X)
+        assert got.ring is PolyXOverLambda
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1, 0.5], [1, True], [X, 0.5], [X, False], [1, RationalFunctionLambda.one()], [X, RationalFunctionLambda.one()]],
+        ids=["float", "bool", "float-beside-x", "bool-beside-x", "q-l", "q-l-beside-x"],
+    )
+    def test_float_bool_or_q_l_coefficient_refused(self, coeffs):
+        with pytest.raises(TypeError):
+            TruncatedSeries(coeffs)
+
+    @pytest.mark.parametrize("c", [0.5, True, RationalFunctionLambda.one()], ids=["float", "bool", "q-l"])
+    def test_float_bool_or_q_l_scale_factor_refused(self, c):
+        for f in (self.F, self.G):
+            with pytest.raises(TypeError):
+                f.scale(c)
+
+
 class TestCompose:
     def test_identity_outer(self):
         g = degenerate_log(6)
@@ -134,13 +199,13 @@ class TestCompose:
     def test_exp_log_inverse(self):
         n = 12
         h = degenerate_exp(1, n).compose(degenerate_log(n))
-        expected = TruncatedSeries(PolyLambda, [1, 1] + [0] * (n - 1))
+        expected = TruncatedSeries([1, 1] + [0] * (n - 1))
         assert h == expected
 
     def test_log_exp_inverse(self):
         n = 10
-        em1 = degenerate_exp(1, n) - TruncatedSeries.one(PolyLambda, n)
-        assert degenerate_log(n).compose(em1) == TruncatedSeries(PolyLambda, [0, 1] + [0] * (n - 1))
+        em1 = degenerate_exp(1, n) - TruncatedSeries.one(n)
+        assert degenerate_log(n).compose(em1) == TruncatedSeries([0, 1] + [0] * (n - 1))
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(ValueError, match="composition requires zero constant term"):
@@ -171,17 +236,17 @@ class TestCompose:
 class TestBinomialPow:
     def test_zeroth_power(self):
         u = series(0, 1, 0, 0, 0, 0)
-        assert u.binomial_pow(Fraction(0)) == TruncatedSeries.one(PolyLambda, 5)
+        assert u.binomial_pow(Fraction(0)) == TruncatedSeries.one(5)
 
     def test_integer_power_matches_mul(self):
         u = series(0, 1, 0, 0, 0, 0)
-        one_plus = TruncatedSeries.one(PolyLambda, 5) + u
+        one_plus = TruncatedSeries.one(5) + u
         assert u.binomial_pow(Fraction(2)) == one_plus.mul(one_plus)
 
     def test_lambda_exponent_gives_shifted_exp(self):
         """(1 + (e_l - 1))^(l-1) has coefficients (l-1)_{n,l}."""
         n = 8
-        em1 = degenerate_exp(1, n) - TruncatedSeries.one(PolyLambda, n)
+        em1 = degenerate_exp(1, n) - TruncatedSeries.one(n)
         f = em1.binomial_pow(LAM - 1)
         for k in range(n + 1):
             assert f.coefficient(k) == falling_lambda(LAM - 1, k)
@@ -193,7 +258,7 @@ class TestBinomialPow:
 
 def binomial_pow_by_terms(u, alpha):
     """sum_k binom(alpha, k) u^k by the running term t_k = t_{k-1} u (alpha - k + 1) / k."""
-    acc = term = TruncatedSeries.one(u.ring, u.order)
+    acc = term = TruncatedSeries.one(u.order)
     for k in range(1, u.order + 1):
         term = term.mul(u).scale(alpha - (k - 1)).scale(Fraction(1, k))
         acc = acc + term
@@ -202,7 +267,7 @@ def binomial_pow_by_terms(u, alpha):
 
 def gauss_2f1_by_terms(a, b, c, u):
     """sum_k <a>_k <b>_k / <c>_k u^k / k! by the running term, ratio (a+k-1)(b+k-1)/(k(c+k-1))."""
-    acc = term = TruncatedSeries.one(u.ring, u.order)
+    acc = term = TruncatedSeries.one(u.order)
     for k in range(1, u.order + 1):
         term = term.mul(u).scale(a + (k - 1)).scale(b + (k - 1))
         term = term.scale(Fraction(1, k) / (c + k - 1))
@@ -215,10 +280,9 @@ class TestWeightedPowerSums:
 
     @staticmethod
     def arguments(order):
-        u = degenerate_exp(1, order) - TruncatedSeries.one(PolyLambda, order)
-        one_x = TruncatedSeries.one(PolyXOverLambda, order)
-        ux = degenerate_exp(PolyXOverLambda.x(), order) - one_x
-        return [u, -u, u.div(u - TruncatedSeries.one(PolyLambda, order)), ux]
+        u = degenerate_exp(1, order) - TruncatedSeries.one(order)
+        ux = degenerate_exp(PolyXOverLambda.x(), order) - TruncatedSeries.one(order)
+        return [u, -u, u.div(u - TruncatedSeries.one(order)), ux]
 
     @pytest.mark.parametrize("alpha", [Fraction(-3, 2), Fraction(4), LAM - 1, -LAM - 2])
     def test_binomial_pow(self, alpha):
@@ -284,7 +348,7 @@ class TestNamedSeries:
 
     def test_2f1_zero_argument(self):
         u = series(0, 0, 0, 0, 0, 0, 0)
-        assert gauss_2f1_formal(LAM, 1, 3, u) == TruncatedSeries.one(PolyLambda, 6)
+        assert gauss_2f1_formal(LAM, 1, 3, u) == TruncatedSeries.one(6)
 
     def test_2f1_geometric_case(self):
         """2F1(1,1;1;t) would need c=1; 2F1(1,b;b;t) = 1/(1-t) for any b."""
@@ -294,7 +358,7 @@ class TestNamedSeries:
 
     def test_2f1_nonzero_constant_rejected(self):
         with pytest.raises(ValueError, match="composition requires zero constant term"):
-            gauss_2f1_formal(1, 1, 2, TruncatedSeries.one(PolyLambda, 4))
+            gauss_2f1_formal(1, 1, 2, TruncatedSeries.one(4))
 
     @pytest.mark.parametrize("u", [-1, 0, PolyLambda.lam(), None], ids=["int", "zero", "poly", "none"])
     def test_2f1_refuses_a_non_series_argument(self, u):
@@ -320,7 +384,7 @@ class TestNamedSeries:
         ids=["c-float", "c-half-float", "a-bool", "c-bool", "a-float", "alpha-bool", "alpha-float"],
     )
     def test_float_or_bool_parameter_refused(self, call):
-        u = degenerate_exp(1, 4) - TruncatedSeries.one(PolyLambda, 4)
+        u = degenerate_exp(1, 4) - TruncatedSeries.one(4)
         with pytest.raises(TypeError):
             call(u)
 
@@ -331,7 +395,7 @@ class TestNamedSeries:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: TruncatedSeries.one(PolyLambda, -1),
+            lambda: TruncatedSeries.one(-1),
             lambda: series(1, 1).truncate(-1),
             lambda: degenerate_exp(1, -1),
         ],
@@ -344,8 +408,3 @@ class TestNamedSeries:
     def test_truncate_cannot_extend(self):
         with pytest.raises(ValueError, match="cannot extend"):
             series(1, 1).truncate(5)
-
-    def test_lift_to_x(self):
-        f = degenerate_exp(1, 4).lift_to_x()
-        assert f.ring is PolyXOverLambda
-        assert f.coefficient(2) == PolyXOverLambda.constant((1 - LAM))

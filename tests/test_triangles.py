@@ -270,8 +270,8 @@ class TestDegenerateStirling:
 
     def test_stirling2_generating_function(self):
         n_max = 16
-        em1 = degenerate_exp(1, n_max) - TruncatedSeries.one(PolyLambda, n_max)
-        power = TruncatedSeries.one(PolyLambda, n_max)
+        em1 = degenerate_exp(1, n_max) - TruncatedSeries.one(n_max)
+        power = TruncatedSeries.one(n_max)
         for k in range(n_max + 1):
             if k:
                 power = power.mul(em1).scale(Fraction(1, k))
@@ -283,7 +283,7 @@ class TestDegenerateStirling:
     def test_stirling1_generating_function(self):
         n_max = 16
         lg = degenerate_log(n_max)
-        power = TruncatedSeries.one(PolyLambda, n_max)
+        power = TruncatedSeries.one(n_max)
         for k in range(n_max + 1):
             if k:
                 power = power.mul(lg).scale(Fraction(1, k))
@@ -399,9 +399,9 @@ class TestPolynomialAndRestricted:
     def test_generating_function_with_x_weight(self):
         n_max = 10
         r = 2
-        em1 = degenerate_exp(1, n_max) - TruncatedSeries.one(PolyLambda, n_max)
+        em1 = degenerate_exp(1, n_max) - TruncatedSeries.one(n_max)
         shift = degenerate_exp(Fraction(r), n_max)
-        power = TruncatedSeries.one(PolyLambda, n_max)
+        power = TruncatedSeries.one(n_max)
         for k in range(n_max + 1):
             if k:
                 power = power.mul(em1).scale(Fraction(1, k))

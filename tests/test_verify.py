@@ -391,12 +391,12 @@ def _bumped(value, path):
     if isinstance(value, tuple):
         return value[:i] + (_bumped(value[i], rest),) + value[i + 1 :]
     c = value.coeffs
-    return TruncatedSeries(value.ring, c[:i] + (_bumped(c[i], rest),) + c[i + 1 :])
+    return TruncatedSeries(c[:i] + (_bumped(c[i], rest),) + c[i + 1 :])
 
 
 _ORDER = SMALL["truncation"]
 _ONE = PolyLambda.one()
-_E_MINUS_ONE = degenerate_exp(1, _ORDER) - TruncatedSeries.one(PolyLambda, _ORDER)
+_E_MINUS_ONE = degenerate_exp(1, _ORDER) - TruncatedSeries.one(_ORDER)
 
 # One substituted entry per memoized builder (for a tuple or a series one
 # element, at the path given) and the identities whose verdict on
