@@ -10,7 +10,7 @@ Every quantity here is reachable by several genuinely independent routes:
   gen_beta_integral       termwise Beta-function integration of the integral
                           representation, using forward differences of
                           falling factorials instead of the Stirling triangle
-  gen_beta_rstirling      double sum over restricted second-kind entries,
+  gen_beta_rstirling      double sum over the r-Stirling rows at r = p,
                           carried out in Q(l) and normalized afterwards
 
 and likewise for the polynomials in x.  Every sum against a falling chain
@@ -20,7 +20,7 @@ gen_beta_eulerian) run Horner in the factors l - k (exactcore.falling_sum),
 while gen_beta_integral, gen_beta_poly_stirling and the suite's Thm2 and
 Eq30 multiply by the expanded log_weight(k).  The chains in x: gen_beta_poly
 and the remark rules run the same Horner kernel, while gen_beta_poly_gf,
-gen_beta_poly_stirling and _poly_entry expand theirs, and Thm7-vs-Thm9
+gen_beta_poly_stirling and stirling2_deg_poly expand theirs, and Thm7-vs-Thm9
 compares the two.  Route agreement is exercised by the verification suite;
 the functions themselves do not cross-check, and remark_sides only builds
 both sides of the argument-shift rules, which the Remark-* identities compare.
@@ -59,6 +59,7 @@ from .triangles import (
     log_weight,
     memoized,
     r_stirling2_classical,
+    r_stirling2_deg,
     stirling2_deg,
     stirling2_deg_poly,
 )
@@ -214,9 +215,9 @@ def gen_beta_rstirling(n: int, p: int) -> RationalFunctionLambda:
     """Restricted-Stirling route, evaluated in Q(l) without pre-cancellation.
 
     (p+1)/<1>_{p+1,1/l} * sum_m sum_k binom(n,m) (-l)^k/(p+k+1)
-    <1>_{p+k+1,1/l} S_(m,k|p) (l)_{n-m,l}, where S_(m,k|p) is the polynomial
-    second-kind entry at x = p (the restricted triangle for p >= 1, the plain
-    one at p = 0).  The (l)_{n-m,l} factor vanishes for n-m >= 2, so only the
+    <1>_{p+k+1,1/l} S_(m,k|p) (l)_{n-m,l}, where S_(m,k|p) is the degenerate
+    p-Stirling number r_stirling2_deg(m, k, p) (the plain second kind at
+    p = 0).  The (l)_{n-m,l} factor vanishes for n-m >= 2, so only the
     top two m survive; the result always normalizes to the polynomial
     gen_beta(n,p).  Defined for n >= 1; p = 0 is an extension of the
     published p >= 1 domain that the test suite confirms.
@@ -231,9 +232,7 @@ def gen_beta_rstirling(n: int, p: int) -> RationalFunctionLambda:
             continue
         b = comb(n, m)
         for k in range(m + 1):
-            table = stirling2_deg_poly(m, k, x=Fraction(p))
-            if not table:
-                continue
+            table = r_stirling2_deg(m, k, p)
             term = _shifted_rising(p + k + 1) * ((-lam) ** k) * Fraction(b, p + k + 1)
             acc = acc + term * table * w
     return pref * acc
@@ -252,7 +251,7 @@ def gen_beta_rstirling_simplified(n: int, p: int) -> PolyLambda:
     for m in (n - 1, n):
         w = falling_factorial(lam, n - m, step=lam)
         for k in range(m + 1):
-            table = stirling2_deg_poly(m, k, x=Fraction(p)) * w
+            table = r_stirling2_deg(m, k, p) * w
             c = Fraction((-1) ** k * comb(n, m) * (p + 1), p + k + 1)
             terms.append((rising[k], table, c))
     return lincomb(terms)

@@ -56,7 +56,8 @@ def _eulerian_entry(n: int, k: int) -> PolyLambda:
 
 # family -> (name of its entry function in this module, indexed by (n, k)
 # rather than n, CliConfig fields it takes after the index, whether it sweeps:
-# entry n reads no triangle row below n).  The name is looked up at each call,
+# entry n reads no triangle row below n, as in every family but stirling2-poly,
+# whose entries sum over every lower row).  The name is looked up at each call,
 # so a rebound module name (a tracer's wrapper) is seen.
 _FAMILY_TABLE = {
     "beta": ("carlitz_beta", False, (), True),
@@ -65,7 +66,7 @@ _FAMILY_TABLE = {
     "stirling1": ("stirling1_deg", True, (), True),
     "stirling2": ("stirling2_deg", True, (), True),
     "stirling2-poly": ("stirling2_deg_poly", True, (), False),
-    "r-stirling2": ("r_stirling2_deg", True, ("r",), False),
+    "r-stirling2": ("r_stirling2_deg", True, ("r",), True),
     "eulerian": ("_eulerian_entry", True, (), True),
     "eulerian-deg": ("eulerian_degenerate", True, (), True),
 }

@@ -10,19 +10,21 @@ ordinary falling factorials (x)_k = x(x-1)...(x-k+1) and the degenerate ones
 Multiplying (x)_{m-1,l} by x - (m-1)l, and (x)_{m-1} by x - (m-1), turns these
 relations into the row recurrence T(m,k) = w T(m-1,k) + T(m-1,k-1), with
 w = k - (m-1)l for the second kind and w = kl - (m-1) for the first; at l = 0
-it is the classical recurrence.  That one recurrence builds all four Stirling
-triangles here: the degenerate ones by one exactcore._step per entry on int
-numerators, the classical ones by a loop of their own on plain ints.  The basis
-relations themselves, the generating functions and finite differences serve
-as independent routes in the test and verification layers.  All degenerate
-entries are PolyLambda with integer coefficients; classical entries are plain
-ints.  eulerian_degenerate sums its row against the weights (l-1)...(l-k) by
-Horner (exactcore.falling_sum); log_weight keeps the expanded weights for the
-routes that multiply by them.  memoized keeps the rows, the factorial chains,
-log_weight, eulerian_degenerate and stirling2_deg_poly, each built once; the
-CLI's table sweeps drop the pristine rows they have built on (_drop_rows_below).
-Inside substituted(builder, args, value) one entry of any memoized builder
-answers value and every memo is the substitution's own, so a corrupted entry
+it is the classical recurrence.  Starting from (x+r)_{m-1,l} gives the weight
+k + r - (m-1)l of the r-Stirling numbers.  That one recurrence builds all four Stirling
+triangles and their r-Stirling rows here: the degenerate ones by one
+exactcore._step per entry on int numerators, the classical ones by a loop of
+their own on plain ints.  The basis relations themselves, the generating
+functions and finite differences serve as independent routes in the test and
+verification layers.  All degenerate entries are PolyLambda with integer
+coefficients; classical entries are plain ints.  eulerian_degenerate sums its
+row against the weights (l-1)...(l-k) by Horner (exactcore.falling_sum);
+log_weight keeps the expanded weights for the routes that multiply by them.
+memoized keeps the rows, the factorial chains, log_weight, eulerian_degenerate
+and stirling2_deg_poly, each built once; the CLI's table sweeps drop the
+pristine rows they have built on (_drop_rows_below).  Inside
+substituted(builder, args, value) one entry of any memoized builder answers
+value and every memo is the substitution's own, so a corrupted entry
 never reaches a pristine memo.
 """
 
@@ -263,8 +265,8 @@ def stirling2_deg(n: int, k: int) -> PolyLambda:
 
     Coefficient of (x)_k when (x)_{n,l} is written in the ordinary falling
     factorial basis.  Reduces to the classical count of set partitions at
-    l = 0.  Every route reads its second-kind entries through here, from
-    the rows of _row, so a substituted row reaches all of them.
+    l = 0.  Every route reads its second-kind entries from the rows of _row,
+    through here or r_stirling2_deg, so a substituted row reaches all of them.
     """
     _check_triangle_indices(n, k)
     return _row(n, 0, False, PolyLambda.lam())[k]
@@ -297,38 +299,28 @@ def stirling1_classical(n: int, k: int) -> int:
     return _classical_entry(n, k, 0, True)
 
 
-def stirling2_deg_poly(n: int, k: int, x=None):
+@memoized
+def stirling2_deg_poly(n: int, k: int) -> PolyXOverLambda:
     """Polynomial extension sum_l binom(n,l) stirling2_deg(l,k) (x)_{n-l,l}.
 
-    With x omitted the result is symbolic in x (PolyXOverLambda); a rational
-    or PolyLambda x gives a PolyLambda.  At x = 0 this collapses to
-    stirling2_deg(n, k).  The memo keys x by its type as well as its value:
-    2, 2.0, True and a constant PolyXOverLambda hash alike and must not share
-    an entry.
+    Symbolic in x; .evaluate(r) at an int r >= 0 is r_stirling2_deg(n, k, r).
     """
-    if x is not None and (isinstance(x, bool) or not isinstance(x, _OPERANDS)):
-        raise TypeError(f"x must be int, Fraction, PolyLambda or PolyXOverLambda, got {type(x).__name__}")
-    return _poly_entry(n, k, type(x), x)
-
-
-@memoized
-def _poly_entry(n: int, k: int, x_type, x):
     _check_triangle_indices(n, k)
-    w = _chain(PolyXOverLambda.x() if x is None else x, n - k, PolyLambda.lam())
+    w = _chain(PolyXOverLambda.x(), n - k, PolyLambda.lam())
     return lincomb((w[n - l], stirling2_deg(l, k), comb(n, l)) for l in range(k, n + 1))
 
 
 def r_stirling2_deg(n: int, k: int, r: int) -> PolyLambda:
-    """Degenerate r-Stirling number of the second kind.
+    """Degenerate r-Stirling number of the second kind, for integer r >= 0.
 
-    The polynomial extension evaluated at x = r for integer r >= 1; at l = 0
-    it counts partitions in which r distinguished elements stay in distinct
-    blocks.
+    Row n of _row at r, with weight k + r - (m-1) l; r = 0 is stirling2_deg.
+    At l = 0 it counts partitions keeping r distinguished elements apart.
     """
     _index(r=r)
-    if r < 1:
-        raise ValueError("restriction parameter r must be a positive integer")
-    return stirling2_deg_poly(n, k, x=Fraction(r))
+    if r < 0:
+        raise ValueError("restriction parameter r must be a nonnegative integer")
+    _check_triangle_indices(n, k)
+    return _row(n, r, False, PolyLambda.lam())[k]
 
 
 def r_stirling2_classical(n: int, k: int, r: int) -> int:

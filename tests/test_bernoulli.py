@@ -364,9 +364,8 @@ class TestMemoIsolation:
     @pytest.fixture(autouse=True)
     def cold_pristine_memo(self):
         # each order below must start from an empty pristine memo; carlitz_beta
-        # is gen_beta at p = 0 and shares its memo, and stirling2_deg_poly's
-        # memo is the one of triangles._poly_entry
-        for memo in (gen_beta, gen_beta_poly, eulerian_degenerate, triangles._poly_entry):
+        # is gen_beta at p = 0 and shares its memo
+        for memo in (gen_beta, gen_beta_poly, eulerian_degenerate, stirling2_deg_poly):
             memo.pristine.clear()
 
     @pytest.mark.parametrize("pristine_first", [True, False], ids=["pristine-first", "table-first"])

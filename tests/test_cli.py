@@ -137,6 +137,13 @@ class TestCompute:
         assert code == EXIT_OK
         assert json.loads(out)["parameters"] == {"r": 2}
 
+    def test_restricted_family_at_r_zero_is_the_second_kind_table(self, capsys):
+        code, restricted, _ = run(capsys, "compute", "r-stirling2", "--max-n", "30", "--r", "0", "--format", "csv")
+        assert code == EXIT_OK
+        code, plain, _ = run(capsys, "compute", "stirling2", "--max-n", "30", "--format", "csv")
+        assert code == EXIT_OK
+        assert restricted == plain
+
     def test_evaluated_json_uses_single_coefficient(self, capsys):
         code, out, _ = run(
             capsys, "compute", "beta", "--max-n", "1", "--lambda", "1/2", "--format", "json"
@@ -257,8 +264,9 @@ class TestSweep:
         assert len(steps) == sum(m + 1 for m in range(1, 45))
         assert sorted(cold_rows) == [(43, 0, False, LAM), (44, 0, False, LAM)]
 
-    @pytest.mark.parametrize("family", ["stirling2-poly", "r-stirling2"])
+    @pytest.mark.parametrize("family", ["stirling2-poly"])
     def test_extension_keeps_every_row(self, capsys, cold_rows, family):
+        triangles.stirling2_deg_poly.pristine.clear()  # a warm entry reads no row
         assert main(["compute", family, "--max-n", "6"]) == EXIT_OK
         capsys.readouterr()
         assert sorted(cold_rows) == [(n, 0, False, LAM) for n in range(7)]
@@ -524,7 +532,7 @@ class TestConfigAndErrors:
         "argv,message",
         [
             (["gen-beta", "--p", "-2"], "parameter out of range"),
-            (["r-stirling2", "--r", "0"], "restriction parameter r must be a positive integer"),
+            (["r-stirling2", "--r", "-1"], "restriction parameter r must be a nonnegative integer"),
         ],
         ids=["gen-beta-p", "r-stirling2-r"],
     )

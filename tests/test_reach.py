@@ -7,7 +7,8 @@ memo answers calls whose builders then never run.  It imports degenbern,
 lists the public surface, and records with sys.setprofile which of it runs
 during:
   - run_suite(max_n=6, max_p=2, truncation=8);
-  - the same run inside a substitution of row 4 of the second-kind triangle;
+  - the same run inside a substitution of row 4 of the second-kind triangle,
+    and again of row 4 of its r = 1 triangle;
   - `compute` for every family x format x {symbolic, --lambda 1/3};
   - one `export` and one `verify`.
 
@@ -90,10 +91,11 @@ def _exercise():
     from degenbern.verify import run_suite
 
     run_suite(max_n=6, max_p=2, truncation=8)
-    key = (4, 0, False, PolyLambda.lam())
-    row = _row(*key)
-    with substituted(_row, key, row[:2] + (row[2] + 1,) + row[3:]):
-        run_suite(max_n=6, max_p=2, truncation=8)
+    for r in (0, 1):
+        key = (4, r, False, PolyLambda.lam())
+        row = _row(*key)
+        with substituted(_row, key, row[:2] + (row[2] + 1,) + row[3:]):
+            run_suite(max_n=6, max_p=2, truncation=8)
     with redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as tmp:
         for family in cli.FAMILIES:
             for fmt in cli.FORMATS:

@@ -394,7 +394,17 @@ class TestPolynomialAndRestricted:
     def test_x_zero_matches_plain(self):
         for n in range(8):
             for k in range(n + 1):
-                assert stirling2_deg_poly(n, k, x=Fraction(0)) == stirling2_deg(n, k)
+                assert stirling2_deg_poly(n, k).evaluate(Fraction(0)) == stirling2_deg(n, k)
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_rows_match_the_extension_at_x_equal_r(self, r):
+        # the r-rows of _row against the symbolic extension, and at r = 0
+        # against the plain second-kind row
+        for n in range(13):
+            for k in range(n + 1):
+                assert r_stirling2_deg(n, k, r) == stirling2_deg_poly(n, k).evaluate(r)
+                if r == 0:
+                    assert r_stirling2_deg(n, k, r) == stirling2_deg(n, k)
 
     def test_generating_function_with_x_weight(self):
         n_max = 10
@@ -407,26 +417,7 @@ class TestPolynomialAndRestricted:
                 power = power.mul(em1).scale(Fraction(1, k))
             weighted = power.mul(shift)
             for n in range(k, n_max + 1):
-                assert weighted.coefficient(n) == stirling2_deg_poly(n, k, x=Fraction(r))
-
-    def test_warm_memo_never_answers_for_an_equal_point_of_another_type(self):
-        # 2, 2.0, True (against 1) and a constant PolyXOverLambda hash alike
-        warm = [stirling2_deg_poly(4, 2, x=x) for x in (1, 2, Fraction(2), LAM + 1)]
-        assert all(type(v) is PolyLambda for v in warm)
-        for bad in (2.0, True):
-            with pytest.raises(TypeError, match=f"got {type(bad).__name__}"):
-                stirling2_deg_poly(4, 2, x=bad)
-        lifted = stirling2_deg_poly(4, 2, x=PolyXOverLambda.constant(2))
-        assert type(lifted) is PolyXOverLambda
-        assert lifted == PolyXOverLambda.constant(warm[1])
-        assert stirling2_deg_poly(4, 2, x=2) is warm[1]
-
-    @pytest.mark.parametrize("bad", [[1], {2: 1}, "2", 2.0, True], ids=["list", "dict", "str", "float", "bool"])
-    def test_bad_point_refused_by_name_before_the_memo(self, bad):
-        # a list or a dict is unhashable: the memo lookup must not be the one to refuse it
-        named = f"x must be int, Fraction, PolyLambda or PolyXOverLambda, got {type(bad).__name__}"
-        with pytest.raises(TypeError, match=named):
-            stirling2_deg_poly(3, 1, x=bad)
+                assert weighted.coefficient(n) == r_stirling2_deg(n, k, r)
 
     def test_restricted_frozen_values(self):
         assert r_stirling2_deg(2, 1, 1) == 3 - LAM
@@ -442,9 +433,9 @@ class TestPolynomialAndRestricted:
                     assert got == r_stirling2_classical(n, k, r)
 
     def test_restriction_parameter_validated(self):
-        with pytest.raises(ValueError, match="must be a positive integer"):
-            r_stirling2_deg(3, 1, 0)
-        with pytest.raises(ValueError, match="must be a positive integer"):
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
+            r_stirling2_deg(3, 1, -1)
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
             r_stirling2_deg(3, 1, -2)
 
     def test_boolean_restriction_parameter_rejected(self):

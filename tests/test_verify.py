@@ -4,8 +4,6 @@ import hashlib
 import json
 import pickle
 
-from fractions import Fraction
-
 import pytest
 
 from degenbern import bernoulli, series, triangles, verify
@@ -275,18 +273,18 @@ class TestMutationDetection:
 
 # Canonical reports of run_suite(**SMALL), clean and under five substituted
 # triangle entries, as the sha256 of their JSON form.  The corruptions fail
-# 12-14 of the 24 identities each, so these pin most failure paths: where a
+# 10-12 of the 24 identities each, so these pin most failure paths: where a
 # case stops, which sides it reports and the coefficient index it names.
 _LAM = PolyLambda.lam()
 PINNED_REPORTS = {
     "clean": (None, "337f60e0ef382b9d13e5aa85b20c64693f9032afb99ad90174cb5914ddd316a6"),
-    "s2(4,2)=0": ((4, 2, 0), "a9b6179b2ec581b34c3dabe7088a43fd2725941265815d642d6cc72b72d4b33f"),
-    "s2(3,1)=1": ((3, 1, 1), "d186d9029be77f9d66b0d2fd4f1241395273e78e01d82567b0da80e8d15485a1"),
-    "s2(5,5)=l": ((5, 5, _LAM), "e076ac8bc60ff96dc7c8057885a35847a7fb232864b7b42f7e7766353ced98bd"),
-    "s2(6,0)=1": ((6, 0, 1), "8848ac80d48ac75770c75291ee1ca9619142f20a96bca63f3e5ea36c91e732f5"),
+    "s2(4,2)=0": ((4, 2, 0), "2ac6e64e4d827711e37a3e207ba01619b639c53db5d21569db71b06f2e2a3841"),
+    "s2(3,1)=1": ((3, 1, 1), "980281e519e767b23f19e947d6360025af7e080b2885dbe54ddb5d912313adec"),
+    "s2(5,5)=l": ((5, 5, _LAM), "80bf4d18dd137e6a41d8825e1790143e07b775f38c4bdb139065784f2b8b0dee"),
+    "s2(6,0)=1": ((6, 0, 1), "e726d037b307c15602c4f4899cea645abd9909ddce86d6d625723ffde40f8d32"),
     "s2(2,1)=1+l": (
         (2, 1, 1 + _LAM),
-        "a3c4bdb239403b40c06ed9860534716d8e0e2bb96097de3d4234541adf1a2b09",
+        "f2f5ce0717034ff8f823f0cddc62ad8a5c8246a7202b30c4d3c2322b20da1182",
     ),
 }
 
@@ -423,12 +421,13 @@ CATCH_MATRIX = {
         (4, 0, False, _LAM),
         (2,),
         {
-            "ClassicalLimits", "Eq12", "Eq23", "Eq26-27", "Eq32-33", "Lemma38", "StirlingDuality",
-            "Thm1", "Thm2", "Thm3-vs-GF", "Thm4", "Thm5", "Thm7-vs-Thm9",
+            "ClassicalLimits", "Eq12", "Eq23", "Eq26-27", "Lemma38", "StirlingDuality",
+            "Thm1", "Thm2", "Thm3-vs-GF", "Thm4", "Thm7-vs-Thm9",
         },
     ),
-    "_poly_entry-symbolic": (triangles._poly_entry, (4, 2, type(None), None), (), {"Lemma38", "Thm7-vs-Thm9"}),
-    "_poly_entry-r": (triangles._poly_entry, (4, 2, Fraction, Fraction(1)), (), {"Eq32-33", "Thm5"}),
+    # Eq32-33 and Thm5 read the r >= 1 rows of the same triangle
+    "_row-r": (triangles._row, (4, 1, False, _LAM), (2,), {"Eq32-33", "Thm5"}),
+    "stirling2_deg_poly": (triangles.stirling2_deg_poly, (4, 2), (), {"Lemma38", "Thm7-vs-Thm9"}),
     "eulerian_degenerate": (triangles.eulerian_degenerate, (4, 1), (), {"ClassicalLimits", "Eq30", "Thm4"}),
     "_carlitz_series": (bernoulli._carlitz_series, (_ORDER,), (4,), {"Thm1"}),
     "classical_bernoulli": (bernoulli.classical_bernoulli, (4,), (), {"ClassicalLimits"}),
